@@ -14,6 +14,7 @@ PERMLAB_CAP environment variable).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -528,7 +529,9 @@ def _cmd_lw(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="permlab",
         description="reports over finite permutation groups, orders and tree relations",

@@ -332,8 +332,15 @@ def induced_action(
     return InducedAction(GenGroup(len(items), tuple(lifted)), items, kind)
 
 
-def _item_orbit_is_everything(group: GenGroup, kind: str, k: int) -> bool:
-    """Transitivity on k-tuples/k-subsets by a single item-orbit BFS."""
+def _item_orbit_is_everything(
+    group: GenGroup, kind: str, k: int, cap: int | None = None
+) -> bool:
+    """Transitivity on k-tuples/k-subsets by a single item-orbit BFS.
+
+    The orbit is never larger than the group, but the walk still stops
+    with CapExceeded once it passes the element cap.
+    """
+    cap = element_cap(cap)
     start = tuple(range(k))
     if kind == "tuples":
         total = math.perm(group.degree, k)
@@ -351,29 +358,33 @@ def _item_orbit_is_everything(group: GenGroup, kind: str, k: int) -> bool:
                 moved = tuple(sorted(g.images[p] for p in current))
             if moved not in seen:
                 seen.add(moved)
+                if len(seen) > cap:
+                    raise CapExceeded(
+                        f"orbit on {k}-{kind} of {group.degree} points passed cap {cap}"
+                    )
                 queue.append(moved)
     return len(seen) == total
 
 
-def transitivity_degree(group: GenGroup, kmax: int) -> int:
+def transitivity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
     """Largest k <= kmax with a single orbit on injective j-tuples for all j <= k."""
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
     best = 0
     for k in range(1, kmax + 1):
-        if not _item_orbit_is_everything(group, "tuples", k):
+        if not _item_orbit_is_everything(group, "tuples", k, cap):
             break
         best = k
     return best
 
 
-def homogeneity_degree(group: GenGroup, kmax: int) -> int:
+def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
     """Largest k <= kmax with a single orbit on j-subsets for all j <= k."""
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
     best = 0
     for k in range(1, kmax + 1):
-        if not _item_orbit_is_everything(group, "subsets", k):
+        if not _item_orbit_is_everything(group, "subsets", k, cap):
             break
         best = k
     return best

@@ -9,22 +9,23 @@ matrices with entries (-1)^|intersection| are a candidate for a family
 of maps composing multiplicatively between levels; the exploration
 report computes the composite and compares, asserting nothing.
 
-All arithmetic is exact: Fraction entries, Gaussian elimination over the
-rationals, and an independent elimination mod a large prime as a cheap
-full-rank certificate for the bigger matrices.
+All arithmetic is exact: int entries, fraction-free (Bareiss) elimination
+over the integers, and an independent elimination mod a large prime as a
+cheap full-rank certificate for the bigger matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy
 
 from .config import element_cap
-from .errors import CapExceeded, OutOfRange
+from .errors import AxiomsFailed, CapExceeded, OutOfRange
 from .groups import GenGroup, enumerate_elements, induced_action, orbits
 from .perms import Permutation, cycle_type
 
@@ -47,13 +48,25 @@ def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
+def _mask(subset: tuple[int, ...]) -> int:
+    return sum(1 << p for p in subset)
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Rational matrix whose rows and columns are labeled by subsets."""
+    """Exact matrix whose rows and columns are labeled by subsets.
+
+    The builders below store int entries; Fraction entries are accepted
+    too, and every operation stays exact on them.
+    """
 
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != len(self.rows):
@@ -66,7 +79,7 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def entry(self, row_label, col_label) -> Fraction:
+    def entry(self, row_label, col_label) -> int | Fraction:
         i = self.rows.index(tuple(sorted(row_label)))
         j = self.cols.index(tuple(sorted(col_label)))
         return self.entries[i][j]
@@ -74,11 +87,9 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("label mismatch in matrix product")
+        columns = tuple(zip(*other.entries))
         product = tuple(
-            tuple(
-                sum((a * b for a, b in zip(row, col)), Fraction(0))
-                for col in zip(*other.entries)
-            )
+            tuple(sum(map(operator.mul, row, col)) for col in columns)
             for row in self.entries
         )
         return ExactMatrix(self.rows, other.cols, product)
@@ -99,13 +110,12 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     rows = _colex_subsets(n, k)
     cols = _colex_subsets(n, k - 1)
     col_index = {c: j for j, c in enumerate(cols)}
-    one, zero = Fraction(1), Fraction(0)
     entries = []
     for s in rows:
-        row = [zero] * len(cols)
+        row = [0] * len(cols)
         for drop in range(k):
             facet = s[:drop] + s[drop + 1 :]
-            row[col_index[facet]] = one
+            row[col_index[facet]] = 1
         entries.append(tuple(row))
     return ExactMatrix(rows, cols, tuple(entries))
 
@@ -116,12 +126,13 @@ def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
         raise OutOfRange(f"levels ({r},{s}) outside 0..{n}")
     rows = _colex_subsets(n, s)
     cols = _colex_subsets(n, r)
+    col_masks = [_mask(gamma) for gamma in cols]
     entries = tuple(
         tuple(
-            Fraction(-1 if len(set(sigma) & set(gamma)) % 2 else 1)
-            for gamma in cols
+            -1 if (row_mask & col_mask).bit_count() % 2 else 1
+            for col_mask in col_masks
         )
-        for sigma in rows
+        for row_mask in map(_mask, rows)
     )
     return ExactMatrix(rows, cols, entries)
 
@@ -130,32 +141,51 @@ def subset_permutation_matrix(g: Permutation, k: int) -> ExactMatrix:
     """Permutation matrix of g acting on the k-subsets of its domain."""
     labels = _colex_subsets(g.degree, k)
     index = {s: i for i, s in enumerate(labels)}
-    one, zero = Fraction(1), Fraction(0)
-    entries = [[zero] * len(labels) for _ in labels]
+    entries = [[0] * len(labels) for _ in labels]
     for j, s in enumerate(labels):
         image = tuple(sorted(g.images[p] for p in s))
-        entries[index[image]][j] = one
+        entries[index[image]][j] = 1
     return ExactMatrix(labels, labels, tuple(tuple(row) for row in entries))
 
 
+def _integer_rows(matrix: ExactMatrix) -> list[list[int]]:
+    """Rows scaled by the lcm of their denominators; the rank is unchanged."""
+    rows = []
+    for row in matrix.entries:
+        scale = math.lcm(*map(_DENOMINATOR, row))
+        if scale == 1:
+            rows.append(list(map(_NUMERATOR, row)))
+        else:
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rows
+
+
 def rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    work = [list(row) for row in matrix.entries]
+    """Exact rank by fraction-free (Bareiss) elimination over the integers.
+
+    After a pivot every row below it becomes lead * row - factor * top,
+    divided by the previous pivot; that division is exact because each
+    entry is then a minor of the input.  Columns left of the pivot are
+    already zero below it and are not touched.
+    """
+    work = _integer_rows(matrix)
     n_rows, n_cols = matrix.shape
     found = 0
+    previous = 1
     for col in range(n_cols):
         pivot = next((i for i in range(found, n_rows) if work[i][col]), None)
         if pivot is None:
             continue
         work[found], work[pivot] = work[pivot], work[found]
-        lead = work[found][col]
-        if lead != 1:
-            work[found] = [x / lead for x in work[found]]
-        top = work[found]
+        tail = work[found][col:]
+        lead = tail[0]
         for i in range(found + 1, n_rows):
-            factor = work[i][col]
-            if factor:
-                work[i] = [a - factor * b for a, b in zip(work[i], top)]
+            row = work[i]
+            factor = row[col]
+            row[col:] = [
+                (lead * a - factor * b) // previous for a, b in zip(row[col:], tail)
+            ]
+        previous = lead
         found += 1
         if found == n_rows:
             break
@@ -166,49 +196,51 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     """Rank of the reduction mod p; a lower bound for the rational rank.
 
     Equality with the column count therefore certifies injectivity over
-    the rationals without touching big-number arithmetic.
+    the rationals without touching big-number arithmetic.  Entries are
+    reduced lazily: a column only when it is searched for a pivot, so an
+    entry takes at most min(rows, cols) unreduced updates below p^2 each,
+    and p must keep that sum inside int64.
     """
     n_rows, n_cols = matrix.shape
     if n_rows == 0 or n_cols == 0:
         return 0
+    if min(n_rows, n_cols) * (p - 1) ** 2 + p >= 2**63:
+        raise OutOfRange(
+            f"p={p} overflows int64 elimination on a {n_rows}x{n_cols} matrix"
+        )
     a = numpy.array(
-        [
-            [
-                x.numerator % p * pow(x.denominator, -1, p) % p
-                for x in row
-            ]
-            for row in matrix.entries
-        ],
-        dtype=numpy.int64,
+        [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
     )
     found = 0
     for col in range(n_cols):
-        hits = numpy.nonzero(a[found:, col])[0]
+        column = a[found:, col]
+        column %= p
+        hits = numpy.nonzero(column)[0]
         if hits.size == 0:
             continue
         pivot = int(hits[0]) + found
-        a[[found, pivot]] = a[[pivot, found]]
-        a[found] = a[found] * pow(int(a[found, col]), -1, p) % p
-        below = a[found + 1 :, col].copy()
+        a[[found, pivot], col:] = a[[pivot, found], col:]
+        top = a[found, col:] % p * pow(int(a[found, col]), -1, p) % p
+        below = a[found + 1 :, col]
         live = numpy.nonzero(below)[0]
         if live.size:
-            block = a[found + 1 :]
-            block[live] = (block[live] - numpy.outer(below[live], a[found])) % p
+            block = a[found + 1 :, col:]
+            block[live] -= numpy.outer(below[live], top)
         found += 1
         if found == n_rows:
             break
     return found
 
 
-def _fixed_subset_count(g: Permutation, k: int) -> int:
-    """Subsets of size k fixed setwise: unions of whole cycles."""
-    ways = [0] * (k + 1)
+def _fixed_subset_counts(g: Permutation, kmax: int) -> list[int]:
+    """Subsets of each size 0..kmax fixed setwise: unions of whole cycles."""
+    ways = [0] * (kmax + 1)
     ways[0] = 1
     for length, mult in cycle_type(g).items():
         for _ in range(mult):
-            for j in range(k, length - 1, -1):
+            for j in range(kmax, length - 1, -1):
                 ways[j] += ways[j - length]
-    return ways[k]
+    return ways
 
 
 def orbit_count_inequality(
@@ -217,25 +249,33 @@ def orbit_count_inequality(
     """Orbit counts on k-subsets for k = 0..kmax, with the growth law.
 
     Counts come from the induced action; each is cross-checked against
-    the average number of fixed k-subsets over the whole group, and the
-    counts must be nondecreasing while n >= 2k.
+    the number of fixed k-subsets summed over the whole group (Burnside),
+    and the counts must be nondecreasing while n >= 2k.  A failed check
+    raises AxiomsFailed.
     """
     n = group.degree
     if not 0 <= kmax <= n:
         raise OutOfRange(f"kmax={kmax} outside 0..{n}")
     elements = enumerate_elements(group, cap)
+    totals = [0] * (kmax + 1)
+    for g in elements:
+        totals = list(map(operator.add, totals, _fixed_subset_counts(g, kmax)))
     counts = [1]
     for k in range(1, kmax + 1):
         action = induced_action(group, "subsets", k, cap)
         count = len(orbits(action.group))
-        average = Fraction(
-            sum(_fixed_subset_count(g, k) for g in elements), len(elements)
-        )
-        assert average == count
+        if totals[k] != count * len(elements):
+            raise AxiomsFailed(
+                f"{count} orbits on {k}-subsets, but the Burnside average is "
+                f"{Fraction(totals[k], len(elements))}"
+            )
         counts.append(count)
     for k in range(1, kmax + 1):
-        if n >= 2 * k:
-            assert counts[k - 1] <= counts[k]
+        if n >= 2 * k and counts[k - 1] > counts[k]:
+            raise AxiomsFailed(
+                f"orbit count falls from {counts[k - 1]} to {counts[k]} "
+                f"at level {k} on {n} points"
+            )
     return tuple(counts)
 
 
@@ -272,9 +312,10 @@ def theta_exploration(
     theta_st = build_theta_matrix(n, s, t)
     theta_rt = build_theta_matrix(n, r, t)
     composite = theta_st.matmul(theta_rs)
-    scalar = composite.entries[0][0] / theta_rt.entries[0][0]
+    c0, d0 = composite.entries[0][0], theta_rt.entries[0][0]
+    scalar = Fraction(c0, d0)
     proportional = all(
-        c == scalar * d
+        c * d0 == c0 * d
         for crow, drow in zip(composite.entries, theta_rt.entries)
         for c, d in zip(crow, drow)
     )

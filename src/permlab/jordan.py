@@ -155,7 +155,7 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
         for g in inside.generators
     )
     k = len(complement)
-    proper = transitivity_degree(group, k + 1) < k + 1
+    proper = transitivity_degree(group, k + 1, cap) < k + 1
     return JordanWitness(points, GenGroup(len(points), restricted), proper)
 
 
@@ -412,7 +412,7 @@ def geometry_audit(
             break
 
     empty_span = tuple(sorted(table[frozenset()]))
-    if transitivity_degree(group, min(2, n)) >= 2:
+    if transitivity_degree(group, min(2, n), cap) >= 2:
         singleton_spans_fixed = all(
             table[frozenset([p])] == frozenset([p]) for p in range(n)
         )

@@ -114,6 +114,25 @@ def burnside_orbit_count(elements: set[Permutation], items: list) -> Fraction:
     return Fraction(total, len(elements))
 
 
+def rational_rank(entries) -> int:
+    """Rank by Gaussian elimination over the rationals, on Fraction rows."""
+    work = [[Fraction(x) for x in row] for row in entries]
+    n_cols = len(work[0]) if work else 0
+    found = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(found, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[found], work[pivot] = work[pivot], work[found]
+        top = [x / work[found][col] for x in work[found]]
+        for i in range(found + 1, len(work)):
+            factor = work[i][col]
+            if factor:
+                work[i] = [a - factor * b for a, b in zip(work[i], top)]
+        found += 1
+    return found
+
+
 def stabilizer_filter(elements: set[Permutation], item) -> set[Permutation]:
     """Stabilizer by filtering a full enumeration."""
     return {g for g in elements if act(item, g) == item}

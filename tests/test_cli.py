@@ -216,6 +216,24 @@ def test_cap_exhaustion_exits_3(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("pass_name", ["transitivity", "homogeneity"])
+def test_item_orbit_walk_exits_3_at_the_cap(capsys, monkeypatch, pass_name):
+    # Sym(12) is far past any cap; its orbit on pairs alone has 66+ items
+    monkeypatch.setenv("PERMLAB_CAP", "50")
+    rc, _, err = run_cli(
+        capsys,
+        "analyze",
+        "--gens",
+        "(1 2 3 4 5 6 7 8 9 10 11 12),(1 2)",
+        "--degree",
+        "12",
+        "--pass",
+        pass_name,
+    )
+    assert rc == 3
+    assert "cap 50" in err
+
+
 # wreath
 
 

@@ -237,6 +237,16 @@ def test_two_orbits_on_pairs_for_c5():
     assert len(orbits(act.group)) == 2
 
 
+def test_degree_walks_stop_at_the_cap():
+    # Sym(6) has one orbit of 120 ordered and 20 unordered triples
+    assert transitivity_degree(symmetric_group(6), 3, cap=120) == 3
+    with pytest.raises(CapExceeded):
+        transitivity_degree(symmetric_group(6), 3, cap=119)
+    assert homogeneity_degree(symmetric_group(6), 3, cap=20) == 3
+    with pytest.raises(CapExceeded):
+        homogeneity_degree(symmetric_group(6), 3, cap=19)
+
+
 def test_degree_kmax_out_of_range():
     with pytest.raises(OutOfRange):
         transitivity_degree(cyclic_group(3), 4)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permlab.errors import CapExceeded, OutOfRange
+from permlab import incidence
+from permlab.errors import AxiomsFailed, CapExceeded, OutOfRange
 from permlab.fixtures import fixture
 from permlab.groups import (
     alternating_group,
@@ -87,6 +88,13 @@ def test_mod_p_rank_agrees_with_exact():
     assert rank_mod_p(theta) == rank(theta)
 
 
+def test_mod_p_rejects_a_prime_that_overflows_int64():
+    # one column takes a single unreduced update below p^2; two overflow
+    assert rank_mod_p(build_r_matrix(6, 1), p=2_147_483_647) == 1
+    with pytest.raises(OutOfRange):
+        rank_mod_p(build_r_matrix(6, 2), p=2_147_483_647)
+
+
 def test_mod_p_certifies_injectivity_at_ten():
     m = build_r_matrix(10, 5)
     assert rank_mod_p(m) == len(m.cols) == 210
@@ -135,6 +143,15 @@ def test_orbit_counts_on_subsets():
     assert orbit_count_inequality(alternating_group(5), 2) == (1, 1, 1)
     with pytest.raises(OutOfRange):
         orbit_count_inequality(cyclic_group(5), 6)
+
+
+def test_wrong_fixed_counts_fail_the_burnside_check(monkeypatch):
+    # an explicit check, not an assert, so it also holds under python -O
+    monkeypatch.setattr(
+        incidence, "_fixed_subset_counts", lambda g, kmax: [0] * (kmax + 1)
+    )
+    with pytest.raises(AxiomsFailed):
+        orbit_count_inequality(cyclic_group(5), 2)
 
 
 def test_orbit_counts_match_burnside_oracle():
@@ -199,3 +216,83 @@ def test_theta_matrix_shape_and_symmetry():
         for j in range(len(theta.cols)):
             assert theta.entries[i][j] == theta.entries[j][i]
     assert set().union(*[set(r) for r in theta.entries]) == {1, -1}
+
+
+# exact arithmetic against the rational oracle
+
+
+def _labeled(entries) -> ExactMatrix:
+    return ExactMatrix(
+        tuple((i,) for i in range(len(entries))),
+        tuple((j,) for j in range(len(entries[0]))),
+        tuple(tuple(row) for row in entries),
+    )
+
+
+def test_builders_store_int_entries():
+    matrices = [build_r_matrix(6, 3), build_theta_matrix(5, 2, 3)]
+    matrices.append(subset_permutation_matrix(dihedral_group(5).generators[0], 2))
+    matrices.append(matrices[0].matmul(build_r_matrix(6, 2)))
+    for m in matrices:
+        assert all(type(x) is int for row in m.entries for x in row)
+
+
+def test_theta_scalar_is_a_fraction_or_none():
+    for n in range(6):
+        for r, s, t in itertools.combinations_with_replacement(range(n + 1), 3):
+            rep = theta_exploration(n, r, s, t)
+            assert rep.scalar is None or type(rep.scalar) is Fraction
+    assert str(theta_exploration(4, 0, 1, 2).scalar) == "0"
+
+
+def test_ranks_match_oracle_on_inclusion_matrices():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            m = build_r_matrix(n, k)
+            want = oracles.rational_rank(m.entries)
+            assert rank(m) == rank_mod_p(m) == want, (n, k)
+
+
+def test_ranks_match_oracle_on_theta_matrices():
+    for n in range(7):
+        for r in range(n + 1):
+            for s in range(n + 1):
+                m = build_theta_matrix(n, r, s)
+                want = oracles.rational_rank(m.entries)
+                assert rank(m) == rank_mod_p(m) == want, (n, r, s)
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """Integer product of a rows x inner and an inner x cols matrix: rank <= inner."""
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    n_cols = draw(st.integers(min_value=1, max_value=6))
+    inner = draw(st.integers(min_value=0, max_value=min(n_rows, n_cols)))
+    small = st.integers(min_value=-3, max_value=3)
+    left = [[draw(small) for _ in range(inner)] for _ in range(n_rows)]
+    right = [[draw(small) for _ in range(n_cols)] for _ in range(inner)]
+    return [
+        [sum(left[i][m] * right[m][j] for m in range(inner)) for j in range(n_cols)]
+        for i in range(n_rows)
+    ]
+
+
+@given(_low_rank_matrices())
+def test_ranks_match_oracle_on_integer_matrices(entries):
+    m = _labeled(entries)
+    assert rank(m) == rank_mod_p(m) == oracles.rational_rank(entries)
+
+
+@given(_low_rank_matrices(), st.booleans(), st.data())
+def test_ranks_match_oracle_on_fraction_matrices(entries, per_entry, data):
+    # one denominator per row keeps the product's low rank; one per entry
+    # gives a matrix of unrelated rank
+    denominators = st.integers(min_value=1, max_value=5)
+    fractions = []
+    for row in entries:
+        d = data.draw(denominators)
+        fractions.append(
+            [Fraction(x, data.draw(denominators) if per_entry else d) for x in row]
+        )
+    m = _labeled(fractions)
+    assert rank(m) == rank_mod_p(m) == oracles.rational_rank(fractions)
