@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import (
+    AxiomsFailed,
     DiagonalOrbital,
     NotTransitive,
     PermlabError,
@@ -22,6 +23,8 @@ from .errors import (
 )
 from .groups import (
     GenGroup,
+    _item_orbit,
+    _support_edges,
     element_set,
     enumerate_elements,
     is_transitive,
@@ -31,7 +34,7 @@ from .groups import (
     stabilizer,
     subgroup_from_elements,
 )
-from .perms import Permutation, compose, identity, inverse
+from .perms import Permutation, compose, conjugate, identity, inverse
 
 
 @dataclass(frozen=True)
@@ -252,17 +255,12 @@ class Orbital:
         return tuple(sorted(a for a, b in self.pairs if b == point))
 
 
+def _pair_image(pair: tuple[int, int], g: Permutation) -> tuple[int, int]:
+    return g.images[pair[0]], g.images[pair[1]]
+
+
 def _pair_orbit(group: GenGroup, pair: tuple[int, int]) -> frozenset[tuple[int, int]]:
-    seen = {pair}
-    queue = deque([pair])
-    while queue:
-        x, y = queue.popleft()
-        for g in group.generators:
-            moved = (g.images[x], g.images[y])
-            if moved not in seen:
-                seen.add(moved)
-                queue.append(moved)
-    return frozenset(seen)
+    return frozenset(_item_orbit(pair, _pair_image, group.generators, group.degree**2))
 
 
 @dataclass(frozen=True)
@@ -397,10 +395,9 @@ def orbital_graph(group: GenGroup, orb: Orbital) -> OrbitalGraphReport:
     for d, size in enumerate(sizes):
         if d == 0:
             continue
-        if valency >= 2:
-            assert size <= valency * (valency - 1) ** d
-        else:
-            assert size <= 1
+        bound = valency * (valency - 1) ** d if valency >= 2 else 1
+        if size > bound:
+            raise AxiomsFailed(f"sphere {d} has {size} points, above the bound {bound}")
     return OrbitalGraphReport(
         orb, "\n".join(lines), _weakly_connected(group.degree, orb.pairs),
         valency, tuple(sizes),
@@ -560,19 +557,11 @@ class AlmostRegularDecomposition:
 
 
 def _support_masks(group: GenGroup, cap: int | None) -> tuple[int, ...]:
-    masks = set()
-    for g in enumerate_elements(group, cap):
-        mask = 0
-        for point, image in enumerate(g.images):
-            if point != image:
-                mask |= 1 << point
-        if mask:
-            masks.add(mask)
+    masks = [mask for mask, _ in _support_edges(group, cap)]
     # keep only inclusion-minimal supports: a set hitting those hits all
-    minimal = [
+    return tuple(
         m for m in masks if not any(other != m and other & m == other for other in masks)
-    ]
-    return tuple(sorted(minimal))
+    )
 
 
 def almost_regular_decomposition(
@@ -619,12 +608,12 @@ def almost_regular_decomposition(
         if len(candidates) == 1:
             break
     n_members = tuple(sorted(candidates, key=lambda f: f.images))
-    for g in group.generators:
-        for x in n_members:
-            assert compose(compose(inverse(g), x), g) in candidates, "N not normal"
+    if any(conjugate(x, g) not in candidates for g in group.generators for x in n_members):
+        raise AxiomsFailed("N not normal")
     n_group = subgroup_from_elements(n_members, group.degree)
     rho = _partition_from_classes(group.degree, orbits(n_group), group)
-    assert all(len(block) <= m for block in rho.blocks), "rho class above m"
+    if any(len(block) > m for block in rho.blocks):
+        raise AxiomsFailed("rho class above m")
     block_index = {}
     for index, block in enumerate(rho.blocks):
         for point in block:
@@ -658,16 +647,8 @@ def _conjugacy_classes(group: GenGroup, cap: int | None) -> tuple[tuple[Permutat
     for x in sorted(elements, key=lambda f: f.images):
         if x in seen:
             continue
-        cls = {x}
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in group.generators:
-                z = compose(compose(inverse(g), y), g)
-                if z not in cls:
-                    cls.add(z)
-                    queue.append(z)
-        seen |= cls
+        cls = _item_orbit(x, conjugate, group.generators, len(elements))
+        seen.update(cls)
         classes.append(tuple(sorted(cls, key=lambda f: f.images)))
     return tuple(classes)
 

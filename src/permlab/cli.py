@@ -53,15 +53,19 @@ def _points_out(points) -> list[int]:
     return [p + 1 for p in sorted(points)]
 
 
+def _envelope(payload) -> str:
+    doc = {
+        "schema": SCHEMA,
+        "tool": {"name": "permlab", "version": __version__},
+        "cap": element_cap(None),
+        "report": payload,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _emit(args, payload, text_lines) -> int:
     if getattr(args, "format", "text") == "json":
-        doc = {
-            "schema": SCHEMA,
-            "tool": {"name": "permlab", "version": __version__},
-            "cap": element_cap(None),
-            "report": payload,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_envelope(payload))
     else:
         for line in text_lines:
             print(line)
@@ -355,13 +359,7 @@ def _cmd_wreath(args) -> int:
     ]
     lines += ["  " + format_cycles(g) for g in product.generators]
     if args.out:
-        doc = {
-            "schema": SCHEMA,
-            "tool": {"name": "permlab", "version": __version__},
-            "cap": element_cap(None),
-            "report": payload,
-        }
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(_envelope(payload) + "\n")
         lines.append(f"wrote {args.out}")
     return _emit(args, payload, lines)
 

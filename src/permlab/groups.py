@@ -24,6 +24,7 @@ from functools import cache
 
 from .config import element_cap
 from .errors import (
+    AxiomsFailed,
     CapExceeded,
     NotSubgroup,
     NotTransitive,
@@ -94,23 +95,33 @@ def alternating_group(degree: int) -> GenGroup:
 # element enumeration
 
 
-@cache
-def _bfs_elements(group: GenGroup, cap: int) -> tuple[Permutation, ...]:
-    start = identity(group.degree)
+def _item_orbit(start, act, generators, cap: int) -> list:
+    """Orbit of start under item -> act(item, g), as a list in BFS order.
+
+    Generators are tried in list order for each item, so the list runs
+    shortest word first, ties broken by generator position.  Raises
+    CapExceeded once the orbit would pass cap items.  A set plus a list
+    peaks lower than one insertion-ordered dict on large walks.
+    """
     seen = {start}
     out = [start]
-    queue = deque([start])
+    queue = deque(out)
     while queue:
-        current = queue.popleft()
-        for g in group.generators:
-            node = compose(current, g)
-            if node not in seen:
+        item = queue.popleft()
+        for g in generators:
+            moved = act(item, g)
+            if moved not in seen:
                 if len(seen) >= cap:
-                    raise CapExceeded(f"enumeration passed cap {cap}")
-                seen.add(node)
-                out.append(node)
-                queue.append(node)
-    return tuple(out)
+                    raise CapExceeded(f"orbit of {start!r} passed cap {cap}")
+                seen.add(moved)
+                out.append(moved)
+                queue.append(moved)
+    return out
+
+
+@cache
+def _bfs_elements(group: GenGroup, cap: int) -> tuple[Permutation, ...]:
+    return tuple(_item_orbit(identity(group.degree), compose, group.generators, cap))
 
 
 def enumerate_elements(group: GenGroup, cap: int | None = None) -> tuple[Permutation, ...]:
@@ -136,6 +147,41 @@ def order(group: GenGroup, cap: int | None = None) -> int:
 
 def contains(group: GenGroup, f: Permutation, cap: int | None = None) -> bool:
     return f in element_set(group, cap)
+
+
+def _mask(points) -> int:
+    """Bitmask with bit p set for each point p."""
+    out = 0
+    for p in points:
+        out |= 1 << p
+    return out
+
+
+def _support_edges(
+    group: GenGroup, cap: int | None = None
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Movement edges grouped by distinct support mask.
+
+    One entry per support that occurs among non-identity elements, sorted
+    by mask: the bitmask of moved points plus every (point, image) pair
+    contributed by an element with exactly that support.  An element is
+    usable inside a candidate set iff its mask is a submask of the set's
+    mask, so scans over candidates only ever touch this table, not the
+    element list.
+    """
+    return _support_table(group, element_cap(cap))
+
+
+@cache
+def _support_table(group: GenGroup, cap: int):
+    buckets: dict[int, set[tuple[int, int]]] = {}
+    for g in enumerate_elements(group, cap):
+        moved = [p for p in range(group.degree) if g.images[p] != p]
+        if moved:
+            buckets.setdefault(_mask(moved), set()).update((p, g.images[p]) for p in moved)
+    return tuple(
+        (mask, tuple(sorted(pairs))) for mask, pairs in sorted(buckets.items())
+    )
 
 
 def _reduce_generators(
@@ -284,11 +330,23 @@ def _point_stabilizer(group: GenGroup, alpha: int) -> GenGroup:
 # induced actions on tuples and subsets
 
 
-def _subsets_colex(degree: int, k: int) -> list[tuple[int, ...]]:
+def _subsets_colex(degree: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All sorted k-subsets in colexicographic order."""
-    return sorted(
-        itertools.combinations(range(degree), k), key=lambda s: tuple(reversed(s))
+    return tuple(
+        sorted(itertools.combinations(range(degree), k), key=lambda s: tuple(reversed(s)))
     )
+
+
+def _tuple_image(item: tuple[int, ...], g: Permutation) -> tuple[int, ...]:
+    return tuple(map(g.images.__getitem__, item))
+
+
+def _subset_image(item: tuple[int, ...], g: Permutation) -> tuple[int, ...]:
+    return tuple(sorted(map(g.images.__getitem__, item)))
+
+
+# kind -> (domain size for n points and k, action of a generator on an item)
+_INDUCED = {"tuples": (math.perm, _tuple_image), "subsets": (math.comb, _subset_image)}
 
 
 @dataclass(frozen=True)
@@ -309,27 +367,27 @@ def induced_action(
     """Action on injective k-tuples ("tuples") or k-subsets ("subsets").
 
     Derived degree is n!/(n-k)! for tuples and C(n, k) for subsets; subsets
-    are listed in colexicographic order, tuples lexicographically.
+    are listed in colexicographic order, tuples lexicographically.  The
+    derived degree is checked against the cap before any item is built.
     """
     if not 0 < k <= group.degree:
         raise OutOfRange(f"k={k} outside 1..{group.degree}")
+    if kind not in _INDUCED:
+        raise ValueError(f"unknown induced action kind {kind!r}")
+    count, act = _INDUCED[kind]
+    size = count(group.degree, k)
+    if size > element_cap(cap):
+        raise CapExceeded(f"derived domain of size {size} passes the cap")
     if kind == "tuples":
         items = tuple(itertools.permutations(range(group.degree), k))
-    elif kind == "subsets":
-        items = tuple(_subsets_colex(group.degree, k))
     else:
-        raise ValueError(f"unknown induced action kind {kind!r}")
-    if len(items) > element_cap(cap):
-        raise CapExceeded(f"derived domain of size {len(items)} passes the cap")
+        items = _subsets_colex(group.degree, k)
     index = {item: i for i, item in enumerate(items)}
-    lifted = []
-    for g in group.generators:
-        if kind == "tuples":
-            moved = [index[tuple(g.images[p] for p in item)] for item in items]
-        else:
-            moved = [index[tuple(sorted(g.images[p] for p in item))] for item in items]
-        lifted.append(Permutation(tuple(moved)))
-    return InducedAction(GenGroup(len(items), tuple(lifted)), items, kind)
+    lifted = tuple(
+        Permutation(tuple(index[act(item, g)] for item in items))
+        for g in group.generators
+    )
+    return InducedAction(GenGroup(len(items), lifted), items, kind)
 
 
 def _item_orbit_is_everything(
@@ -340,30 +398,9 @@ def _item_orbit_is_everything(
     The orbit is never larger than the group, but the walk still stops
     with CapExceeded once it passes the element cap.
     """
-    cap = element_cap(cap)
-    start = tuple(range(k))
-    if kind == "tuples":
-        total = math.perm(group.degree, k)
-    else:
-        total = math.comb(group.degree, k)
-    ordered = kind == "tuples"
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for g in group.generators:
-            if ordered:
-                moved = tuple(g.images[p] for p in current)
-            else:
-                moved = tuple(sorted(g.images[p] for p in current))
-            if moved not in seen:
-                seen.add(moved)
-                if len(seen) > cap:
-                    raise CapExceeded(
-                        f"orbit on {k}-{kind} of {group.degree} points passed cap {cap}"
-                    )
-                queue.append(moved)
-    return len(seen) == total
+    count, act = _INDUCED[kind]
+    orbit_items = _item_orbit(tuple(range(k)), act, group.generators, element_cap(cap))
+    return len(orbit_items) == count(group.degree, k)
 
 
 def transitivity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
@@ -435,7 +472,8 @@ def coset_cover_audit(
     """Audit a finite union of cosets Y_i x_i against the whole group.
 
     Exact index arithmetic; when the cover is exhaustive and irredundant the
-    reciprocal index sum is at least 1, and this audit asserts it.
+    reciprocal index sum is at least 1, and this audit raises AxiomsFailed
+    otherwise.
     """
     whole = element_set(instance.group, cap)
     cosets: list[frozenset[Permutation]] = []
@@ -460,8 +498,8 @@ def coset_cover_audit(
             irredundant = False
             break
     index_sum = sum((Fraction(1, i) for i in indices), Fraction(0))
-    if covers and irredundant:
-        assert index_sum >= 1, "irredundant exhaustive cover with reciprocal sum < 1"
+    if covers and irredundant and index_sum < 1:
+        raise AxiomsFailed("irredundant exhaustive cover with reciprocal sum < 1")
     return CosetCoverReport(covers, irredundant, tuple(indices), index_sum)
 
 

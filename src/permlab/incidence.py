@@ -16,7 +16,6 @@ cheap full-rank certificate for the bigger matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy
 
 from .config import element_cap
 from .errors import AxiomsFailed, CapExceeded, OutOfRange
-from .groups import GenGroup, enumerate_elements, induced_action, orbits
+from .groups import GenGroup, _mask, _subsets_colex, enumerate_elements, induced_action, orbits
 from .perms import Permutation, cycle_type
 
 __all__ = [
@@ -42,18 +41,8 @@ __all__ = [
 ]
 
 
-def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        sorted(itertools.combinations(range(n), k), key=lambda s: tuple(reversed(s)))
-    )
-
-
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
-
-
-def _mask(subset: tuple[int, ...]) -> int:
-    return sum(1 << p for p in subset)
 
 
 @dataclass(frozen=True)
@@ -107,8 +96,8 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     """
     if not 1 <= k <= n:
         raise OutOfRange(f"k={k} outside 1..{n}")
-    rows = _colex_subsets(n, k)
-    cols = _colex_subsets(n, k - 1)
+    rows = _subsets_colex(n, k)
+    cols = _subsets_colex(n, k - 1)
     col_index = {c: j for j, c in enumerate(cols)}
     entries = []
     for s in rows:
@@ -124,8 +113,8 @@ def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
     """Sign matrix from r-subsets to s-subsets: (-1)^|intersection|."""
     if not 0 <= r <= n or not 0 <= s <= n:
         raise OutOfRange(f"levels ({r},{s}) outside 0..{n}")
-    rows = _colex_subsets(n, s)
-    cols = _colex_subsets(n, r)
+    rows = _subsets_colex(n, s)
+    cols = _subsets_colex(n, r)
     col_masks = [_mask(gamma) for gamma in cols]
     entries = tuple(
         tuple(
@@ -139,7 +128,7 @@ def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
 
 def subset_permutation_matrix(g: Permutation, k: int) -> ExactMatrix:
     """Permutation matrix of g acting on the k-subsets of its domain."""
-    labels = _colex_subsets(g.degree, k)
+    labels = _subsets_colex(g.degree, k)
     index = {s: i for i, s in enumerate(labels)}
     entries = [[0] * len(labels) for _ in labels]
     for j, s in enumerate(labels):

@@ -6,12 +6,13 @@ Such a set is improper when the group is (k+1)-transitive for k the size
 of the complement, so that transitivity inside costs nothing; the proper
 ones are the geometrically interesting witnesses.
 
-Everything here runs on the element list.  The workhorse is a table of
-support masks: each group element moves some set of points, and an
-element is available inside a candidate set exactly when its support
-fits.  Unions of fitting supports give connectivity, and a decreasing
-fixpoint over that table finds the unique maximal Jordan set avoiding a
-prescribed set of points.  Spans, and the closure-operator audit built
+Everything here runs on the element list.  The workhorse is the table of
+support masks that ``groups`` builds and caches per group and element
+cap: each group element moves some set of points, and an element is
+available inside a candidate set exactly when its support fits.  Unions
+of fitting supports give connectivity, and a decreasing fixpoint over
+that table finds the unique maximal Jordan set avoiding a prescribed set
+of points.  Spans, and the closure-operator audit built
 from them, reduce to the same scan.
 """
 
@@ -20,13 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 
+from .blocks import _UnionFind
 from .config import element_cap
-from .errors import CapExceeded, OutOfRange, PointOutOfRange, TooSmall
+from .errors import AxiomsFailed, CapExceeded, OutOfRange, PointOutOfRange, TooSmall
 from .groups import (
     GenGroup,
-    enumerate_elements,
+    _item_orbit,
+    _mask,
+    _support_edges,
+    _tuple_image,
     orbit,
     stabilizer,
     transitivity_degree,
@@ -70,32 +74,6 @@ def _point_set(group: GenGroup, points) -> set[int]:
     return out
 
 
-@cache
-def _support_edges(
-    group: GenGroup, cap: int | None
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Movement edges grouped by distinct support mask.
-
-    One entry per support that occurs among non-identity elements: the
-    bitmask of moved points plus every (point, image) pair contributed by
-    an element with exactly that support.  An element is usable inside a
-    candidate set iff its mask is a submask of the set's mask, so scans
-    over candidates only ever touch this table, not the element list.
-    """
-    buckets: dict[int, set[tuple[int, int]]] = {}
-    for g in enumerate_elements(group, cap):
-        moved = [p for p in range(group.degree) if g.images[p] != p]
-        if not moved:
-            continue
-        mask = 0
-        for p in moved:
-            mask |= 1 << p
-        buckets.setdefault(mask, set()).update((p, g.images[p]) for p in moved)
-    return tuple(
-        (mask, tuple(sorted(pairs))) for mask, pairs in sorted(buckets.items())
-    )
-
-
 def _component(edges, allowed_mask: int, seed: int) -> frozenset[int]:
     """Largest set containing seed, inside allowed, on which the elements
     supported inside the set act with a single orbit through seed.
@@ -125,9 +103,7 @@ def _component(edges, allowed_mask: int, seed: int) -> frozenset[int]:
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
-        new_mask = 0
-        for p in reached:
-            new_mask |= 1 << p
+        new_mask = _mask(reached)
         if new_mask == current:
             return frozenset(reached)
         current = new_mask
@@ -159,16 +135,9 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
     return JordanWitness(points, GenGroup(len(points), restricted), proper)
 
 
-def jordan_sets(
-    group: GenGroup, sizes=None, cap: int | None = None
-) -> tuple[JordanWitness, ...]:
-    """All Jordan sets of the group, optionally restricted to given sizes.
-
-    Scans every subset of the requested sizes against the support-mask
-    table; the handful of survivors then get full witnesses.  The subset
-    count is compared against the element cap before anything runs, since
-    the scan is exponential in the degree.
-    """
+def _jordan_scan(group: GenGroup, sizes, cap: int | None):
+    """Subsets, by ascending size then lexicographically, on which the
+    elements supported inside act with a single orbit."""
     n = group.degree
     if sizes is None:
         wanted_sizes = tuple(range(2, n + 1))
@@ -181,37 +150,40 @@ def jordan_sets(
     if count > element_cap(cap):
         raise CapExceeded(f"{count} candidate subsets passes the cap")
     edges = _support_edges(group, cap)
-    found: list[JordanWitness] = []
     for m in wanted_sizes:
         for combo in itertools.combinations(range(n), m):
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
-            if _connected_inside(edges, mask, combo):
-                witness = is_jordan(group, combo, cap)
-                assert witness is not None
-                found.append(witness)
+            if _connected_inside(edges, _mask(combo), combo):
+                yield combo
+
+
+def jordan_sets(
+    group: GenGroup, sizes=None, cap: int | None = None
+) -> tuple[JordanWitness, ...]:
+    """All Jordan sets of the group, optionally restricted to given sizes.
+
+    Scans every subset of the requested sizes against the support-mask
+    table; the handful of survivors then get full witnesses.  The subset
+    count is compared against the element cap before anything runs, since
+    the scan is exponential in the degree.
+    """
+    found: list[JordanWitness] = []
+    for combo in _jordan_scan(group, sizes, cap):
+        witness = is_jordan(group, combo, cap)
+        if witness is None:
+            raise AxiomsFailed(f"scanned set {combo} has no Jordan witness")
+        found.append(witness)
     return tuple(found)
 
 
 def _connected_inside(edges, mask: int, members: tuple[int, ...]) -> bool:
     """Single orbit on members under elements supported inside mask."""
-    parent = {p: p for p in members}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(mask.bit_length())
     merged = len(members) - 1
     for emask, pairs in edges:
         if emask & ~mask:
             continue
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            if uf.union(a, b):
                 merged -= 1
                 if not merged:
                     return True
@@ -230,10 +202,7 @@ def maximal_jordan_avoiding(
     since two through a common point would both equal the fixpoint there.
     """
     banned = _point_set(group, avoid)
-    allowed_mask = 0
-    for p in range(group.degree):
-        if p not in banned:
-            allowed_mask |= 1 << p
+    allowed_mask = _mask(p for p in range(group.degree) if p not in banned)
     edges = _support_edges(group, cap)
     if seed is not None:
         _point_set(group, [seed])
@@ -263,22 +232,7 @@ def span(group: GenGroup, points, cap: int | None = None) -> tuple[int, ...]:
     recovers the lines, and for a symmetric group it is the identity on
     small sets.
     """
-    wanted = _point_set(group, points)
-    covered: set[int] = set()
-    allowed_mask = 0
-    for p in range(group.degree):
-        if p not in wanted:
-            allowed_mask |= 1 << p
-    edges = _support_edges(group, cap)
-    remaining = {p for p in range(group.degree) if p not in wanted}
-    while remaining:
-        s = min(remaining)
-        part = _component(edges, allowed_mask, s)
-        if len(part) >= 2:
-            covered |= part
-            remaining -= part
-        else:
-            remaining.discard(s)
+    covered = set().union(*maximal_jordan_avoiding(group, points, cap=cap))
     return tuple(p for p in range(group.degree) if p not in covered)
 
 
@@ -354,20 +308,14 @@ class GeometryAudit:
 
 
 def _tuple_orbits(group: GenGroup, tuples: tuple[tuple[int, ...], ...]) -> int:
+    """Orbits on a G-invariant set of tuples, counted by removing whole orbits."""
     items = set(tuples)
     orbits = 0
     while items:
-        start = min(items)
         orbits += 1
-        stack = [start]
-        items.discard(start)
-        while stack:
-            t = stack.pop()
-            for g in group.generators:
-                image = tuple(g.images[p] for p in t)
-                if image in items:
-                    items.discard(image)
-                    stack.append(image)
+        items.difference_update(
+            _item_orbit(min(items), _tuple_image, group.generators, len(items))
+        )
     return orbits
 
 

@@ -28,6 +28,7 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     CosetCoverInstance,
     GenGroup,
+    _mask,
     _reduce_generators,
     coset_cover_audit,
     cyclic_group,
@@ -35,21 +36,15 @@ from .groups import (
     element_set,
     enumerate_elements,
     homogeneity_degree,
+    induced_action,
     is_transitive,
     order,
     separation_search,
     symmetric_group,
     transitivity_degree,
 )
-from .incidence import (
-    build_r_matrix,
-    orbit_count_inequality,
-    rank,
-    rank_mod_p,
-    subset_permutation_matrix,
-)
-from .jordan import _connected_inside, _support_edges, jordan_sets, span
-from .jordan import geometry_audit
+from .incidence import build_r_matrix, orbit_count_inequality, rank, rank_mod_p
+from .jordan import _jordan_scan, geometry_audit, jordan_sets, span
 from .orders import (
     LOCAL_KINDS,
     cantor_forth,
@@ -60,9 +55,9 @@ from .orders import (
     pl_automorphism,
     standard_rationals,
 )
-from .perms import Permutation, compose, identity, involution_factorization
+from .perms import Permutation, compose, identity, involution_factorization, support_fix_degree
 from .relations import relation
-from .trees import check_axioms, finite_c_model
+from .trees import check_axioms, finite_c_model, set_translates
 from .wreath import imprimitive_embedding, wreath
 
 DEFAULT_SEED = 20260818
@@ -85,17 +80,6 @@ def _corpus() -> tuple[tuple[str, GenGroup], ...]:
                 name = f"cyclic_{c}_wr_cyclic_{d}"
                 rows.append((name, wreath(cyclic_group(c), cyclic_group(d))))
     return tuple(rows)
-
-
-def _moved(g: Permutation) -> frozenset[int]:
-    return frozenset(p for p in range(g.degree) if g.images[p] != p)
-
-
-def _mask(points) -> int:
-    out = 0
-    for p in points:
-        out |= 1 << p
-    return out
 
 
 # ------------------------------------------------------------ properties
@@ -207,8 +191,8 @@ def _check_involution_factorization(rng: random.Random) -> tuple[bool, str]:
             return False
         if compose(t1, t2) != f:
             return False
-        support = _moved(f)
-        return _moved(t1) <= support and _moved(t2) <= support
+        support = support_fix_degree(f)[0]
+        return support_fix_degree(t1)[0] <= support and support_fix_degree(t2)[0] <= support
 
     bad = []
     total = 0
@@ -313,13 +297,18 @@ def _check_subset_incidence(rng: random.Random) -> tuple[bool, str]:
                 problems.append(("exact rank", n, k))
     checked_gens = 0
     for name, group in _corpus():
-        n = group.degree
-        r2 = build_r_matrix(n, 2)
-        for g in group.generators:
+        # P2 R == R P1 iff the entry at (s i, g j) equals the entry at (i, j):
+        # the rows of R and the items of the lifted action are both the
+        # colex 2-subsets, and its columns are the single points
+        r2 = build_r_matrix(group.degree, 2).entries
+        lifted = induced_action(group, "subsets", 2).group.generators
+        for s, g in zip(lifted, group.generators):
             checked_gens += 1
-            left = subset_permutation_matrix(g, 2).matmul(r2)
-            right = r2.matmul(subset_permutation_matrix(g, 1))
-            if left.entries != right.entries:
+            if any(
+                r2[s.images[i]][g.images[j]] != row[j]
+                for i, row in enumerate(r2)
+                for j in range(group.degree)
+            ):
                 problems.append(("equivariance", name))
     for name, group in _corpus():
         counts = orbit_count_inequality(group, group.degree // 2)
@@ -414,14 +403,7 @@ def _check_tree_relation_axioms(rng: random.Random) -> tuple[bool, str]:
 
 
 def _jordan_point_sets(group: GenGroup) -> list[frozenset[int]]:
-    edges = _support_edges(group, None)
-    n = group.degree
-    found = []
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            if _connected_inside(edges, _mask(combo), combo):
-                found.append(frozenset(combo))
-    return found
+    return [frozenset(c) for c in _jordan_scan(group, None, None)]
 
 
 def _restricted_witness(group: GenGroup, masked_elements, points) -> GenGroup:
@@ -434,21 +416,6 @@ def _restricted_witness(group: GenGroup, masked_elements, points) -> GenGroup:
         Permutation(tuple(index[g.images[p]] for p in ordered)) for g in reduced
     )
     return GenGroup(len(ordered), gens)
-
-
-def _subset_orbit(group: GenGroup, start: frozenset[int]) -> set[frozenset[int]]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for g in group.generators:
-                image = frozenset(g.images[p] for p in s)
-                if image not in seen:
-                    seen.add(image)
-                    fresh.append(image)
-        frontier = fresh
-    return seen
 
 
 def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
@@ -481,10 +448,10 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     pairs_46 = 0
     for name, group in _corpus():
         catalog = _jordan_point_sets(group)
-        orbit_memo: dict[frozenset[int], set[frozenset[int]]] = {}
+        orbit_memo: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
         for a in catalog:
             if a not in orbit_memo:
-                orbit_memo[a] = _subset_orbit(group, a)
+                orbit_memo[a] = set_translates(group, a)
         for a in catalog:
             translates = orbit_memo[a]
             for b in catalog:
@@ -503,7 +470,7 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
             if points not in witness_memo:
                 if masked is None:
                     masked = tuple(
-                        (g, _mask(_moved(g))) for g in enumerate_elements(group)
+                        (g, _mask(support_fix_degree(g)[0])) for g in enumerate_elements(group)
                     )
                 witness_memo[points] = _restricted_witness(group, masked, points)
             return witness_memo[points]

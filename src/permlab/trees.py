@@ -29,7 +29,8 @@ from .errors import (
     OutOfRange,
     PointOutOfRange,
 )
-from .blocks import partition_from_blocks
+from .blocks import _UnionFind, partition_from_blocks
+from .groups import _item_orbit
 from .relations import Relation, relation
 
 
@@ -144,18 +145,11 @@ def ramification_indices(poset):
         below = [i for i in range(n) if i != e and poset.leq[i][e]]
         if len(below) < 2:
             continue
-        parent = {i: i for i in below}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = _UnionFind(n)
         for i, j in itertools.combinations(below, 2):
             if any(poset.leq[i][z] and poset.leq[j][z] for z in below):
-                parent[find(i)] = find(j)
-        cones = len({find(i) for i in below})
+                uf.union(i, j)
+        cones = len({uf.find(i) for i in below})
         if cones >= 2:
             out[e] = cones
     return out
@@ -857,15 +851,12 @@ def _validate_subset(group, sigma):
 def set_translates(group, sigma):
     """Orbit of a point set under the group, as a sorted tuple of frozensets."""
     sigma = _validate_subset(group, sigma)
-    seen = {sigma}
-    queue = [sigma]
-    while queue:
-        current = queue.pop()
-        for g in group.generators:
-            moved = frozenset(g.images[p] for p in current)
-            if moved not in seen:
-                seen.add(moved)
-                queue.append(moved)
+    seen = _item_orbit(
+        sigma,
+        lambda s, g: frozenset(g.images[p] for p in s),
+        group.generators,
+        math.comb(group.degree, len(sigma)),
+    )
     return tuple(sorted(seen, key=sorted))
 
 

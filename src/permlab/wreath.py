@@ -75,29 +75,10 @@ def wreath(a: GenGroup, b: GenGroup, cap: int | None = None) -> GenGroup:
 
     Generators: one copy of each bottom generator per top point (moving one
     fiber), then the top generators permuting fibers wholesale.  A point
-    (gamma, delta) moves to (gamma f(delta), delta b).
+    (gamma, delta) moves to (gamma f(delta), delta b).  This is
+    wreath_variation1 with both top actions b and the identity for pi.
     """
-    domain = ProductDomain((a.degree, b.degree))
-    if domain.total > element_cap(cap):
-        raise CapExceeded(f"product domain of size {domain.total} passes the cap")
-    generators: list[Permutation] = []
-    for delta in range(b.degree):
-        for s in a.generators:
-            images = list(range(domain.total))
-            for gamma in range(a.degree):
-                images[domain.to_point((gamma, delta))] = domain.to_point(
-                    (s.images[gamma], delta)
-                )
-            generators.append(Permutation(tuple(images)))
-    for t in b.generators:
-        images = list(range(domain.total))
-        for delta in range(b.degree):
-            for gamma in range(a.degree):
-                images[domain.to_point((gamma, delta))] = domain.to_point(
-                    (gamma, t.images[delta])
-                )
-        generators.append(Permutation(tuple(images)))
-    return GenGroup(domain.total, tuple(generators))
+    return wreath_variation1(a, b, b, tuple(range(b.degree)), cap)
 
 
 def wreath_variation1(
@@ -157,7 +138,8 @@ class PosetIndex:
 
     def __post_init__(self) -> None:
         r = self.size
-        assert len(self.leq) == r and all(len(row) == r for row in self.leq)
+        if len(self.leq) != r or any(len(row) != r for row in self.leq):
+            raise ValueError("leq must be a size x size matrix")
         for i in range(r):
             if not self.leq[i][i]:
                 raise ValueError("leq must be reflexive")

@@ -9,6 +9,7 @@ against them.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from permlab.perms import Permutation
@@ -96,7 +97,10 @@ def orbits_on(generators: list[Permutation], points: list) -> list[frozenset]:
 
 
 def act(item, g: Permutation):
-    """Act on a point, a tuple of points, or a frozenset of points."""
+    """Act on a point, a tuple of points, or a frozenset of points, or
+    conjugate a permutation."""
+    if isinstance(item, Permutation):
+        return conj(item, g)
     if isinstance(item, int):
         return g.images[item]
     if isinstance(item, tuple):
@@ -150,3 +154,43 @@ def brute_jordan(elements: set[Permutation], candidate: set[int]) -> bool:
     fixing = [g for g in elements if all(g.images[p] == p for p in outside)]
     reached = orbit_set(fixing, min(candidate))
     return reached == set(candidate)
+
+
+def bfs_elements(degree: int, generators, cap: int) -> tuple[Permutation, ...]:
+    """Word-order element enumeration: the library's loop before its
+    element walk became an orbit of the identity."""
+    start = Permutation(tuple(range(degree)))
+    seen = {start}
+    out = [start]
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for g in generators:
+            node = mul(current, g)
+            if node not in seen:
+                if len(seen) >= cap:
+                    raise OverflowError(f"enumeration passed cap {cap}")
+                seen.add(node)
+                out.append(node)
+                queue.append(node)
+    return tuple(out)
+
+
+def wreath_generators(a_degree: int, a_gens, b_degree: int, b_gens) -> tuple[Permutation, ...]:
+    """Standard wreath generators, point (gamma, delta) = delta * a_degree + gamma:
+    each bottom generator once per fiber, then the top generators."""
+    total = a_degree * b_degree
+    generators = []
+    for delta in range(b_degree):
+        for s in a_gens:
+            images = list(range(total))
+            for gamma in range(a_degree):
+                images[delta * a_degree + gamma] = delta * a_degree + s.images[gamma]
+            generators.append(Permutation(tuple(images)))
+    for t in b_gens:
+        images = list(range(total))
+        for delta in range(b_degree):
+            for gamma in range(a_degree):
+                images[delta * a_degree + gamma] = t.images[delta] * a_degree + gamma
+        generators.append(Permutation(tuple(images)))
+    return tuple(generators)
