@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import (
     AxiomsFailed,
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .groups import (
     GenGroup,
+    _bounded_cache,
     _item_orbit,
     _support_edges,
     element_set,
@@ -134,7 +134,7 @@ class _UnionFind:
         return True
 
 
-@cache
+@_bounded_cache
 def minimal_congruence_identifying(
     group: GenGroup, alpha: int, beta: int
 ) -> Partition:
@@ -283,7 +283,7 @@ class Suborbits:
         return tuple(len(s) for s in self.sets)
 
 
-@cache
+@_bounded_cache
 def suborbits(group: GenGroup, alpha: int) -> Suborbits:
     if not is_transitive(group):
         raise NotTransitive("suborbits are tracked for transitive actions")

@@ -9,14 +9,28 @@ from __future__ import annotations
 
 import os
 
+from .errors import BadSetting
+
 DEFAULT_CAP = 200_000
+
+# Entries per cache keyed on a group; one battery run fills about 1300.
+CACHE_ENTRIES = 8192
 
 
 def element_cap(override: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit override > env var > default."""
+    """Resolve the enumeration cap: explicit override > env var > default.
+
+    Raises BadSetting when PERMLAB_CAP is not an integer of at least 1.
+    """
     if override is not None:
         return override
     env = os.environ.get("PERMLAB_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise BadSetting(f"PERMLAB_CAP must be an integer of at least 1, got {env!r}")
+    return cap

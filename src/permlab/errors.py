@@ -23,6 +23,10 @@ class DegreeMismatch(PermlabError):
     """Two permutations of different degrees were combined."""
 
 
+class BadSetting(PermlabError):
+    """An environment setting does not hold a valid value."""
+
+
 class CapExceeded(PermlabError):
     """An enumeration grew past the configured element cap."""
 

@@ -6,6 +6,14 @@ by deterministic breadth-first walks.  Enumeration order is reproducible:
 words are explored shortest-first, ties broken by generator list position,
 so "the BFS-least witness" is a well-defined value everywhere below.
 
+Questions whose answers do not depend on that order (the order, membership,
+the element-cap check, the transitivity degree, and the closure test of
+the greedy generating-set scan) are answered by a stabilizer chain built
+by deterministic Schreier-Sims on the base 0, 1, ..., n-1.  The chain is
+cross-checked against enumeration whenever both exist: an enumerated
+group must have exactly as many elements as the chain's order.  Caches
+keyed on a group are bounded LRUs; ``clear_caches`` empties them.
+
 >>> g = group_from_cycles(5, "(1 2 3 4 5)")
 >>> order(g)
 5
@@ -20,9 +28,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
-from .config import element_cap
+from .config import CACHE_ENTRIES, element_cap
 from .errors import (
     AxiomsFailed,
     CapExceeded,
@@ -31,7 +39,7 @@ from .errors import (
     OutOfRange,
     PointOutOfRange,
 )
-from .perms import Permutation, compose, identity, inverse, parse_cycles
+from .perms import Permutation, _inverse_images, compose, identity, inverse, parse_cycles
 
 
 @dataclass(frozen=True)
@@ -119,20 +127,168 @@ def _item_orbit(start, act, generators, cap: int) -> list:
     return out
 
 
-@cache
+_CACHES: list = []
+
+
+def _bounded_cache(fn):
+    """An LRU cache of CACHE_ENTRIES entries that clear_caches() empties."""
+    cached = lru_cache(maxsize=CACHE_ENTRIES)(fn)
+    _CACHES.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every cache keyed on a group, in this module and in blocks."""
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
+# stabilizer chain
+
+
+def _images_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of "apply a, then b"."""
+    return tuple(map(b.__getitem__, a))
+
+
+class _Chain:
+    """Base and strong generating set for the base 0, 1, ..., n-1.
+
+    Level i holds the strong generators that fix 0..i-1 and the orbit of
+    i under them; each orbit point beta maps to a transversal element
+    (sending i to beta) and its inverse.  Elements are raw image tuples.
+    The chain is complete when every Schreier generator of every level
+    sifts to the identity through the levels below it (deterministic
+    Schreier-Sims: Sims 1970; Seress, Permutation Group Algorithms,
+    2003, ch. 4).  Then |G| is the product of the orbit lengths, and the
+    first k of them multiply to the size of the orbit of (0, ..., k-1).
+    """
+
+    def __init__(self, degree: int) -> None:
+        e = tuple(range(degree))
+        self.degree = degree
+        self.strong: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
+        self.transversal = [{i: (e, e)} for i in range(degree)]
+        # (orbit point, generator position) pairs whose Schreier generator sifted
+        self.sifted: list[set[tuple[int, int]]] = [set() for _ in range(degree)]
+
+    def orbit_lengths(self) -> list[int]:
+        return [len(table) for table in self.transversal]
+
+    def order(self) -> int:
+        return math.prod(self.orbit_lengths())
+
+    def sift(self, g: tuple[int, ...], level: int = 0) -> tuple[tuple[int, ...], int]:
+        """Strip g through the levels from `level` on.
+
+        Returns the residue and the level where it dropped out; a level of
+        `degree` means the residue is the identity, so g was a member.
+        """
+        for i in range(level, self.degree):
+            beta = g[i]
+            if beta != i:
+                pair = self.transversal[i].get(beta)
+                if pair is None:
+                    return g, i
+                g = _images_product(g, pair[1])
+        return g, self.degree
+
+    def extend(self, g: tuple[int, ...]) -> bool:
+        """Grow the chain to the group generated by it and g.
+
+        Returns False, changing nothing, when g is already a member.
+        """
+        residue, level = self.sift(g)
+        if level == self.degree:
+            return False
+        self._install(residue, 0, level)
+        while level >= 0:
+            dropped = self._schreier_check(level)
+            level = level - 1 if dropped is None else dropped
+        return True
+
+    def _install(self, g: tuple[int, ...], low: int, high: int) -> None:
+        """Add g as a strong generator of the levels low..high."""
+        for i in range(low, high + 1):
+            self.strong[i].append(g)
+            table = self.transversal[i]
+            frontier = list(table)
+            for beta in frontier:
+                u = table[beta][0]
+                for s in self.strong[i]:
+                    image = s[beta]
+                    if image not in table:
+                        v = _images_product(u, s)
+                        table[image] = (v, _inverse_images(v))
+                        frontier.append(image)
+
+    def _schreier_check(self, i: int) -> int | None:
+        """Sift the unchecked Schreier generators of level i.
+
+        On the first that does not sift, installs its residue and returns
+        the level it dropped out at; returns None when all of them sift.
+        """
+        table = self.transversal[i]
+        sifted = self.sifted[i]
+        for beta, (u, _) in list(table.items()):
+            for position, s in enumerate(self.strong[i]):
+                if (beta, position) in sifted:
+                    continue
+                h = _images_product(_images_product(u, s), table[s[beta]][1])
+                residue, level = self.sift(h, i + 1)
+                if level < self.degree:
+                    self._install(residue, i + 1, level)
+                    return level
+                sifted.add((beta, position))
+        return None
+
+
+@_bounded_cache
+def _chain(group: GenGroup) -> _Chain:
+    chain = _Chain(group.degree)
+    for g in group.generators:
+        chain.extend(g.images)
+    return chain
+
+
+def _cap_exceeded(degree: int, generators: int, size: int, cap: int) -> CapExceeded:
+    plural = "" if generators == 1 else "s"
+    return CapExceeded(
+        f"group of degree {degree} with {generators} generator{plural} has order"
+        f" {size}, past cap {cap}; PERMLAB_CAP={size} would suffice"
+    )
+
+
+def _capped_order(group: GenGroup, cap: int) -> int:
+    """|G| from the stabilizer chain; CapExceeded when it passes cap."""
+    size = _chain(group).order()
+    if size > cap:
+        raise _cap_exceeded(group.degree, len(group.generators), size, cap)
+    return size
+
+
+@_bounded_cache
 def _bfs_elements(group: GenGroup, cap: int) -> tuple[Permutation, ...]:
-    return tuple(_item_orbit(identity(group.degree), compose, group.generators, cap))
+    size = _capped_order(group, cap)
+    elements = tuple(_item_orbit(identity(group.degree), compose, group.generators, cap))
+    if len(elements) != size:
+        raise AxiomsFailed(
+            f"enumeration found {len(elements)} elements, the stabilizer chain {size}"
+        )
+    return elements
 
 
 def enumerate_elements(group: GenGroup, cap: int | None = None) -> tuple[Permutation, ...]:
     """All elements in deterministic BFS word order (identity first).
 
-    Raises CapExceeded when the group has more than `cap` elements.
+    Raises CapExceeded when the group has more than `cap` elements; the
+    stabilizer chain's order is compared with the cap before any element
+    is built, and the finished list must have exactly that many elements.
     """
     return _bfs_elements(group, element_cap(cap))
 
 
-@cache
+@_bounded_cache
 def _element_set(group: GenGroup, cap: int) -> frozenset[Permutation]:
     return frozenset(_bfs_elements(group, cap))
 
@@ -142,11 +298,14 @@ def element_set(group: GenGroup, cap: int | None = None) -> frozenset[Permutatio
 
 
 def order(group: GenGroup, cap: int | None = None) -> int:
-    return len(enumerate_elements(group, cap))
+    """|G| from the stabilizer chain; CapExceeded when it passes the cap."""
+    return _capped_order(group, element_cap(cap))
 
 
 def contains(group: GenGroup, f: Permutation, cap: int | None = None) -> bool:
-    return f in element_set(group, cap)
+    """Membership by sifting; CapExceeded when |G| passes the cap."""
+    _capped_order(group, element_cap(cap))
+    return f.degree == group.degree and _chain(group).sift(f.images)[1] == group.degree
 
 
 def _mask(points) -> int:
@@ -172,7 +331,7 @@ def _support_edges(
     return _support_table(group, element_cap(cap))
 
 
-@cache
+@_bounded_cache
 def _support_table(group: GenGroup, cap: int):
     buckets: dict[int, set[tuple[int, int]]] = {}
     for g in enumerate_elements(group, cap):
@@ -190,19 +349,22 @@ def _reduce_generators(
     """Greedy small generating set for a subgroup given by its element list.
 
     Scans in the given order, keeping any element outside the running
-    closure.  Each kept element at least doubles the closure, so at most
-    log2(n) generators survive.
+    closure, which is tested by sifting through a stabilizer chain of the
+    kept elements.  Each kept element at least doubles the closure, so at
+    most log2(n) generators survive.  Raises CapExceeded if the closure
+    outgrows the list.
     """
-    e = identity(degree)
+    chain = _Chain(degree)
     generators: list[Permutation] = []
-    closed = {e}
     target = len(elements)
     for candidate in elements:
-        if candidate in closed:
+        if not chain.extend(candidate.images):
             continue
         generators.append(candidate)
-        closed = set(_bfs_elements(GenGroup(degree, tuple(generators)), target))
-        if len(closed) == target:
+        size = chain.order()
+        if size > target:
+            raise _cap_exceeded(degree, len(generators), size, target)
+        if size == target:
             break
     return tuple(generators)
 
@@ -239,7 +401,7 @@ class Orbit:
         return t
 
 
-@cache
+@_bounded_cache
 def orbit(group: GenGroup, alpha: int) -> Orbit:
     """BFS orbit of alpha under the generators, with minimal words."""
     if not 0 <= alpha < group.degree:
@@ -309,7 +471,7 @@ def stabilizer(
     raise ValueError(f"unknown stabilizer kind {kind!r}")
 
 
-@cache
+@_bounded_cache
 def _point_stabilizer(group: GenGroup, alpha: int) -> GenGroup:
     """Schreier generators t_beta s t_(beta s)^-1 over the orbit of alpha."""
     table = orbit(group, alpha)
@@ -390,38 +552,46 @@ def induced_action(
     return InducedAction(GenGroup(len(items), lifted), items, kind)
 
 
-def _item_orbit_is_everything(
-    group: GenGroup, kind: str, k: int, cap: int | None = None
-) -> bool:
-    """Transitivity on k-tuples/k-subsets by a single item-orbit BFS.
-
-    The orbit is never larger than the group, but the walk still stops
-    with CapExceeded once it passes the element cap.
-    """
-    count, act = _INDUCED[kind]
-    orbit_items = _item_orbit(tuple(range(k)), act, group.generators, element_cap(cap))
-    return len(orbit_items) == count(group.degree, k)
-
-
 def transitivity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
-    """Largest k <= kmax with a single orbit on injective j-tuples for all j <= k."""
+    """Largest k <= kmax with a single orbit on injective j-tuples for all j <= k.
+
+    The orbit of (0, ..., k-1) has as many tuples as the first k orbit
+    lengths of the stabilizer chain multiply to; G is k-transitive when
+    that is n!/(n-k)!.  Raises CapExceeded at the first k whose tuple
+    orbit is larger than the cap.
+    """
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
+    cap = element_cap(cap)
+    lengths = _chain(group).orbit_lengths()
     best = 0
+    size = 1
     for k in range(1, kmax + 1):
-        if not _item_orbit_is_everything(group, "tuples", k, cap):
+        size *= lengths[k - 1]
+        if size > cap:
+            raise CapExceeded(
+                f"orbit of {tuple(range(k))} has {size} tuples, past cap {cap};"
+                f" PERMLAB_CAP={size} would suffice"
+            )
+        if size != math.perm(group.degree, k):
             break
         best = k
     return best
 
 
 def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
-    """Largest k <= kmax with a single orbit on j-subsets for all j <= k."""
+    """Largest k <= kmax with a single orbit on j-subsets for all j <= k.
+
+    Walks the orbit of {0, ..., k-1}, which stops with CapExceeded once it
+    passes the element cap.
+    """
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
+    cap = element_cap(cap)
     best = 0
     for k in range(1, kmax + 1):
-        if not _item_orbit_is_everything(group, "subsets", k, cap):
+        walked = _item_orbit(tuple(range(k)), _subset_image, group.generators, cap)
+        if len(walked) != math.comb(group.degree, k):
             break
         best = k
     return best
@@ -550,7 +720,11 @@ def gspace_automorphisms(
 def _is_subgroup_of(
     group: GenGroup, sub: GenGroup, cap: int | None = None
 ) -> bool:
-    return element_set(sub, cap) <= element_set(group, cap)
+    order(sub, cap)
+    order(group, cap)
+    return sub.degree == group.degree and all(
+        contains(group, s, cap) for s in sub.generators
+    )
 
 
 def coset_spaces_isomorphic(

@@ -55,6 +55,17 @@ class Permutation:
         return parse_cycles(text, degree)
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation from images already known to be a bijection.
+
+    Skips the validating ``__post_init__``; only products, inverses and
+    conjugates of valid permutations are built this way.
+    """
+    f = object.__new__(Permutation)
+    object.__setattr__(f, "images", images)
+    return f
+
+
 def identity(degree: int) -> Permutation:
     return Permutation(tuple(range(degree)))
 
@@ -150,21 +161,30 @@ def compose(f: Permutation, g: Permutation) -> Permutation:
     >>> format_cycles(compose(parse_cycles("(1 2)", 3), parse_cycles("(2 3)", 3)))
     '(1 3 2)'
     """
-    if f.degree != g.degree:
+    if len(f.images) != len(g.images):
         raise DegreeMismatch(f"{f.degree} != {g.degree}")
-    return Permutation(tuple(g.images[x] for x in f.images))
+    return _trusted(tuple(map(g.images.__getitem__, f.images)))
+
+
+def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(images)
+    for point, image in enumerate(images):
+        out[image] = point
+    return tuple(out)
 
 
 def inverse(f: Permutation) -> Permutation:
-    out = [0] * f.degree
-    for point, image in enumerate(f.images):
-        out[image] = point
-    return Permutation(tuple(out))
+    return _trusted(_inverse_images(f.images))
 
 
 def conjugate(f: Permutation, g: Permutation) -> Permutation:
-    """g^-1 f g, the conjugate of f by g."""
-    return compose(compose(inverse(g), f), g)
+    """g^-1 f g, the conjugate of f by g: it sends (p)g to (p)fg."""
+    if f.degree != g.degree:
+        raise DegreeMismatch(f"{f.degree} != {g.degree}")
+    out = [0] * f.degree
+    for point, image in zip(g.images, map(g.images.__getitem__, f.images)):
+        out[point] = image
+    return _trusted(tuple(out))
 
 
 def support_fix_degree(f: Permutation) -> tuple[frozenset[int], frozenset[int], int]:

@@ -9,6 +9,7 @@ against them.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -193,4 +194,50 @@ def wreath_generators(a_degree: int, a_gens, b_degree: int, b_gens) -> tuple[Per
             for gamma in range(a_degree):
                 images[delta * a_degree + gamma] = t.images[delta] * a_degree + gamma
         generators.append(Permutation(tuple(images)))
+    return tuple(generators)
+
+
+def tuple_orbit(generators, k: int, cap: float = math.inf) -> set[tuple[int, ...]]:
+    """Orbit of (0, ..., k-1) by a queue walk; OverflowError past cap items."""
+    start = tuple(range(k))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        item = queue.popleft()
+        for g in generators:
+            moved = tuple(g.images[p] for p in item)
+            if moved not in seen:
+                if len(seen) >= cap:
+                    raise OverflowError(f"orbit of {start} passed cap {cap}")
+                seen.add(moved)
+                queue.append(moved)
+    return seen
+
+
+def tuple_walk_transitivity_degree(degree: int, generators, kmax: int, cap: int) -> int:
+    """Transitivity degree by one k-tuple orbit walk per k: the library's
+    loop before it read orbit lengths off a stabilizer chain.  Raises
+    OverflowError at the first k whose tuple orbit has more than cap items."""
+    best = 0
+    for k in range(1, kmax + 1):
+        if len(tuple_orbit(generators, k, cap)) != math.perm(degree, k):
+            break
+        best = k
+    return best
+
+
+def bfs_reduce_generators(elements, degree: int) -> tuple[Permutation, ...]:
+    """Greedy generating set, testing "already in the closure" against a
+    fresh word-BFS closure of the kept generators: the library's scan
+    before it sifted through a stabilizer chain."""
+    generators: list[Permutation] = []
+    closed = {Permutation(tuple(range(degree)))}
+    target = len(elements)
+    for candidate in elements:
+        if candidate in closed:
+            continue
+        generators.append(candidate)
+        closed = set(bfs_elements(degree, generators, target))
+        if len(closed) == target:
+            break
     return tuple(generators)

@@ -382,3 +382,31 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+def test_bad_cap_setting_exits_2_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("PERMLAB_CAP", value)
+    rc, out, err = run_cli(capsys, "corpus", "describe", "cyclic_3")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: PERMLAB_CAP must be an integer of at least 1, got {value!r}\n"
+
+
+def test_beyond_cap_jordan_names_a_sufficient_cap(capsys, monkeypatch):
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    rc, _, err = run_cli(
+        capsys,
+        "analyze",
+        "--gens",
+        "(1 2 3 4 5 6 7 8 9 10 11 12),(1 2)",
+        "--degree",
+        "12",
+        "--pass",
+        "jordan",
+    )
+    assert rc == 3
+    assert err == (
+        "error: group of degree 12 with 2 generators has order 479001600,"
+        " past cap 200000; PERMLAB_CAP=479001600 would suffice\n"
+    )

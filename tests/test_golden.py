@@ -1,0 +1,54 @@
+"""The CLI's bytes against a committed snapshot, and a battery slice under
+``python -O`` against the normal run.
+
+``tests/data/golden_cli.json`` holds the sha256 of stdout and the exit
+code of every case ``scripts/golden.py`` lists; regenerate it with that
+script only when an output is meant to change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permlab
+from permlab.cli import main
+from permlab.suite import run_battery
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
+SRC = Path(permlab.__file__).parent.parent
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:5]) for c in GOLDEN])
+def test_cli_output_matches_the_golden_snapshot(case, monkeypatch):
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == case["stdout_sha256"]
+
+
+@pytest.mark.parametrize("name", ["coset-covers", "involution-factorization", "wreath-algebra"])
+def test_battery_verdicts_survive_optimize(name):
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "permlab.cli", "suite", "--filter", name, "--format", "json"],
+        cwd=SRC,
+        capture_output=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    optimized = json.loads(done.stdout)["report"]["properties"]
+    normal = [
+        {"name": r.name, "passed": r.passed, "detail": r.detail}
+        for r in run_battery(name_filter=name)
+    ]
+    assert optimized == normal
+    assert all(p["passed"] for p in normal)
