@@ -3,10 +3,10 @@
 
 Each case is one in-process ``permlab`` call under the default element
 cap: ``analyze --format json`` for every corpus fixture and pass (span
-with ``--points 1,2``), and ``corpus describe --format json`` for every
-fixture.  The ``jordan`` pass on symmetric_8 and alternating_8 is left
-out: each takes about half a minute.  A change that must keep the CLI's
-bytes runs ``tests/test_golden.py``, which replays every case.
+with ``--points 1,2``), ``corpus describe --format json`` for every
+fixture, and samples of ``lw`` (rank, CSV and theta reports), ``wreath``
+and ``cantor`` in both formats.  A change that must keep the CLI's bytes
+runs ``tests/test_golden.py``, which replays every case.
 
     PYTHONPATH=src python3 scripts/golden.py [--out PATH]
 """
@@ -26,21 +26,34 @@ from permlab.fixtures import FIXTURE_NAMES
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_cli.json"
 PASSES = tuple(cli._PASSES)
-SKIPPED = {("symmetric_8", "jordan"), ("alternating_8", "jordan")}
+SAMPLES = (
+    "lw --n 5 --k 2 --format json",
+    "lw --n 6 --k 3",
+    "lw --n 12 --k 6 --format json",
+    "lw --n 7 --k 3 --csv",
+    "lw --n 4 --theta 1,2,3 --format json",
+    "lw --n 7 --theta 1,3,5",
+    "lw --n 10 --theta 2,3,4 --format json",
+    "lw --n 6 --theta 3,2,1",
+    "wreath --bottom cyclic_2 --top cyclic_3 --format json",
+    "wreath --bottom symmetric_3 --top cyclic_4",
+    "wreath --bottom cyclic_3 --top symmetric_3 --format json",
+    "cantor --source 0,1,1/2 --target 5,7,6 --format json",
+    "cantor --source 0,1,1/2 --target 5,7",
+    "cantor --source 0,1/3,1/2,1 --target 0,2,7,9 --format json",
+)
 
 
 def cases() -> list[list[str]]:
     out = []
     for name in FIXTURE_NAMES:
         for pass_name in PASSES:
-            if (name, pass_name) in SKIPPED:
-                continue
             argv = ["analyze", "--fixture", name, "--pass", pass_name, "--format", "json"]
             if pass_name == "span":
                 argv += ["--points", "1,2"]
             out.append(argv)
         out.append(["corpus", "describe", name, "--format", "json"])
-    return out
+    return out + [sample.split() for sample in SAMPLES]
 
 
 def run(argv: list[str]) -> dict:

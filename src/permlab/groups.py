@@ -9,10 +9,14 @@ so "the BFS-least witness" is a well-defined value everywhere below.
 Questions whose answers do not depend on that order (the order, membership,
 the element-cap check, the transitivity degree, and the closure test of
 the greedy generating-set scan) are answered by a stabilizer chain built
-by deterministic Schreier-Sims on the base 0, 1, ..., n-1.  The chain is
-cross-checked against enumeration whenever both exist: an enumerated
-group must have exactly as many elements as the chain's order.  Caches
-keyed on a group are bounded LRUs; ``clear_caches`` empties them.
+by deterministic Schreier-Sims on the base 0, 1, ..., n-1.  Point and
+pointwise stabilizers are read off that chain's lower levels, or off
+further chains whose base starts at a stabilized point; none of them
+lists an element.
+The chain is cross-checked against enumeration whenever both exist: an
+enumerated group must have exactly as many elements as the chain's
+order.  Caches keyed on a group are bounded LRUs; ``clear_caches``
+empties them.
 
 >>> g = group_from_cycles(5, "(1 2 3 4 5)")
 >>> order(g)
@@ -39,7 +43,15 @@ from .errors import (
     OutOfRange,
     PointOutOfRange,
 )
-from .perms import Permutation, _inverse_images, compose, identity, inverse, parse_cycles
+from .perms import (
+    Permutation,
+    _inverse_images,
+    _trusted,
+    compose,
+    identity,
+    inverse,
+    parse_cycles,
+)
 
 
 @dataclass(frozen=True)
@@ -152,23 +164,31 @@ def _images_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Chain:
-    """Base and strong generating set for the base 0, 1, ..., n-1.
+    """Base and strong generating set for the base 0, 1, ..., n-1, or for
+    another ordering of the points.
 
-    Level i holds the strong generators that fix 0..i-1 and the orbit of
-    i under them; each orbit point beta maps to a transversal element
-    (sending i to beta) and its inverse.  Elements are raw image tuples.
-    The chain is complete when every Schreier generator of every level
-    sifts to the identity through the levels below it (deterministic
-    Schreier-Sims: Sims 1970; Seress, Permutation Group Algorithms,
-    2003, ch. 4).  Then |G| is the product of the orbit lengths, and the
-    first k of them multiply to the size of the orbit of (0, ..., k-1).
+    Level i holds the strong generators that fix the first i base points
+    and the orbit of base point i under them; each orbit point beta maps
+    to a transversal element (sending the base point to beta) and its
+    inverse.  Elements are raw image tuples.  The chain is complete when
+    every Schreier generator of every level sifts to the identity through
+    the levels below it (deterministic Schreier-Sims: Sims 1970; Seress,
+    Permutation Group Algorithms, 2003, ch. 4).  Then |G| is the product
+    of the orbit lengths, and the first k of them multiply to the size of
+    the orbit of the first k base points.  The transversal products are
+    distinct members of G at every stage, so a product equal to a known
+    `target` order proves the chain complete, and extend stops there.
     """
 
-    def __init__(self, degree: int) -> None:
+    def __init__(
+        self, degree: int, base: tuple[int, ...] | None = None, target: int = 0
+    ) -> None:
         e = tuple(range(degree))
         self.degree = degree
+        self.base = e if base is None else base
+        self.target = target
         self.strong: list[list[tuple[int, ...]]] = [[] for _ in range(degree)]
-        self.transversal = [{i: (e, e)} for i in range(degree)]
+        self.transversal = [{b: (e, e)} for b in self.base]
         # (orbit point, generator position) pairs whose Schreier generator sifted
         self.sifted: list[set[tuple[int, int]]] = [set() for _ in range(degree)]
 
@@ -185,8 +205,9 @@ class _Chain:
         `degree` means the residue is the identity, so g was a member.
         """
         for i in range(level, self.degree):
-            beta = g[i]
-            if beta != i:
+            b = self.base[i]
+            beta = g[b]
+            if beta != b:
                 pair = self.transversal[i].get(beta)
                 if pair is None:
                     return g, i
@@ -202,7 +223,7 @@ class _Chain:
         if level == self.degree:
             return False
         self._install(residue, 0, level)
-        while level >= 0:
+        while level >= 0 and self.order() != self.target:
             dropped = self._schreier_check(level)
             level = level - 1 if dropped is None else dropped
         return True
@@ -401,11 +422,16 @@ class Orbit:
         return t
 
 
+def _point_in_range(group: GenGroup, point: int) -> int:
+    if not 0 <= point < group.degree:
+        raise PointOutOfRange(f"point {point} outside 0..{group.degree - 1}")
+    return point
+
+
 @_bounded_cache
 def orbit(group: GenGroup, alpha: int) -> Orbit:
     """BFS orbit of alpha under the generators, with minimal words."""
-    if not 0 <= alpha < group.degree:
-        raise PointOutOfRange(f"point {alpha} outside 0..{group.degree - 1}")
+    _point_in_range(group, alpha)
     words: dict[int, tuple[int, ...]] = {alpha: ()}
     queue = deque([alpha])
     while queue:
@@ -446,20 +472,18 @@ def stabilizer(
 ) -> GenGroup:
     """Stabilizer subgroup.
 
-    kind: "point" (arg: a point; Schreier generators, no enumeration),
-    "pointwise" (arg: iterable of points; filters the element list), or
-    "setwise" (arg: iterable of points; filters the element list).
+    kind: "point" (arg: a point), "pointwise" (arg: iterable of points),
+    both read off a stabilizer chain without enumerating anything, or
+    "setwise" (arg: iterable of points; filters the element list).  The
+    pointwise and setwise stabilizers raise CapExceeded when |G| passes
+    the cap; the point stabilizer never checks it.
     """
     if kind == "point":
-        return _point_stabilizer(group, arg)
+        return _pointwise_stabilizer(group, (_point_in_range(group, arg),))[0]
     if kind == "pointwise":
-        wanted = sorted(set(arg))
-        keep = tuple(
-            g
-            for g in enumerate_elements(group, cap)
-            if all(g.images[p] == p for p in wanted)
-        )
-        return subgroup_from_elements(keep, group.degree)
+        _capped_order(group, element_cap(cap))
+        wanted = tuple(sorted({_point_in_range(group, p) for p in arg}))
+        return _pointwise_stabilizer(group, wanted)[0]
     if kind == "setwise":
         wanted = frozenset(arg)
         keep = tuple(
@@ -472,21 +496,33 @@ def stabilizer(
 
 
 @_bounded_cache
-def _point_stabilizer(group: GenGroup, alpha: int) -> GenGroup:
-    """Schreier generators t_beta s t_(beta s)^-1 over the orbit of alpha."""
-    table = orbit(group, alpha)
-    transversal = {beta: table.transversal_element(beta) for beta in table.points}
-    e = identity(group.degree)
-    out: list[Permutation] = []
-    seen = {e}
-    for beta in table.points:
-        t_beta = transversal[beta]
-        for s in group.generators:
-            schreier = compose(compose(t_beta, s), inverse(transversal[s.images[beta]]))
-            if schreier not in seen:
-                seen.add(schreier)
-                out.append(schreier)
-    return GenGroup(group.degree, tuple(out))
+def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[GenGroup, int]:
+    """G_(points) and its order, for a sorted tuple of distinct points.
+
+    A prefix 0, 1, ..., k-1 is read off the group's own chain, below
+    level k.  Otherwise G_(p1..pk) is the stabilizer of pk in the
+    memoized G_(p1..pk-1): a fresh chain of that parent, with pk as its
+    first base point, stops once its orbit lengths multiply to the
+    parent's order, and the stabilizer is what it holds below level 1.
+    """
+    if not points:
+        return group, _chain(group).order()
+    if points[-1] == len(points) - 1:
+        chain, level = _chain(group), len(points)
+    else:
+        parent, parent_order = _pointwise_stabilizer(group, points[:-1])
+        if not parent.generators:
+            return parent, 1
+        last = points[-1]
+        base = (last,) + tuple(p for p in range(group.degree) if p != last)
+        chain, level = _Chain(group.degree, base, parent_order), 1
+        for g in parent.generators:
+            chain.extend(g.images)
+            if chain.order() == parent_order:
+                break
+    strong = dict.fromkeys(g for below in chain.strong[level:] for g in below)
+    generators = tuple(_trusted(images) for images in strong)
+    return GenGroup(group.degree, generators), math.prod(chain.orbit_lengths()[level:])
 
 
 # induced actions on tuples and subsets

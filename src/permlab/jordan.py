@@ -6,14 +6,14 @@ Such a set is improper when the group is (k+1)-transitive for k the size
 of the complement, so that transitivity inside costs nothing; the proper
 ones are the geometrically interesting witnesses.
 
-Everything here runs on the element list.  The workhorse is the table of
-support masks that ``groups`` builds and caches per group and element
-cap: each group element moves some set of points, and an element is
-available inside a candidate set exactly when its support fits.  Unions
-of fitting supports give connectivity, and a decreasing fixpoint over
-that table finds the unique maximal Jordan set avoiding a prescribed set
-of points.  Spans, and the closure-operator audit built
-from them, reduce to the same scan.
+Witnesses and spans never list the group.  The elements available inside
+a candidate set are those fixing its complement, the pointwise stabilizer
+that ``groups`` reads off a stabilizer chain; a decreasing fixpoint over
+those stabilizers finds the unique maximal Jordan set avoiding a
+prescribed set of points, and spans and the closure-operator audit
+reduce to it.  Only the scan over every candidate subset runs on the
+element list, through the table of support masks that ``groups`` caches
+per group and element cap: a chain per subset would cost more.
 """
 
 from __future__ import annotations
@@ -24,14 +24,17 @@ from dataclasses import dataclass
 
 from .blocks import _UnionFind
 from .config import element_cap
-from .errors import AxiomsFailed, CapExceeded, OutOfRange, PointOutOfRange, TooSmall
+from .errors import AxiomsFailed, CapExceeded, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
     _item_orbit,
     _mask,
+    _point_in_range,
+    _pointwise_stabilizer,
     _support_edges,
     _tuple_image,
     orbit,
+    order,
     stabilizer,
     transitivity_degree,
 )
@@ -66,56 +69,35 @@ class JordanWitness:
 
 
 def _point_set(group: GenGroup, points) -> set[int]:
-    out = set()
-    for p in points:
-        if not 0 <= p < group.degree:
-            raise PointOutOfRange(f"point {p} outside 0..{group.degree - 1}")
-        out.add(p)
-    return out
+    return {_point_in_range(group, p) for p in points}
 
 
-def _component(edges, allowed_mask: int, seed: int) -> frozenset[int]:
+def _component(group: GenGroup, allowed: frozenset[int], seed: int) -> tuple[int, ...]:
     """Largest set containing seed, inside allowed, on which the elements
-    supported inside the set act with a single orbit through seed.
+    supported inside the set act with a single orbit through seed, sorted.
 
     Decreasing fixpoint: start from the whole allowed set, take the orbit
-    of seed under every element whose support fits, and repeat on the
-    orbit.  Elements supported inside a set form a subgroup (supports of
-    products and inverses only shrink), so the undirected reachability
-    below really is the orbit.  Any candidate set through seed inside
-    allowed survives every round, which makes the fixpoint the unique
-    maximal one.
+    of seed under the pointwise stabilizer of its complement (the
+    elements whose support fits), and repeat on the orbit.  Any candidate
+    set through seed inside allowed survives every round, which makes the
+    fixpoint the unique maximal one.
     """
-    current = allowed_mask
+    current = allowed
     while True:
-        adjacency: dict[int, list[int]] = {}
-        for mask, pairs in edges:
-            if mask & ~current:
-                continue
-            for a, b in pairs:
-                adjacency.setdefault(a, []).append(b)
-                adjacency.setdefault(b, []).append(a)
-        reached = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in adjacency.get(x, ()):
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        new_mask = _mask(reached)
-        if new_mask == current:
-            return frozenset(reached)
-        current = new_mask
+        outside = tuple(p for p in range(group.degree) if p not in current)
+        reached = orbit(_pointwise_stabilizer(group, outside)[0], seed).points
+        if len(reached) == len(current):
+            return reached
+        current = frozenset(reached)
 
 
 def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness | None:
     """Test one candidate set, returning a witness or None.
 
-    Builds the pointwise stabilizer of the complement and checks that it
-    has a single orbit on the candidate.  The witness group is that
-    stabilizer restricted to the set's points in sorted order.  Sets of
-    fewer than two points are refused: transitivity on them is empty.
+    Checks that the pointwise stabilizer of the complement has a single
+    orbit on the candidate.  The witness group is that stabilizer
+    restricted to the set's points in sorted order.  Sets of fewer than
+    two points are refused: transitivity on them is empty.
     """
     wanted = _point_set(group, gamma)
     if len(wanted) < 2:
@@ -202,24 +184,21 @@ def maximal_jordan_avoiding(
     since two through a common point would both equal the fixpoint there.
     """
     banned = _point_set(group, avoid)
-    allowed_mask = _mask(p for p in range(group.degree) if p not in banned)
-    edges = _support_edges(group, cap)
+    allowed = frozenset(range(group.degree)) - banned
+    order(group, cap)  # the cap check, before the seed is validated
     if seed is not None:
-        _point_set(group, [seed])
+        _point_in_range(group, seed)
         if seed in banned:
             raise OutOfRange(f"seed {seed} lies in the avoided set")
-        part = _component(edges, allowed_mask, seed)
-        return tuple(sorted(part)) if len(part) >= 2 else ()
-    remaining = {p for p in range(group.degree) if p not in banned}
+        part = _component(group, allowed, seed)
+        return part if len(part) >= 2 else ()
+    remaining = set(allowed)
     out: list[tuple[int, ...]] = []
     while remaining:
-        s = min(remaining)
-        part = _component(edges, allowed_mask, s)
+        part = _component(group, allowed, min(remaining))
+        remaining.difference_update(part)
         if len(part) >= 2:
-            out.append(tuple(sorted(part)))
-            remaining -= part
-        else:
-            remaining.discard(s)
+            out.append(part)
     return tuple(out)
 
 

@@ -28,8 +28,6 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     CosetCoverInstance,
     GenGroup,
-    _mask,
-    _reduce_generators,
     coset_cover_audit,
     cyclic_group,
     dihedral_group,
@@ -44,7 +42,7 @@ from .groups import (
     transitivity_degree,
 )
 from .incidence import build_r_matrix, orbit_count_inequality, rank, rank_mod_p
-from .jordan import _jordan_scan, geometry_audit, jordan_sets, span
+from .jordan import _jordan_scan, geometry_audit, is_jordan, jordan_sets, span
 from .orders import (
     LOCAL_KINDS,
     cantor_forth,
@@ -406,18 +404,6 @@ def _jordan_point_sets(group: GenGroup) -> list[frozenset[int]]:
     return [frozenset(c) for c in _jordan_scan(group, None, None)]
 
 
-def _restricted_witness(group: GenGroup, masked_elements, points) -> GenGroup:
-    ordered = tuple(sorted(points))
-    mask = _mask(ordered)
-    inside = tuple(g for g, m in masked_elements if not m & ~mask)
-    reduced = _reduce_generators(inside, group.degree)
-    index = {p: i for i, p in enumerate(ordered)}
-    gens = tuple(
-        Permutation(tuple(index[g.images[p]] for p in ordered)) for g in reduced
-    )
-    return GenGroup(len(ordered), gens)
-
-
 def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     problems = []
     fix = fixture("pg_2_2")
@@ -461,18 +447,12 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
         if len(catalog) < 1:
             continue
         sample = catalog if len(catalog) <= 40 else rng.sample(catalog, 40)
-        masked = None
         witness_memo: dict[frozenset[int], GenGroup] = {}
         degree_memo: dict[tuple[frozenset[int], int], int] = {}
 
         def witness_of(points: frozenset[int]) -> GenGroup:
-            nonlocal masked
             if points not in witness_memo:
-                if masked is None:
-                    masked = tuple(
-                        (g, _mask(support_fix_degree(g)[0])) for g in enumerate_elements(group)
-                    )
-                witness_memo[points] = _restricted_witness(group, masked, points)
+                witness_memo[points] = is_jordan(group, points).witness_group
             return witness_memo[points]
 
         def degree_of(points: frozenset[int], kmax: int) -> int:

@@ -241,3 +241,78 @@ def bfs_reduce_generators(elements, degree: int) -> tuple[Permutation, ...]:
         if len(closed) == target:
             break
     return tuple(generators)
+
+
+def schreier_point_stabilizer(degree: int, generators, alpha: int) -> list[Permutation]:
+    """Every distinct Schreier generator t_beta s t_(beta s)^-1 over the orbit
+    of alpha, with BFS transversal words: the library's point stabilizer
+    before it was read off a stabilizer chain."""
+    e = Permutation(tuple(range(degree)))
+    transversal = {alpha: e}
+    queue = deque([alpha])
+    while queue:
+        beta = queue.popleft()
+        for s in generators:
+            image = s.images[beta]
+            if image not in transversal:
+                transversal[image] = mul(transversal[beta], s)
+                queue.append(image)
+    out: list[Permutation] = []
+    for beta, t in sorted(transversal.items()):
+        for s in generators:
+            schreier = mul(mul(t, s), inv(transversal[s.images[beta]]))
+            if schreier != e and schreier not in out:
+                out.append(schreier)
+    return out
+
+
+def support_edges(elements) -> list[tuple[int, set[tuple[int, int]]]]:
+    """(support mask, movement pairs) per distinct support of a non-identity
+    element."""
+    buckets: dict[int, set[tuple[int, int]]] = {}
+    for g in elements:
+        moved = [p for p, q in enumerate(g.images) if p != q]
+        if moved:
+            mask = sum(1 << p for p in moved)
+            buckets.setdefault(mask, set()).update((p, g.images[p]) for p in moved)
+    return sorted(buckets.items())
+
+
+def support_component(edges, allowed: set[int], seed: int) -> frozenset[int]:
+    """Decreasing fixpoint over a support table: the library's maximal
+    Jordan set through seed before it read pointwise stabilizers off a
+    chain.  Each round keeps the points reachable from seed through the
+    movement pairs of elements supported inside the current set."""
+    current = frozenset(allowed)
+    while True:
+        mask = sum(1 << p for p in current)
+        pairs = [pair for emask, found in edges if not emask & ~mask for pair in found]
+        reached = {seed}
+        while True:
+            fresh = {b for a, b in pairs if a in reached} | {a for a, b in pairs if b in reached}
+            if fresh <= reached:
+                break
+            reached |= fresh
+        if reached == current:
+            return current
+        current = frozenset(reached)
+
+
+def support_maximal_jordan_avoiding(edges, degree: int, avoid, seed=None):
+    """maximal_jordan_avoiding on the support-table fixpoint, given the
+    table ``support_edges`` built."""
+    allowed = {p for p in range(degree) if p not in set(avoid)}
+    if seed is not None:
+        part = support_component(edges, allowed, seed)
+        return tuple(sorted(part)) if len(part) >= 2 else ()
+    out = []
+    remaining = set(allowed)
+    while remaining:
+        s = min(remaining)
+        part = support_component(edges, allowed, s)
+        if len(part) >= 2:
+            out.append(tuple(sorted(part)))
+            remaining -= part
+        else:
+            remaining.discard(s)
+    return tuple(out)
