@@ -4,8 +4,9 @@
 Each case is one in-process ``permlab`` call under the default element
 cap: ``analyze --format json`` for every corpus fixture and pass (span
 with ``--points 1,2``), ``corpus describe --format json`` for every
-fixture, and samples of ``lw`` (rank, CSV and theta reports), ``wreath``
-and ``cantor`` in both formats.  A change that must keep the CLI's bytes
+fixture, ``analyze --format text`` and ``--format dot`` for the jordan,
+suborbits and span passes on a few fixtures, and samples of ``lw`` (rank,
+CSV and theta reports), ``wreath`` and ``cantor`` in both formats.  A change that must keep the CLI's bytes
 runs ``tests/test_golden.py``, which replays every case.
 
     PYTHONPATH=src python3 scripts/golden.py [--out PATH]
@@ -42,18 +43,28 @@ SAMPLES = (
     "cantor --source 0,1,1/2 --target 5,7",
     "cantor --source 0,1/3,1/2,1 --target 0,2,7,9 --format json",
 )
+# the passes and fixtures whose text and DOT renderings are pinned too
+RENDERED_PASSES = ("jordan", "suborbits", "span")
+RENDERED_FIXTURES = ("pg_2_2", "pg_2_3", "symmetric_5", "alternating_7", "c2wrc2wrc2", "dihedral_6")
+
+
+def _analyze(name: str, pass_name: str, fmt: str) -> list[str]:
+    argv = ["analyze", "--fixture", name, "--pass", pass_name, "--format", fmt]
+    if pass_name == "span":
+        argv += ["--points", "1,2"]
+    return argv
 
 
 def cases() -> list[list[str]]:
     out = []
     for name in FIXTURE_NAMES:
-        for pass_name in PASSES:
-            argv = ["analyze", "--fixture", name, "--pass", pass_name, "--format", "json"]
-            if pass_name == "span":
-                argv += ["--points", "1,2"]
-            out.append(argv)
+        out += [_analyze(name, pass_name, "json") for pass_name in PASSES]
         out.append(["corpus", "describe", name, "--format", "json"])
-    return out + [sample.split() for sample in SAMPLES]
+    out += [sample.split() for sample in SAMPLES]
+    for name in RENDERED_FIXTURES:
+        for pass_name in RENDERED_PASSES:
+            out += [_analyze(name, pass_name, fmt) for fmt in ("text", "dot")]
+    return out
 
 
 def run(argv: list[str]) -> dict:

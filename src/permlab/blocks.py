@@ -24,7 +24,8 @@ from .groups import (
     GenGroup,
     _bounded_cache,
     _item_orbit,
-    _support_edges,
+    _pointwise_stabilizer,
+    contains,
     element_set,
     enumerate_elements,
     is_transitive,
@@ -556,12 +557,35 @@ class AlmostRegularDecomposition:
     almost_regular: bool
 
 
-def _support_masks(group: GenGroup, cap: int | None) -> tuple[int, ...]:
-    masks = [mask for mask, _ in _support_edges(group, cap)]
-    # keep only inclusion-minimal supports: a set hitting those hits all
-    return tuple(
-        m for m in masks if not any(other != m and other & m == other for other in masks)
-    )
+def _first_base(group: GenGroup) -> tuple[int, ...]:
+    """The first non-empty Phi, by size then lex order, with trivial G_(Phi).
+
+    A minimum base holds no point that the stabilizer of its earlier
+    points already fixes (dropping that point leaves a smaller base), so
+    the search skips such points after a non-empty prefix.  Each point
+    added divides the stabilizer's order by at most its longest orbit L,
+    so a prefix whose stabilizer's order passes L^r, with r points still
+    to add, is cut.
+    """
+    n = group.degree
+
+    def search(prefix: tuple[int, ...], size: int) -> tuple[int, ...] | None:
+        stab, stab_order = _pointwise_stabilizer(group, prefix)
+        left = size - len(prefix)
+        if stab_order > max(map(len, orbits(stab))) ** left:
+            return None
+        if not left:
+            return prefix
+        for p in range(prefix[-1] + 1 if prefix else 0, n - size + len(prefix) + 1):
+            if prefix and all(g.images[p] == p for g in stab.generators):
+                continue
+            found = search(prefix + (p,), size)
+            if found:
+                return found
+        return None
+
+    # some size reaches a minimum base, which holds no skipped point
+    return next(filter(None, (search((), size) for size in range(1, n + 1))))
 
 
 def almost_regular_decomposition(
@@ -570,69 +594,48 @@ def almost_regular_decomposition(
     """Split a transitive group along a canonical normal subgroup N.
 
     m is the largest subdegree.  Over non-empty point sets Phi, m(Phi) is
-    the largest orbit length of the pointwise stabilizer of Phi; the whole
-    domain always achieves m(Phi) = 1 (its pointwise stabilizer is
-    trivial), so the minimum m0 is 1 and the size-then-lex search reduces
-    to the first Phi whose pointwise stabilizer dies, i.e. the first
-    minimum-size set meeting the support of every non-identity element.
-    N collects the elements that fix, for every minimal witness Phi,
-    every orbit of length m0 of its pointwise stabilizer setwise; rho is
-    the orbit partition of N.
+    the largest orbit length of the pointwise stabilizer G_(Phi); the
+    minimum m0 is 1, reached exactly by the bases, and phi is the first
+    base by size then lex order.  N is G_(U) for U the points in the
+    orbits of length m0 of G_(phi); rho is the orbit partition of N, and
+    quotient_stab_order is the order of G's action on the classes of rho
+    over their number.
+
+    The decomposition is degenerate for every finite group: phi is a
+    base, so G_(phi) is trivial, U is every point, N is trivial, rho is
+    discrete and quotient_stab_order is |G_0|.  The normality and class
+    size checks still run.  Everything comes from stabilizer chains; the
+    group is never listed.
     """
     if not is_transitive(group):
         raise NotTransitive("the decomposition needs a transitive action")
     table = suborbits(group, 0)
     m = max(table.subdegrees)
-    masks = _support_masks(group, cap)
-    witnesses: list[tuple[int, ...]] = []
-    for size in range(1, group.degree + 1):
-        witnesses = [
-            combo
-            for combo in itertools.combinations(range(group.degree), size)
-            if all(any(mask >> p & 1 for p in combo) for mask in masks)
-        ]
-        if witnesses:
-            break
-    first_witness = witnesses[0]
+    order(group, cap)
+    phi = _first_base(group)
     m0 = 1
-    elements = enumerate_elements(group, cap)
-    candidates = set(elements)
-    for phi in witnesses:
-        stab = stabilizer(group, "pointwise", phi, cap)
-        short_orbits = [set(o) for o in orbits(stab) if len(o) == m0]
-        candidates = {
-            g
-            for g in candidates
-            if all({g.images[p] for p in o} == o for o in short_orbits)
-        }
-        if len(candidates) == 1:
-            break
-    n_members = tuple(sorted(candidates, key=lambda f: f.images))
-    if any(conjugate(x, g) not in candidates for g in group.generators for x in n_members):
+    short = orbits(_pointwise_stabilizer(group, phi)[0])
+    united = tuple(sorted(p for o in short if len(o) == m0 for p in o))
+    n_group = _pointwise_stabilizer(group, united)[0]
+    if not all(
+        contains(n_group, conjugate(x, g), cap)
+        for g in group.generators
+        for x in n_group.generators
+    ):
         raise AxiomsFailed("N not normal")
-    n_group = subgroup_from_elements(n_members, group.degree)
     rho = _partition_from_classes(group.degree, orbits(n_group), group)
     if any(len(block) > m for block in rho.blocks):
         raise AxiomsFailed("rho class above m")
-    block_index = {}
-    for index, block in enumerate(rho.blocks):
-        for point in block:
-            block_index[point] = index
-    quotient_images = {
-        tuple(block_index[g.images[block[0]]] for block in rho.blocks)
-        for g in elements
-    }
-    base_block = block_index[0]
-    quotient_stab_order = sum(
-        1 for images in quotient_images if images[base_block] == base_block
-    )
+    block_index = {point: i for i, block in enumerate(rho.blocks) for point in block}
+    images = (tuple(block_index[g.images[b[0]]] for b in rho.blocks) for g in group.generators)
+    on_blocks = GenGroup(len(rho.blocks), tuple(map(Permutation, images)))
     return AlmostRegularDecomposition(
         m=m,
-        phi=tuple(first_witness),
+        phi=phi,
         m0=m0,
         n_generators=n_group.generators,
         rho=rho,
-        quotient_stab_order=quotient_stab_order,
+        quotient_stab_order=order(on_blocks, cap) // len(rho.blocks),
         almost_regular=m0 == 1,
     )
 

@@ -116,12 +116,9 @@ def _pass_suborbits(label, group, fix, args):
         f"subdegrees: {' '.join(str(d) for d in sub.subdegrees)}",
         f"pairing: {' '.join(str(i) for i in sub.pairing)}",
     ]
-    dot = "\n".join(
-        orbital_graph(group, orb).dot
-        for orb in orbitals(group, base)
-        if not orb.is_diagonal
+    return payload, lines, lambda: "\n".join(
+        orbital_graph(group, orb).dot for orb in orbitals(group, base) if not orb.is_diagonal
     )
-    return payload, lines, dot or None
 
 
 def _pass_congruences(label, group, fix, args):
@@ -195,8 +192,7 @@ def _pass_jordan(label, group, fix, args):
             f"  {{{' '.join(str(p) for p in _points_out(w.points))}}}"
             f" {tag}, witness order {order(w.witness_group)}"
         )
-    dot = _inclusion_dot([frozenset(w.points) for w in catalog])
-    return payload, lines, dot
+    return payload, lines, lambda: _inclusion_dot([frozenset(w.points) for w in catalog])
 
 
 def _pass_span(label, group, fix, args):
@@ -209,10 +205,11 @@ def _pass_span(label, group, fix, args):
         f"span of {{{' '.join(str(p + 1) for p in pts)}}}:"
         f" {{{' '.join(str(p) for p in _points_out(result))}}}"
     ]
-    dot = _inclusion_dot([frozenset(pts), frozenset(result)])
-    return payload, lines, dot
+    return payload, lines, lambda: _inclusion_dot([frozenset(pts), frozenset(result)])
 
 
+# name -> (pass, help); a pass returns its JSON payload, its text lines and
+# a DOT renderer or None, which _cmd_analyze calls only for --format dot
 _PASSES = {
     "orbits": (_pass_orbits, "orbit partition of the point set"),
     "primitivity": (_pass_primitivity, "transitivity and primitivity verdicts"),
@@ -243,7 +240,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"[{name}]")
         lines += ["  " + ln for ln in pass_lines]
         if args.format == "dot":
-            dots.append(dot if dot else f"// pass {name}: no graph form")
+            dots.append((dot and dot()) or f"// pass {name}: no graph form")
     if args.format == "dot":
         print("\n".join(dots))
         return 0

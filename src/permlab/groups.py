@@ -337,33 +337,6 @@ def _mask(points) -> int:
     return out
 
 
-def _support_edges(
-    group: GenGroup, cap: int | None = None
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Movement edges grouped by distinct support mask.
-
-    One entry per support that occurs among non-identity elements, sorted
-    by mask: the bitmask of moved points plus every (point, image) pair
-    contributed by an element with exactly that support.  An element is
-    usable inside a candidate set iff its mask is a submask of the set's
-    mask, so scans over candidates only ever touch this table, not the
-    element list.
-    """
-    return _support_table(group, element_cap(cap))
-
-
-@_bounded_cache
-def _support_table(group: GenGroup, cap: int):
-    buckets: dict[int, set[tuple[int, int]]] = {}
-    for g in enumerate_elements(group, cap):
-        moved = [p for p in range(group.degree) if g.images[p] != p]
-        if moved:
-            buckets.setdefault(_mask(moved), set()).update((p, g.images[p]) for p in moved)
-    return tuple(
-        (mask, tuple(sorted(pairs))) for mask, pairs in sorted(buckets.items())
-    )
-
-
 def _reduce_generators(
     elements: tuple[Permutation, ...], degree: int
 ) -> tuple[Permutation, ...]:
@@ -501,9 +474,12 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
 
     A prefix 0, 1, ..., k-1 is read off the group's own chain, below
     level k.  Otherwise G_(p1..pk) is the stabilizer of pk in the
-    memoized G_(p1..pk-1): a fresh chain of that parent, with pk as its
-    first base point, stops once its orbit lengths multiply to the
-    parent's order, and the stabilizer is what it holds below level 1.
+    memoized G_(p1..pk-1): the parent itself when its generators already
+    fix pk (a trivial parent among them), else what a fresh chain of the
+    parent, with pk as its first base point, holds below level 1.  That
+    chain stops once its orbit lengths multiply to the parent's order.
+    Walks over the subsets of the points (the Jordan scan, the search for
+    a minimum base) get every node from its memoized prefix this way.
     """
     if not points:
         return group, _chain(group).order()
@@ -511,9 +487,9 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
         chain, level = _chain(group), len(points)
     else:
         parent, parent_order = _pointwise_stabilizer(group, points[:-1])
-        if not parent.generators:
-            return parent, 1
         last = points[-1]
+        if all(g.images[last] == last for g in parent.generators):
+            return parent, parent_order
         base = (last,) + tuple(p for p in range(group.degree) if p != last)
         chain, level = _Chain(group.degree, base, parent_order), 1
         for g in parent.generators:

@@ -6,14 +6,16 @@ Such a set is improper when the group is (k+1)-transitive for k the size
 of the complement, so that transitivity inside costs nothing; the proper
 ones are the geometrically interesting witnesses.
 
-Witnesses and spans never list the group.  The elements available inside
-a candidate set are those fixing its complement, the pointwise stabilizer
-that ``groups`` reads off a stabilizer chain; a decreasing fixpoint over
-those stabilizers finds the unique maximal Jordan set avoiding a
-prescribed set of points, and spans and the closure-operator audit
-reduce to it.  Only the scan over every candidate subset runs on the
-element list, through the table of support masks that ``groups`` caches
-per group and element cap: a chain per subset would cost more.
+Nothing here lists the group.  The elements available inside a candidate
+set are those fixing its complement, the pointwise stabilizer that
+``groups`` reads off a stabilizer chain.  A set A = Omega - S of at least
+two points is a Jordan set exactly when it is one orbit of G_(S)
+(P. M. Neumann, Proc. LMS 1985), so the catalog is a depth-first walk
+over the sorted complements S, each stabilizer taken from its memoized
+prefix's, that leaves out every subtree a fixed point rules out.  A
+decreasing fixpoint over the same stabilizers finds the unique maximal
+Jordan set avoiding a prescribed set of points, and spans and the
+closure-operator audit reduce to it.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .blocks import _UnionFind
 from .config import element_cap
 from .errors import AxiomsFailed, CapExceeded, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
     _item_orbit,
-    _mask,
     _point_in_range,
     _pointwise_stabilizer,
-    _support_edges,
     _tuple_image,
     orbit,
     order,
@@ -118,8 +117,17 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
 
 
 def _jordan_scan(group: GenGroup, sizes, cap: int | None):
-    """Subsets, by ascending size then lexicographically, on which the
-    elements supported inside act with a single orbit."""
+    """Subsets, by ascending size then lexicographically, that are one
+    orbit of the pointwise stabilizer of their complement.
+
+    Walks the sorted complements S depth first; the children of S add a
+    point past S[-1], so each node's stabilizer comes from its memoized
+    prefix.  A point x outside S that G_(S) fixes stays fixed below S
+    until some descendant adds it, so children add no point past the
+    least such x: none at all when x < S[-1], and none either when those
+    points outnumber the levels left.  Only an S whose stabilizer fixes
+    nothing outside it is tested.
+    """
     n = group.degree
     if sizes is None:
         wanted_sizes = tuple(range(2, n + 1))
@@ -131,11 +139,24 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
     count = sum(math.comb(n, m) for m in wanted_sizes)
     if count > element_cap(cap):
         raise CapExceeded(f"{count} candidate subsets passes the cap")
-    edges = _support_edges(group, cap)
-    for m in wanted_sizes:
-        for combo in itertools.combinations(range(n), m):
-            if _connected_inside(edges, _mask(combo), combo):
-                yield combo
+    order(group, cap)
+    depths = {n - m for m in wanted_sizes}
+    deepest = max(depths, default=-1)
+    hits = []
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        s = stack.pop()
+        inside = _pointwise_stabilizer(group, s)[0]
+        moved = {p for g in inside.generators for p in range(n) if g.images[p] != p}
+        fixed = [x for x in range(n) if x not in moved and x not in s]
+        if not fixed and len(s) in depths:
+            members = tuple(p for p in range(n) if p not in s)
+            if _connected_inside(inside, members):
+                hits.append(members)
+        if len(s) + max(len(fixed), 1) <= deepest:
+            top = fixed[0] if fixed else n - 1
+            stack.extend(s + (p,) for p in range(s[-1] + 1 if s else 0, top + 1))
+    yield from sorted(hits, key=lambda a: (len(a), a))
 
 
 def jordan_sets(
@@ -143,10 +164,10 @@ def jordan_sets(
 ) -> tuple[JordanWitness, ...]:
     """All Jordan sets of the group, optionally restricted to given sizes.
 
-    Scans every subset of the requested sizes against the support-mask
-    table; the handful of survivors then get full witnesses.  The subset
-    count is compared against the element cap before anything runs, since
-    the scan is exponential in the degree.
+    Walks the pointwise-stabilizer lattice of the complements (see
+    ``_jordan_scan``); the survivors then get full witnesses.  The subset
+    count and the group order are compared against the element cap before
+    anything runs, since the walk may be exponential in the degree.
     """
     found: list[JordanWitness] = []
     for combo in _jordan_scan(group, sizes, cap):
@@ -157,19 +178,9 @@ def jordan_sets(
     return tuple(found)
 
 
-def _connected_inside(edges, mask: int, members: tuple[int, ...]) -> bool:
-    """Single orbit on members under elements supported inside mask."""
-    uf = _UnionFind(mask.bit_length())
-    merged = len(members) - 1
-    for emask, pairs in edges:
-        if emask & ~mask:
-            continue
-        for a, b in pairs:
-            if uf.union(a, b):
-                merged -= 1
-                if not merged:
-                    return True
-    return merged == 0
+def _connected_inside(inside: GenGroup, members: tuple[int, ...]) -> bool:
+    """Single orbit on members under a group that fixes every other point."""
+    return len(orbit(inside, members[0]).points) == len(members)
 
 
 def maximal_jordan_avoiding(

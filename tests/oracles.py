@@ -316,3 +316,127 @@ def support_maximal_jordan_avoiding(edges, degree: int, avoid, seed=None):
         else:
             remaining.discard(s)
     return tuple(out)
+
+
+def _support_connected_inside(edges, mask: int, members: tuple[int, ...]) -> bool:
+    """Single orbit on members under elements supported inside mask."""
+    parent = list(range(mask.bit_length()))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merged = len(members) - 1
+    for emask, pairs in edges:
+        if emask & ~mask:
+            continue
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                merged -= 1
+                if not merged:
+                    return True
+    return merged == 0
+
+
+def support_jordan_scan(degree: int, generators, sizes=None, cap: int = 200_000):
+    """The library's Jordan scan before the pointwise-stabilizer walk:
+    every subset of the wanted sizes, by size then lexicographically,
+    tested against the support table of the whole element list."""
+    if sizes is None:
+        wanted_sizes = tuple(range(2, degree + 1))
+    else:
+        wanted_sizes = tuple(sorted(set(sizes)))
+    edges = support_edges(bfs_elements(degree, generators, cap))
+    out = []
+    for m in wanted_sizes:
+        for combo in itertools.combinations(range(degree), m):
+            if _support_connected_inside(edges, sum(1 << p for p in combo), combo):
+                out.append(combo)
+    return tuple(out)
+
+
+def support_almost_regular_decomposition(group, cap: int | None = None):
+    """The library's almost-regular decomposition before it read the
+    minimum base, N and the quotient off stabilizer chains: the base
+    search meets every inclusion-minimal support, N filters the element
+    list and the quotient stabilizer counts distinct block images.  The
+    suborbit, orbit, pointwise-stabilizer and partition helpers are the
+    library's own."""
+    from permlab.blocks import (
+        AlmostRegularDecomposition,
+        _partition_from_classes,
+        suborbits,
+    )
+    from permlab.errors import AxiomsFailed, NotTransitive
+    from permlab.groups import (
+        enumerate_elements,
+        is_transitive,
+        orbits,
+        stabilizer,
+        subgroup_from_elements,
+    )
+    from permlab.perms import conjugate
+
+    if not is_transitive(group):
+        raise NotTransitive("the decomposition needs a transitive action")
+    table = suborbits(group, 0)
+    m = max(table.subdegrees)
+    all_masks = [mask for mask, _ in support_edges(enumerate_elements(group, cap))]
+    masks = tuple(
+        mk for mk in all_masks if not any(other != mk and other & mk == other for other in all_masks)
+    )
+    witnesses: list[tuple[int, ...]] = []
+    for size in range(1, group.degree + 1):
+        witnesses = [
+            combo
+            for combo in itertools.combinations(range(group.degree), size)
+            if all(any(mask >> p & 1 for p in combo) for mask in masks)
+        ]
+        if witnesses:
+            break
+    first_witness = witnesses[0]
+    m0 = 1
+    elements = enumerate_elements(group, cap)
+    candidates = set(elements)
+    for phi in witnesses:
+        stab = stabilizer(group, "pointwise", phi, cap)
+        short_orbits = [set(o) for o in orbits(stab) if len(o) == m0]
+        candidates = {
+            g
+            for g in candidates
+            if all({g.images[p] for p in o} == o for o in short_orbits)
+        }
+        if len(candidates) == 1:
+            break
+    n_members = tuple(sorted(candidates, key=lambda f: f.images))
+    if any(conjugate(x, g) not in candidates for g in group.generators for x in n_members):
+        raise AxiomsFailed("N not normal")
+    n_group = subgroup_from_elements(n_members, group.degree)
+    rho = _partition_from_classes(group.degree, orbits(n_group), group)
+    if any(len(block) > m for block in rho.blocks):
+        raise AxiomsFailed("rho class above m")
+    block_index = {}
+    for index, block in enumerate(rho.blocks):
+        for point in block:
+            block_index[point] = index
+    quotient_images = {
+        tuple(block_index[g.images[block[0]]] for block in rho.blocks)
+        for g in elements
+    }
+    base_block = block_index[0]
+    quotient_stab_order = sum(
+        1 for images in quotient_images if images[base_block] == base_block
+    )
+    return AlmostRegularDecomposition(
+        m=m,
+        phi=tuple(first_witness),
+        m0=m0,
+        n_generators=n_group.generators,
+        rho=rho,
+        quotient_stab_order=quotient_stab_order,
+        almost_regular=m0 == 1,
+    )

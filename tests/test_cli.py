@@ -109,6 +109,22 @@ def test_analyze_pass_without_graph_form_comments(capsys):
     assert out.strip() == "// pass orbits: no graph form"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_renders_dot_only_for_the_dot_format(capsys, monkeypatch, fmt):
+    from permlab import cli
+
+    def never(*args):
+        raise AssertionError("DOT rendered for another format")
+
+    monkeypatch.setattr(cli, "_inclusion_dot", never)
+    monkeypatch.setattr(cli, "orbital_graph", never)
+    rc, _, _ = run_cli(
+        capsys, "analyze", "--fixture", "pg_2_2", "--pass", "suborbits,jordan,span",
+        "--points", "1,2", "--format", fmt,
+    )
+    assert rc == 0
+
+
 def test_analyze_span_requires_points(capsys):
     rc, _, err = run_cli(capsys, "analyze", "--fixture", "pg_2_2", "--pass", "span")
     assert rc == 2

@@ -26,7 +26,16 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 SRC = Path(permlab.__file__).parent.parent
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:5]) for c in GOLDEN])
+def _case_id(case) -> str:
+    """The first five words; an analyze case in text or DOT adds its format."""
+    argv = case["argv"]
+    label = " ".join(argv[:5])
+    if argv[0] == "analyze" and argv[6] != "json":
+        label += f" {argv[6]}"
+    return label
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
 def test_cli_output_matches_the_golden_snapshot(case, monkeypatch):
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
     stdout = io.StringIO()
