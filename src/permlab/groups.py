@@ -5,6 +5,9 @@ enumeration, stabilizers, induced actions, witnesses) is derived on demand
 by deterministic breadth-first walks.  Enumeration order is reproducible:
 words are explored shortest-first, ties broken by generator list position,
 so "the BFS-least witness" is a well-defined value everywhere below.
+That list is grown lazily, one shared and memoized prefix per group and
+cap, so a search for a BFS-least witness builds elements only up to its
+first hit, and a full enumeration finishes the same list.
 
 Questions whose answers do not depend on that order (the order, membership,
 the element-cap check, the transitivity degree, and the closure test of
@@ -15,8 +18,11 @@ further chains whose base starts at a stabilized point; none of them
 lists an element.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
-order.  Caches keyed on a group are bounded LRUs; ``clear_caches``
-empties them.
+order.  Sums that ignore order (the Burnside count of fixed subsets)
+walk the products of the chain's transversal elements instead: each
+element comes once, as a raw image tuple, with no visited set.  Caches
+keyed on a group are bounded LRUs; ``clear_caches`` empties them, and
+with them any partly walked prefix.
 
 >>> g = group_from_cycles(5, "(1 2 3 4 5)")
 >>> order(g)
@@ -33,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .config import CACHE_ENTRIES, element_cap
 from .errors import (
@@ -115,17 +122,17 @@ def alternating_group(degree: int) -> GenGroup:
 # element enumeration
 
 
-def _item_orbit(start, act, generators, cap: int) -> list:
-    """Orbit of start under item -> act(item, g), as a list in BFS order.
+def _item_walk(start, act, generators, cap: int) -> Iterator:
+    """Orbit of start under item -> act(item, g), yielded in BFS order.
 
-    Generators are tried in list order for each item, so the list runs
+    Generators are tried in list order for each item, so items come
     shortest word first, ties broken by generator position.  Raises
-    CapExceeded once the orbit would pass cap items.  A set plus a list
-    peaks lower than one insertion-ordered dict on large walks.
+    CapExceeded once the orbit would pass cap items.  Each item is yielded
+    as soon as it is found, so a caller that stops early walks no further.
     """
     seen = {start}
-    out = [start]
-    queue = deque(out)
+    queue = deque([start])
+    yield start
     while queue:
         item = queue.popleft()
         for g in generators:
@@ -134,9 +141,13 @@ def _item_orbit(start, act, generators, cap: int) -> list:
                 if len(seen) >= cap:
                     raise CapExceeded(f"orbit of {start!r} passed cap {cap}")
                 seen.add(moved)
-                out.append(moved)
                 queue.append(moved)
-    return out
+                yield moved
+
+
+def _item_orbit(start, act, generators, cap: int) -> list:
+    """The whole orbit _item_walk yields, as a list in BFS order."""
+    return list(_item_walk(start, act, generators, cap))
 
 
 _CACHES: list = []
@@ -288,15 +299,62 @@ def _capped_order(group: GenGroup, cap: int) -> int:
     return size
 
 
+class _BfsPrefix:
+    """A group's BFS element list, grown on demand by one shared walk.
+
+    Iterating reads the elements found so far and advances the walk only
+    past their end, so searches for a BFS-least element stop at their
+    first hit, and every iterator, interleaved or not, sees one list in
+    one order.  The chain's order is checked against the cap before the
+    walk starts; the walk must stop at exactly that many elements, and
+    AxiomsFailed is raised when it would end short or run past it.
+    """
+
+    def __init__(self, group: GenGroup, cap: int) -> None:
+        self.size = _capped_order(group, cap)
+        self.elements: list[Permutation] = []
+        self._walk = _item_walk(identity(group.degree), compose, group.generators, cap)
+
+    def __iter__(self) -> Iterator[Permutation]:
+        elements = self.elements
+        index = 0
+        while index < len(elements) or self._grow():
+            yield elements[index]
+            index += 1
+
+    def finish(self) -> list[Permutation]:
+        """The whole list, with the rest of the walk taken in one pass."""
+        missing = self.size - len(self.elements)
+        self.elements.extend(itertools.islice(self._walk, missing))
+        self._grow()  # raises unless the walk ends at exactly self.size elements
+        return self.elements
+
+    def _grow(self) -> bool:
+        """Append the walk's next element; False once the walk has ended."""
+        found = len(self.elements)
+        g = next(self._walk, None)
+        if g is None:
+            if found != self.size:
+                raise AxiomsFailed(
+                    f"enumeration found {found} elements, the stabilizer chain {self.size}"
+                )
+            return False
+        if found == self.size:
+            raise AxiomsFailed(
+                f"enumeration passed the stabilizer chain's order {self.size}"
+            )
+        self.elements.append(g)
+        return True
+
+
+@_bounded_cache
+def _bfs_prefix(group: GenGroup, cap: int) -> _BfsPrefix:
+    return _BfsPrefix(group, cap)
+
+
 @_bounded_cache
 def _bfs_elements(group: GenGroup, cap: int) -> tuple[Permutation, ...]:
-    size = _capped_order(group, cap)
-    elements = tuple(_item_orbit(identity(group.degree), compose, group.generators, cap))
-    if len(elements) != size:
-        raise AxiomsFailed(
-            f"enumeration found {len(elements)} elements, the stabilizer chain {size}"
-        )
-    return elements
+    return tuple(_bfs_prefix(group, cap).finish())
 
 
 def enumerate_elements(group: GenGroup, cap: int | None = None) -> tuple[Permutation, ...]:
@@ -305,6 +363,7 @@ def enumerate_elements(group: GenGroup, cap: int | None = None) -> tuple[Permuta
     Raises CapExceeded when the group has more than `cap` elements; the
     stabilizer chain's order is compared with the cap before any element
     is built, and the finished list must have exactly that many elements.
+    The list is the one every BFS-least search reads a prefix of.
     """
     return _bfs_elements(group, element_cap(cap))
 
@@ -327,6 +386,31 @@ def contains(group: GenGroup, f: Permutation, cap: int | None = None) -> bool:
     """Membership by sifting; CapExceeded when |G| passes the cap."""
     _capped_order(group, element_cap(cap))
     return f.degree == group.degree and _chain(group).sift(f.images)[1] == group.degree
+
+
+def _chain_products(group: GenGroup, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every element of G exactly once, as an image tuple, in chain order.
+
+    Sifting writes each element uniquely as a product of one transversal
+    element per chain level, the deepest level applied first (Butler,
+    Fundamental Algorithms for Permutation Groups, 1991; Seress 2003,
+    §4.1).  The products over all levels but the first are listed, and
+    the first level's are yielded lazily: there is no visited set and no
+    Permutation.  Raises CapExceeded, before any product is formed, when
+    |G| passes the cap.
+    """
+    _capped_order(group, cap)
+    levels = [
+        tuple(u for u, _ in table.values())
+        for table in reversed(_chain(group).transversal)
+        if len(table) > 1
+    ]
+    products = [tuple(range(group.degree))]
+    if not levels:
+        return iter(products)
+    for level in levels[:-1]:
+        products = [_images_product(p, u) for p in products for u in level]
+    return (_images_product(p, u) for p in products for u in levels[-1])
 
 
 def _mask(points) -> int:
@@ -458,11 +542,10 @@ def stabilizer(
         wanted = tuple(sorted({_point_in_range(group, p) for p in arg}))
         return _pointwise_stabilizer(group, wanted)[0]
     if kind == "setwise":
-        wanted = frozenset(arg)
+        elements = enumerate_elements(group, cap)
+        wanted = frozenset(_point_in_range(group, p) for p in arg)
         keep = tuple(
-            g
-            for g in enumerate_elements(group, cap)
-            if frozenset(g.images[p] for p in wanted) == wanted
+            g for g in elements if frozenset(g.images[p] for p in wanted) == wanted
         )
         return subgroup_from_elements(keep, group.degree)
     raise ValueError(f"unknown stabilizer kind {kind!r}")
@@ -595,14 +678,22 @@ def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> in
     """Largest k <= kmax with a single orbit on j-subsets for all j <= k.
 
     Walks the orbit of {0, ..., k-1}, which stops with CapExceeded once it
-    passes the element cap.
+    passes the element cap; the error names the orbit's bound C(n, k) as
+    a cap that would suffice.
     """
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
     cap = element_cap(cap)
     best = 0
     for k in range(1, kmax + 1):
-        walked = _item_orbit(tuple(range(k)), _subset_image, group.generators, cap)
+        try:
+            walked = _item_orbit(tuple(range(k)), _subset_image, group.generators, cap)
+        except CapExceeded as exc:
+            bound = math.comb(group.degree, k)
+            raise CapExceeded(
+                f"{exc}; a {k}-subset orbit has at most C({group.degree}, {k}) = {bound}"
+                f" subsets, PERMLAB_CAP={bound} would suffice"
+            ) from None
         if len(walked) != math.comb(group.degree, k):
             break
         best = k
@@ -621,11 +712,14 @@ def separation_search(
     """BFS-least g with (gamma)g disjoint from delta, or None.
 
     When every orbit is larger than |gamma| * |delta|, a witness always
-    exists, so None is only possible for crowded orbits.
+    exists, so None is only possible for crowded orbits.  The search reads
+    the BFS element list only up to its first hit.  Raises PointOutOfRange
+    for a point outside the domain.
     """
-    gamma = frozenset(gamma)
-    delta = frozenset(delta)
-    for g in enumerate_elements(group, cap):
+    elements = _bfs_prefix(group, element_cap(cap))
+    gamma = frozenset(_point_in_range(group, p) for p in gamma)
+    delta = frozenset(_point_in_range(group, p) for p in delta)
+    for g in elements:
         if not frozenset(g.images[p] for p in gamma) & delta:
             return g
     return None
@@ -742,7 +836,10 @@ def _is_subgroup_of(
 def coset_spaces_isomorphic(
     group: GenGroup, h: GenGroup, k: GenGroup, cap: int | None = None
 ) -> Permutation | None:
-    """BFS-least x with x^-1 H x = K, or None when H, K are not conjugate."""
+    """BFS-least x with x^-1 H x = K, or None when H, K are not conjugate.
+
+    The search reads the BFS element list only up to its first hit.
+    """
     if not _is_subgroup_of(group, h, cap) or not _is_subgroup_of(group, k, cap):
         raise NotSubgroup("both coset spaces need subgroups of the ambient group")
     h_members = element_set(h, cap)
@@ -750,7 +847,7 @@ def coset_spaces_isomorphic(
     if len(h_members) != len(k_members):
         return None
     h_generators = h.generators if h.generators else (identity(group.degree),)
-    for x in enumerate_elements(group, cap):
+    for x in _bfs_prefix(group, element_cap(cap)):
         xi = inverse(x)
         if all(compose(compose(xi, s), x) in k_members for s in h_generators):
             return x

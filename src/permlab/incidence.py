@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,8 +26,16 @@ import numpy
 
 from .config import element_cap
 from .errors import AxiomsFailed, CapExceeded, OutOfRange
-from .groups import GenGroup, _mask, _subsets_colex, enumerate_elements, induced_action, orbits
-from .perms import Permutation, cycle_type
+from .groups import (
+    GenGroup,
+    _chain_products,
+    _mask,
+    _subsets_colex,
+    induced_action,
+    order,
+    orbits,
+)
+from .perms import Permutation, _cycles_including_fixed
 
 __all__ = [
     "ExactMatrix",
@@ -221,15 +230,33 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     return found
 
 
-def _fixed_subset_counts(g: Permutation, kmax: int) -> list[int]:
-    """Subsets of each size 0..kmax fixed setwise: unions of whole cycles."""
+def _fixed_subset_counts(lengths: tuple[int, ...], kmax: int) -> list[int]:
+    """Subsets of each size 0..kmax that an element with these cycle
+    lengths fixes setwise: the unions of whole cycles."""
     ways = [0] * (kmax + 1)
     ways[0] = 1
-    for length, mult in cycle_type(g).items():
-        for _ in range(mult):
-            for j in range(kmax, length - 1, -1):
-                ways[j] += ways[j - length]
+    for length in lengths:
+        for j in range(kmax, length - 1, -1):
+            ways[j] += ways[j - length]
     return ways
+
+
+def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int) -> list[int]:
+    """Fixed k-subsets summed over the whole group, for k = 0..kmax.
+
+    The elements come from the stabilizer chain's transversal products as
+    raw image tuples; they are counted per cycle type, and the count of
+    fixed subsets is worked out once per type.
+    """
+    types = Counter(
+        tuple(sorted(map(len, _cycles_including_fixed(images))))
+        for images in _chain_products(group, cap)
+    )
+    totals = [0] * (kmax + 1)
+    for lengths, count in types.items():
+        for j, ways in enumerate(_fixed_subset_counts(lengths, kmax)):
+            totals[j] += count * ways
+    return totals
 
 
 def orbit_count_inequality(
@@ -240,23 +267,23 @@ def orbit_count_inequality(
     Counts come from the induced action; each is cross-checked against
     the number of fixed k-subsets summed over the whole group (Burnside),
     and the counts must be nondecreasing while n >= 2k.  A failed check
-    raises AxiomsFailed.
+    raises AxiomsFailed.  The Burnside sum ignores order, so it walks the
+    stabilizer chain's transversal products rather than the BFS element
+    list, and |G| is the chain's order.
     """
     n = group.degree
     if not 0 <= kmax <= n:
         raise OutOfRange(f"kmax={kmax} outside 0..{n}")
-    elements = enumerate_elements(group, cap)
-    totals = [0] * (kmax + 1)
-    for g in elements:
-        totals = list(map(operator.add, totals, _fixed_subset_counts(g, kmax)))
+    size = order(group, cap)
+    totals = _fixed_subset_totals(group, kmax, element_cap(cap))
     counts = [1]
     for k in range(1, kmax + 1):
         action = induced_action(group, "subsets", k, cap)
         count = len(orbits(action.group))
-        if totals[k] != count * len(elements):
+        if totals[k] != count * size:
             raise AxiomsFailed(
                 f"{count} orbits on {k}-subsets, but the Burnside average is "
-                f"{Fraction(totals[k], len(elements))}"
+                f"{Fraction(totals[k], size)}"
             )
         counts.append(count)
     for k in range(1, kmax + 1):

@@ -122,23 +122,23 @@ def cycle_decomposition(f: Permutation) -> tuple[tuple[int, ...], ...]:
     Each cycle starts at its least point; cycles are sorted by least point.
     Fixed points are implicit.
     """
-    return tuple(c for c in _cycles_including_fixed(f) if len(c) >= 2)
+    return tuple(c for c in _cycles_including_fixed(f.images) if len(c) >= 2)
 
 
-def _cycles_including_fixed(f: Permutation) -> tuple[tuple[int, ...], ...]:
-    """All cycles, 1-cycles included, in canonical order."""
-    seen = [False] * f.degree
+def _cycles_including_fixed(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All cycles of an image tuple, 1-cycles included, in canonical order."""
+    seen = [False] * len(images)
     cycles: list[tuple[int, ...]] = []
-    for start in range(f.degree):
+    for start in range(len(images)):
         if seen[start]:
             continue
         cycle = [start]
         seen[start] = True
-        point = f.images[start]
+        point = images[start]
         while point != start:
             cycle.append(point)
             seen[point] = True
-            point = f.images[point]
+            point = images[point]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -201,7 +201,7 @@ def cycle_type(f: Permutation) -> CycleType:
     True
     """
     counts: CycleType = {}
-    for cycle in _cycles_including_fixed(f):
+    for cycle in _cycles_including_fixed(f.images):
         counts[len(cycle)] = counts.get(len(cycle), 0) + 1
     return counts
 
@@ -221,9 +221,9 @@ def is_conjugate(
         return False, None
     by_length_f: dict[int, list[tuple[int, ...]]] = {}
     by_length_g: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in _cycles_including_fixed(f):
+    for cycle in _cycles_including_fixed(f.images):
         by_length_f.setdefault(len(cycle), []).append(cycle)
-    for cycle in _cycles_including_fixed(g):
+    for cycle in _cycles_including_fixed(g.images):
         by_length_g.setdefault(len(cycle), []).append(cycle)
     images = [0] * f.degree
     for length, f_cycles in by_length_f.items():

@@ -23,6 +23,7 @@ from .groups import (
     GenGroup,
     enumerate_elements,
     is_transitive,
+    order,
     stabilizer,
 )
 from .perms import Permutation, compose, format_cycles, identity, inverse, parse_cycles
@@ -275,7 +276,9 @@ def imprimitive_embedding(
     and the report carries the order bookkeeping.  phi uses the BFS-least
     transversal; compatibility ((omega g) phi = (omega phi)(g psi)) is
     verified for every point/generator pair, and psi for injectivity on the
-    full enumeration.
+    full enumeration.  The wreath product's order is read off its
+    stabilizer chain, so the product itself is never enumerated; it still
+    raises CapExceeded when that order passes the cap.
     """
     if rho.degree != group.degree or not is_congruence(rho, group):
         raise NotACongruence("rho is not preserved by the group")
@@ -293,8 +296,9 @@ def imprimitive_embedding(
 
     # BFS-least transversal: first enumerated element carrying the base
     # block onto each block
+    elements = enumerate_elements(group, cap)
     transversal: dict[int, Permutation] = {}
-    for g in enumerate_elements(group, cap):
+    for g in elements:
         target = block_of[g.images[base_block[0]]]
         if target not in transversal:
             transversal[target] = g
@@ -340,7 +344,6 @@ def imprimitive_embedding(
                 )
         return Permutation(tuple(images))
 
-    elements = enumerate_elements(group, cap)
     psi = {g: psi_of(g) for g in elements}
     injective = len(set(psi.values())) == len(elements)
     compatible = all(
@@ -348,12 +351,11 @@ def imprimitive_embedding(
         for g in group.generators
         for point in range(group.degree)
     )
+    wreath_order = order(w, cap)
     report = EmbeddingReport(
         group_order=len(elements),
-        wreath_order=len(enumerate_elements(w, cap)),
-        index=len(enumerate_elements(w, cap)) // len(elements)
-        if injective
-        else 0,
+        wreath_order=wreath_order,
+        index=wreath_order // len(elements) if injective else 0,
         injective=injective,
         compatible=compatible,
         block_size=len(base_block),

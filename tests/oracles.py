@@ -440,3 +440,116 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
         quotient_stab_order=quotient_stab_order,
         almost_regular=m0 == 1,
     )
+
+
+def full_list_separation_search(elements, gamma, delta) -> Permutation | None:
+    """separation_search before it stopped at its first hit: every g of the
+    whole BFS list is tested, and the first that moves gamma off delta wins."""
+    hits = [g for g in elements if not {g.images[p] for p in gamma} & set(delta)]
+    return hits[0] if hits else None
+
+
+def full_list_conjugator(elements, h_members, k_members) -> Permutation | None:
+    """coset_spaces_isomorphic before it stopped at its first hit: the first
+    x of the whole BFS list with x^-1 H x = K, tested on every member of H."""
+    wanted = set(k_members)
+    hits = [x for x in elements if {conj(s, x) for s in h_members} == wanted]
+    return hits[0] if hits else None
+
+
+def cycle_lengths(g: Permutation) -> list[int]:
+    """Cycle lengths of g, 1-cycles included, by a walk from each unseen point."""
+    seen: set[int] = set()
+    out = []
+    for start in range(g.degree):
+        if start in seen:
+            continue
+        cycle = [start]
+        while g.images[cycle[-1]] != start:
+            cycle.append(g.images[cycle[-1]])
+        seen.update(cycle)
+        out.append(len(cycle))
+    return out
+
+
+def per_element_burnside_totals(elements, kmax: int) -> list[int]:
+    """Fixed k-subsets for k = 0..kmax, summed element by element over the
+    whole list: the library's Burnside sum before it counted chain
+    products per cycle type.  A fixed subset is a union of whole cycles."""
+    totals = [0] * (kmax + 1)
+    for g in elements:
+        ways = [1] + [0] * kmax
+        for length in cycle_lengths(g):
+            ways = [ways[j] + (ways[j - length] if j >= length else 0) for j in range(kmax + 1)]
+        totals = [t + w for t, w in zip(totals, ways)]
+    return totals
+
+
+def enumerated_embedding_report(group, rho, cap: int | None = None):
+    """imprimitive_embedding's report before the wreath order came off a
+    stabilizer chain: psi is built on the whole element list and the
+    wreath product is enumerated for its order.  The group, wreath and
+    stabilizer helpers are the library's own."""
+    from permlab.groups import GenGroup, enumerate_elements, stabilizer
+    from permlab.perms import compose, inverse
+    from permlab.wreath import EmbeddingReport, ProductDomain, wreath
+
+    blocks = rho.blocks
+    block_of = {point: index for index, block in enumerate(blocks) for point in block}
+    base_block = blocks[0]
+    position_in_base = {point: i for i, point in enumerate(base_block)}
+    transversal: dict[int, Permutation] = {}
+    for g in enumerate_elements(group, cap):
+        transversal.setdefault(block_of[g.images[base_block[0]]], g)
+    setwise = stabilizer(group, "setwise", base_block, cap)
+    bottom = GenGroup(
+        len(base_block),
+        tuple(
+            Permutation(tuple(position_in_base[s.images[p]] for p in base_block))
+            for s in setwise.generators
+        ),
+    )
+    top = GenGroup(
+        len(blocks),
+        tuple(
+            Permutation(tuple(block_of[g.images[block[0]]] for block in blocks))
+            for g in group.generators
+        ),
+    )
+    w = wreath(bottom, top, cap)
+    domain = ProductDomain((bottom.degree, top.degree))
+    phi = {}
+    for point in range(group.degree):
+        delta = block_of[point]
+        pulled = inverse(transversal[delta]).images[point]
+        phi[point] = domain.to_point((position_in_base[pulled], delta))
+
+    def psi_of(g: Permutation) -> Permutation:
+        images = list(range(domain.total))
+        for delta in range(top.degree):
+            moved = block_of[g.images[blocks[delta][0]]]
+            fiber = compose(compose(transversal[delta], g), inverse(transversal[moved]))
+            for gamma, point in enumerate(base_block):
+                images[domain.to_point((gamma, delta))] = domain.to_point(
+                    (position_in_base[fiber.images[point]], moved)
+                )
+        return Permutation(tuple(images))
+
+    elements = enumerate_elements(group, cap)
+    psi = {g: psi_of(g) for g in elements}
+    injective = len(set(psi.values())) == len(elements)
+    compatible = all(
+        phi[g.images[point]] == psi[g].images[phi[point]]
+        for g in group.generators
+        for point in range(group.degree)
+    )
+    wreath_order = len(enumerate_elements(w, cap))
+    return EmbeddingReport(
+        group_order=len(elements),
+        wreath_order=wreath_order,
+        index=wreath_order // len(elements) if injective else 0,
+        injective=injective,
+        compatible=compatible,
+        block_size=len(base_block),
+        block_count=len(blocks),
+    )

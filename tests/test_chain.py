@@ -135,7 +135,7 @@ def test_enumeration_past_the_cap_builds_no_element(monkeypatch):
         raise AssertionError("elements built before the cap check")
 
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
-    monkeypatch.setattr(groups, "_item_orbit", never)
+    monkeypatch.setattr(groups, "_item_walk", never)
     with pytest.raises(CapExceeded) as caught:
         enumerate_elements(symmetric_group(12))
     assert str(caught.value) == (
@@ -156,7 +156,7 @@ def test_order_and_contains_keep_the_cap():
 def test_a_mismatched_enumeration_raises(monkeypatch):
     c7 = cyclic_group(7)
     clear_caches()
-    monkeypatch.setattr(groups, "_item_orbit", lambda *args: [groups.identity(7)])
+    monkeypatch.setattr(groups, "_item_walk", lambda *args: iter([groups.identity(7)]))
     with pytest.raises(AxiomsFailed):
         groups._bfs_elements(c7, 100)
 

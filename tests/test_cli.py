@@ -248,6 +248,9 @@ def test_item_orbit_walk_exits_3_at_the_cap(capsys, monkeypatch, pass_name):
     )
     assert rc == 3
     assert "cap 50" in err
+    if pass_name == "homogeneity":
+        assert "passed cap 50; a 2-subset orbit has at most C(12, 2) = 66 subsets" in err
+        assert "PERMLAB_CAP=66 would suffice" in err
 
 
 # wreath

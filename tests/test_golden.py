@@ -45,7 +45,16 @@ def test_cli_output_matches_the_golden_snapshot(case, monkeypatch):
     assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == case["stdout_sha256"]
 
 
-@pytest.mark.parametrize("name", ["coset-covers", "involution-factorization", "wreath-algebra"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "separation-witnesses",
+        "coset-covers",
+        "involution-factorization",
+        "wreath-algebra",
+        "subset-incidence",
+    ],
+)
 def test_battery_verdicts_survive_optimize(name):
     done = subprocess.run(
         [sys.executable, "-O", "-m", "permlab.cli", "suite", "--filter", name, "--format", "json"],

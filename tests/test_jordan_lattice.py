@@ -118,7 +118,7 @@ def test_decomposition_equals_the_element_list_decomposition(name, group):
 
 
 def test_catalog_and_decomposition_never_enumerate_the_group(monkeypatch):
-    walk = groups._item_orbit
+    walk = groups._item_walk
 
     def no_element_walk(start, act, generators, cap):
         if act is compose:
@@ -128,7 +128,7 @@ def test_catalog_and_decomposition_never_enumerate_the_group(monkeypatch):
     s8 = fixture("symmetric_8").group
     plane = fixture("pg_2_3").group
     clear_caches()
-    monkeypatch.setattr(groups, "_item_orbit", no_element_walk)
+    monkeypatch.setattr(groups, "_item_walk", no_element_walk)
     with pytest.raises(AssertionError):
         enumerate_elements(s8)
     catalog = jordan_sets(s8)

@@ -147,13 +147,19 @@ def test_pointwise_stabilizer_keeps_the_cap():
         maximal_jordan_avoiding(s6, [0], seed=0, cap=719)
     with pytest.raises(OutOfRange):
         maximal_jordan_avoiding(s6, [0], seed=0, cap=720)
-    for kind, arg in (("point", 6), ("pointwise", [1, 6]), ("point", -1)):
+    for kind, arg in (
+        ("point", 6),
+        ("pointwise", [1, 6]),
+        ("point", -1),
+        ("setwise", [-1]),
+        ("setwise", [0, 6]),
+    ):
         with pytest.raises(PointOutOfRange):
             stabilizer(s6, kind, arg)
 
 
 def test_spans_and_witnesses_never_enumerate_the_group(monkeypatch):
-    walk = groups._item_orbit
+    walk = groups._item_walk
 
     def no_element_walk(start, act, generators, cap):
         if act is compose:
@@ -162,7 +168,7 @@ def test_spans_and_witnesses_never_enumerate_the_group(monkeypatch):
 
     s8 = fixture("symmetric_8").group
     clear_caches()
-    monkeypatch.setattr(groups, "_item_orbit", no_element_walk)
+    monkeypatch.setattr(groups, "_item_walk", no_element_walk)
     with pytest.raises(AssertionError):
         enumerate_elements(s8)
     assert span(s8, [0, 1]) == (0, 1)

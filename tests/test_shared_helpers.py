@@ -86,7 +86,7 @@ def test_wreath_generators_match_the_standard_constructor():
             assert wreath(a, b).generators == expected
 
 
-def test_support_table_honours_a_cap_lowered_after_a_warm_call(monkeypatch):
+def test_span_honours_a_cap_lowered_after_a_warm_call(monkeypatch):
     plane = fixture("pg_2_2").group
     assert span(plane, [0, 1]) == (0, 1, 2)
     monkeypatch.setenv("PERMLAB_CAP", "10")
