@@ -36,6 +36,11 @@ SAMPLES = (
     "lw --n 7 --theta 1,3,5",
     "lw --n 10 --theta 2,3,4 --format json",
     "lw --n 6 --theta 3,2,1",
+    "lw --n 11 --k 6 --format json",
+    "lw --n 12 --k 5",
+    "lw --n 9 --k 5 --format json",
+    "lw --n 7 --theta 0,3,7",
+    "lw --n 5 --theta 2,2,4 --format json",
     "wreath --bottom cyclic_2 --top cyclic_3 --format json",
     "wreath --bottom symmetric_3 --top cyclic_4",
     "wreath --bottom cyclic_3 --top symmetric_3 --format json",

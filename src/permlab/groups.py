@@ -161,7 +161,8 @@ def _bounded_cache(fn):
 
 
 def clear_caches() -> None:
-    """Empty every cache keyed on a group, in this module and in blocks."""
+    """Empty every cache made by _bounded_cache: those keyed on a group here
+    and in blocks, and incidence's theta ranks and primality answers."""
     for cached in _CACHES:
         cached.cache_clear()
 

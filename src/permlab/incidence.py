@@ -11,7 +11,10 @@ report computes the composite and compares, asserting nothing.
 
 All arithmetic is exact: int entries, fraction-free (Bareiss) elimination
 over the integers, and an independent elimination mod a large prime as a
-cheap full-rank certificate for the bigger matrices.
+cheap full-rank certificate for the bigger matrices.  The modular route
+reads int entries that fit a machine word straight into an int64 array;
+any other matrix (Fraction or bool entries, or ints past int64) is first
+scaled to integers row by row.  The modulus must be a prime.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .config import element_cap
 from .errors import AxiomsFailed, CapExceeded, OutOfRange
 from .groups import (
     GenGroup,
+    _bounded_cache,
     _chain_products,
     _mask,
     _subsets_colex,
@@ -190,15 +194,31 @@ def rank(matrix: ExactMatrix) -> int:
     return found
 
 
+@_bounded_cache
+def _is_prime(p: int) -> bool:
+    """Trial division by every d with d * d <= p: a thousand divisions for
+    the default modulus, so the answer is kept."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     """Rank of the reduction mod p; a lower bound for the rational rank.
 
     Equality with the column count therefore certifies injectivity over
-    the rationals without touching big-number arithmetic.  Entries are
-    reduced lazily: a column only when it is searched for a pivot, so an
-    entry takes at most min(rows, cols) unreduced updates below p^2 each,
-    and p must keep that sum inside int64.
+    the rationals without touching big-number arithmetic.  p must be a
+    prime, else OutOfRange: the elimination divides by pivots.  It must
+    also be below 2**32, since a larger p overflows int64 on any matrix;
+    that bound keeps the trial division short.
+
+    Int entries that fit in int64 go into the array as they are and are
+    reduced there; any other matrix is scaled to integers row by row and
+    reduced entry by entry first.  Entries are then reduced lazily: a
+    column only when it is searched for a pivot, so an entry takes at
+    most min(rows, cols) unreduced updates below p^2 each, and p must
+    keep that sum inside int64.
     """
+    if not (p < 2**32 and _is_prime(p)):
+        raise OutOfRange(f"p={p} is not a prime below 2**32")
     n_rows, n_cols = matrix.shape
     if n_rows == 0 or n_cols == 0:
         return 0
@@ -206,9 +226,15 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
         raise OutOfRange(
             f"p={p} overflows int64 elimination on a {n_rows}x{n_cols} matrix"
         )
-    a = numpy.array(
-        [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
-    )
+    # no forced dtype: ints past int64 come out float64 or object, and
+    # bools come out bool, so only a true int64 array skips the scaling
+    a = numpy.array(matrix.entries)
+    if a.dtype == numpy.int64:
+        a %= p
+    else:
+        a = numpy.array(
+            [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
+        )
     found = 0
     for col in range(n_cols):
         column = a[found:, col]
@@ -315,10 +341,20 @@ class ThetaReport:
     rank_rt: int
 
 
+@_bounded_cache
+def _theta_rank(n: int, r: int, s: int) -> int:
+    """Exact rank of one sign matrix; only the int is kept, not the matrix."""
+    return rank(build_theta_matrix(n, r, s))
+
+
 def theta_exploration(
     n: int, r: int, s: int, t: int, cap: int | None = None
 ) -> ThetaReport:
-    """Compose the sign maps level r -> s -> t and compare with r -> t."""
+    """Compose the sign maps level r -> s -> t and compare with r -> t.
+
+    The cap is checked first; the three exact ranks then come from a cache
+    keyed on (n, r, s), since many triples share a level pair.
+    """
     if not 0 <= r <= s <= t <= n:
         raise OutOfRange(f"levels ({r},{s},{t}) not increasing within 0..{n}")
     widest = max(math.comb(n, m) for m in (r, s, t))
@@ -342,7 +378,7 @@ def theta_exploration(
         t,
         proportional,
         scalar if proportional else None,
-        rank(theta_rs),
-        rank(theta_st),
-        rank(theta_rt),
+        _theta_rank(n, r, s),
+        _theta_rank(n, s, t),
+        _theta_rank(n, r, t),
     )

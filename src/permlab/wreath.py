@@ -26,7 +26,7 @@ from .groups import (
     order,
     stabilizer,
 )
-from .perms import Permutation, compose, format_cycles, identity, inverse, parse_cycles
+from .perms import Permutation, format_cycles, identity, inverse, parse_cycles
 
 
 @dataclass(frozen=True)
@@ -325,22 +325,24 @@ def imprimitive_embedding(
     w = wreath(bottom, top, cap)
     domain = ProductDomain((bottom.degree, top.degree))
 
+    # images of each transversal element's inverse, computed once
+    back = {delta: inverse(t).images for delta, t in transversal.items()}
+
     phi = {}
     for point in range(group.degree):
         delta = block_of[point]
-        pulled = inverse(transversal[delta]).images[point]
-        phi[point] = domain.to_point((position_in_base[pulled], delta))
+        phi[point] = domain.to_point((position_in_base[back[delta][point]], delta))
 
     def psi_of(g: Permutation) -> Permutation:
+        # the fiber over delta is transversal[delta], then g, then the
+        # inverse of the transversal element of the block g moves delta to
         images = list(range(domain.total))
         for delta in range(top.degree):
             delta_moved = block_of[g.images[blocks[delta][0]]]
-            fiber = compose(
-                compose(transversal[delta], g), inverse(transversal[delta_moved])
-            )
+            forth, pulled = transversal[delta].images, back[delta_moved]
             for gamma, point in enumerate(base_block):
                 images[domain.to_point((gamma, delta))] = domain.to_point(
-                    (position_in_base[fiber.images[point]], delta_moved)
+                    (position_in_base[pulled[g.images[forth[point]]]], delta_moved)
                 )
         return Permutation(tuple(images))
 

@@ -490,6 +490,14 @@ def enumerated_embedding_report(group, rho, cap: int | None = None):
     stabilizer chain: psi is built on the whole element list and the
     wreath product is enumerated for its order.  The group, wreath and
     stabilizer helpers are the library's own."""
+    return enumerated_embedding(group, rho, cap)[2]
+
+
+def enumerated_embedding(group, rho, cap: int | None = None):
+    """(phi, psi, report) as enumerated_embedding_report builds them: each
+    fiber of psi is the composite transversal[delta], g, and the inverse
+    of the transversal element of the block g moves delta to, inverted
+    afresh for every element and block."""
     from permlab.groups import GenGroup, enumerate_elements, stabilizer
     from permlab.perms import compose, inverse
     from permlab.wreath import EmbeddingReport, ProductDomain, wreath
@@ -544,7 +552,7 @@ def enumerated_embedding_report(group, rho, cap: int | None = None):
         for point in range(group.degree)
     )
     wreath_order = len(enumerate_elements(w, cap))
-    return EmbeddingReport(
+    return phi, psi, EmbeddingReport(
         group_order=len(elements),
         wreath_order=wreath_order,
         index=wreath_order // len(elements) if injective else 0,
@@ -552,4 +560,85 @@ def enumerated_embedding_report(group, rho, cap: int | None = None):
         compatible=compatible,
         block_size=len(base_block),
         block_count=len(blocks),
+    )
+
+
+def _integer_rows(matrix) -> list[list[int]]:
+    """Rows scaled by the lcm of their denominators; the rank is unchanged."""
+    rows = []
+    for row in matrix.entries:
+        scale = math.lcm(*(x.denominator for x in row))
+        if scale == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rows
+
+
+def converting_rank_mod_p(matrix, p: int = 1_000_003) -> int:
+    """incidence.rank_mod_p before int entries went straight to int64: every
+    row is scaled by the lcm of its denominators and every entry reduced
+    with a Python ``x % p`` before numpy sees it.  The rest is the
+    library's lazy elimination, unchanged; p is not checked for primality."""
+    import numpy
+
+    from permlab.errors import OutOfRange
+
+    n_rows, n_cols = matrix.shape
+    if n_rows == 0 or n_cols == 0:
+        return 0
+    if min(n_rows, n_cols) * (p - 1) ** 2 + p >= 2**63:
+        raise OutOfRange(
+            f"p={p} overflows int64 elimination on a {n_rows}x{n_cols} matrix"
+        )
+    a = numpy.array(
+        [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
+    )
+    found = 0
+    for col in range(n_cols):
+        column = a[found:, col]
+        column %= p
+        hits = numpy.nonzero(column)[0]
+        if hits.size == 0:
+            continue
+        pivot = int(hits[0]) + found
+        a[[found, pivot], col:] = a[[pivot, found], col:]
+        top = a[found, col:] % p * pow(int(a[found, col]), -1, p) % p
+        below = a[found + 1 :, col]
+        live = numpy.nonzero(below)[0]
+        if live.size:
+            block = a[found + 1 :, col:]
+            block[live] -= numpy.outer(below[live], top)
+        found += 1
+        if found == n_rows:
+            break
+    return found
+
+
+def uncached_theta_exploration(n: int, r: int, s: int, t: int):
+    """incidence.theta_exploration before its ranks were memoised: all three
+    sign matrices are built and ranked afresh.  The builders and the
+    Bareiss rank are the library's own."""
+    from permlab.incidence import ThetaReport, build_theta_matrix, rank
+
+    theta_rs = build_theta_matrix(n, r, s)
+    theta_st = build_theta_matrix(n, s, t)
+    theta_rt = build_theta_matrix(n, r, t)
+    composite = theta_st.matmul(theta_rs)
+    c0, d0 = composite.entries[0][0], theta_rt.entries[0][0]
+    proportional = all(
+        c * d0 == c0 * d
+        for crow, drow in zip(composite.entries, theta_rt.entries)
+        for c, d in zip(crow, drow)
+    )
+    return ThetaReport(
+        n,
+        r,
+        s,
+        t,
+        proportional,
+        Fraction(c0, d0) if proportional else None,
+        rank(theta_rs),
+        rank(theta_st),
+        rank(theta_rt),
     )

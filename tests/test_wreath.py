@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from permlab.blocks import (
+    congruences,
     discrete_partition,
     is_congruence,
     partition_from_blocks,
@@ -22,6 +23,7 @@ from permlab.groups import (
     symmetric_group,
 )
 from permlab.perms import Permutation, compose, identity
+from permlab.suite import _corpus
 from permlab.wreath import (
     EmbeddingReport,
     PosetIndex,
@@ -323,6 +325,20 @@ def test_embedding_rejects_bad_partitions():
         imprimitive_embedding(c6, discrete_partition(c6))
     with pytest.raises(NotACongruence):
         imprimitive_embedding(c6, universal_partition(c6))
+
+
+def test_embedding_maps_equal_the_composed_ones_on_the_corpus():
+    # psi reads each fiber through the transversal inverses computed once;
+    # the oracle composes and inverts afresh for every element and block
+    seen = 0
+    for name, group in _corpus():
+        for rho in congruences(group):
+            if rho.is_discrete or rho.is_universal:
+                continue
+            seen += 1
+            phi, psi, report = imprimitive_embedding(group, rho)
+            assert (phi, psi, report) == oracles.enumerated_embedding(group, rho), name
+    assert seen == 42
 
 
 def test_embedding_compatibility_all_corpus_style_groups():
