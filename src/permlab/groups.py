@@ -18,11 +18,11 @@ further chains whose base starts at a stabilized point; none of them
 lists an element.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
-order.  Sums that ignore order (the Burnside count of fixed subsets)
-walk the products of the chain's transversal elements instead: each
-element comes once, as a raw image tuple, with no visited set.  Caches
-keyed on a group are bounded LRUs; ``clear_caches`` empties them, and
-with them any partly walked prefix.
+order.  Sums that ignore order (the Burnside count of fixed subsets in
+``incidence``) read the products of the chain's transversal elements
+instead, built there as one array with no visited set.  Caches keyed on
+a group are bounded LRUs; ``clear_caches`` empties them, and with them
+any partly walked prefix.
 
 >>> g = group_from_cycles(5, "(1 2 3 4 5)")
 >>> order(g)
@@ -387,31 +387,6 @@ def contains(group: GenGroup, f: Permutation, cap: int | None = None) -> bool:
     """Membership by sifting; CapExceeded when |G| passes the cap."""
     _capped_order(group, element_cap(cap))
     return f.degree == group.degree and _chain(group).sift(f.images)[1] == group.degree
-
-
-def _chain_products(group: GenGroup, cap: int) -> Iterator[tuple[int, ...]]:
-    """Every element of G exactly once, as an image tuple, in chain order.
-
-    Sifting writes each element uniquely as a product of one transversal
-    element per chain level, the deepest level applied first (Butler,
-    Fundamental Algorithms for Permutation Groups, 1991; Seress 2003,
-    §4.1).  The products over all levels but the first are listed, and
-    the first level's are yielded lazily: there is no visited set and no
-    Permutation.  Raises CapExceeded, before any product is formed, when
-    |G| passes the cap.
-    """
-    _capped_order(group, cap)
-    levels = [
-        tuple(u for u, _ in table.values())
-        for table in reversed(_chain(group).transversal)
-        if len(table) > 1
-    ]
-    products = [tuple(range(group.degree))]
-    if not levels:
-        return iter(products)
-    for level in levels[:-1]:
-        products = [_images_product(p, u) for p in products for u in level]
-    return (_images_product(p, u) for p in products for u in levels[-1])
 
 
 def _mask(points) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,14 +31,15 @@ from .errors import AxiomsFailed, CapExceeded, OutOfRange
 from .groups import (
     GenGroup,
     _bounded_cache,
-    _chain_products,
+    _capped_order,
+    _chain,
     _mask,
     _subsets_colex,
     induced_action,
     order,
     orbits,
 )
-from .perms import Permutation, _cycles_including_fixed
+from .perms import Permutation
 
 __all__ = [
     "ExactMatrix",
@@ -267,19 +267,79 @@ def _fixed_subset_counts(lengths: tuple[int, ...], kmax: int) -> list[int]:
     return ways
 
 
+def _element_table(group: GenGroup) -> numpy.ndarray:
+    """Every element of G exactly once, one row of images each, in chain order.
+
+    Sifting writes each element uniquely as a product of one transversal
+    element per chain level, the deepest level applied first (Butler,
+    Fundamental Algorithms for Permutation Groups, 1991; Seress 2003,
+    §4.1).  Each nontrivial level is one fancy-index composition: row
+    i*|U| + j of the next table is "apply row i, then u_j" for the level's
+    transversal U.  Entries take the smallest unsigned dtype that holds
+    degree - 1, one byte per entry up to degree 256.  The caller checks
+    the cap first; nothing here does.
+    """
+    n = group.degree
+    dtype = numpy.min_scalar_type(max(n - 1, 0))
+    table = numpy.arange(n, dtype=dtype).reshape(1, n)
+    for level in reversed(_chain(group).transversal):
+        if len(level) > 1:
+            u = numpy.array([v for v, _ in level.values()], dtype=dtype)
+            picks = numpy.arange(len(u)).reshape(1, -1, 1)
+            table = u[picks, table[:, None, :]].reshape(-1, n)
+    return table
+
+
+def _cycle_types(table: numpy.ndarray) -> dict[tuple[int, ...], int]:
+    """How many rows of the element table have each cycle type.
+
+    A point's first-return time under g is the length of its cycle, so
+    the powers g^1 .. g^(n-1) of the whole table give every point's cycle
+    length: a point not back by then is on a cycle of length n.  Each row
+    of return times is sorted, and equal rows are counted through a bytes
+    view, one byte per point up to degree 255.
+    """
+    rows, n = table.shape
+    if n == 0:
+        return {(): rows}
+    points = numpy.arange(n, dtype=table.dtype)
+    picks = numpy.arange(rows).reshape(-1, 1)
+    returns = numpy.ones(table.shape, dtype=numpy.min_scalar_type(n))
+    waiting = numpy.ones(table.shape, dtype=bool)
+    power = table
+    for step in range(1, n):
+        waiting &= power != points
+        returns += waiting
+        if step < n - 1:
+            power = table[picks, power]
+    returns.sort(axis=1)
+    keys = returns.view(numpy.dtype((numpy.void, returns.itemsize * n))).ravel()
+    distinct, counts = numpy.unique(keys, return_counts=True)
+    types = {}
+    for key, count in zip(distinct, counts.tolist()):
+        times = numpy.frombuffer(key.tobytes(), dtype=returns.dtype).tolist()
+        lengths = []
+        point = 0
+        while point < n:  # a cycle of length m holds m equal return times
+            lengths.append(times[point])
+            point += times[point]
+        types[tuple(lengths)] = count
+    return types
+
+
 def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int) -> list[int]:
     """Fixed k-subsets summed over the whole group, for k = 0..kmax.
 
-    The elements come from the stabilizer chain's transversal products as
-    raw image tuples; they are counted per cycle type, and the count of
-    fixed subsets is worked out once per type.
+    |G| from the stabilizer chain is checked against the cap first, and
+    CapExceeded is raised before any array is allocated.  The elements
+    then come from the chain's element table, one row of the smallest
+    unsigned dtype holding degree - 1 each (uint8 for degree <= 256);
+    they are counted per cycle type, and the count of fixed subsets is
+    worked out once per type.
     """
-    types = Counter(
-        tuple(sorted(map(len, _cycles_including_fixed(images))))
-        for images in _chain_products(group, cap)
-    )
+    _capped_order(group, cap)
     totals = [0] * (kmax + 1)
-    for lengths, count in types.items():
+    for lengths, count in _cycle_types(_element_table(group)).items():
         for j, ways in enumerate(_fixed_subset_counts(lengths, kmax)):
             totals[j] += count * ways
     return totals
@@ -293,9 +353,12 @@ def orbit_count_inequality(
     Counts come from the induced action; each is cross-checked against
     the number of fixed k-subsets summed over the whole group (Burnside),
     and the counts must be nondecreasing while n >= 2k.  A failed check
-    raises AxiomsFailed.  The Burnside sum ignores order, so it walks the
+    raises AxiomsFailed.  The Burnside sum ignores order, so it reads the
     stabilizer chain's transversal products rather than the BFS element
-    list, and |G| is the chain's order.
+    list, and |G| is the chain's order.  |G| is checked against the cap
+    before anything is built; the products then form one array, a row per
+    element, in the smallest unsigned dtype that holds degree - 1 (one
+    byte per entry up to degree 256).
     """
     n = group.degree
     if not 0 <= kmax <= n:

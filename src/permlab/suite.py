@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy
+
 from .blocks import (
     _primitive_route_blocks,
     _primitive_route_orbital_graphs,
@@ -28,6 +30,7 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     CosetCoverInstance,
     GenGroup,
+    _mask,
     coset_cover_audit,
     cyclic_group,
     dihedral_group,
@@ -404,6 +407,33 @@ def _jordan_point_sets(group: GenGroup) -> list[frozenset[int]]:
     return [frozenset(c) for c in _jordan_scan(group, None, None)]
 
 
+def _translate_comparability_problems(
+    name: str, group: GenGroup, catalog: list[frozenset[int]]
+) -> list[tuple]:
+    """A problem for each catalog pair (a, b), in catalog order, such that
+    no translate of a is comparable with b under inclusion.
+
+    Sets are int64 bitmasks, which hold degrees up to 63, so t <= b is
+    t & ~b == 0.  Each set's translates are tested against the whole
+    catalog as one array; a translate of a set has the same translates,
+    so the resulting row is shared by all of them.
+    """
+    masks = numpy.array([_mask(b) for b in catalog], dtype=numpy.int64)
+    comparable: dict[frozenset[int], numpy.ndarray] = {}
+    problems = []
+    for a in catalog:
+        if a not in comparable:
+            translates = set_translates(group, a)
+            t = numpy.array([_mask(x) for x in translates], dtype=numpy.int64)[:, None]
+            row = (((t & ~masks) == 0) | ((masks & ~t) == 0)).any(axis=0)
+            comparable.update(dict.fromkeys(translates, row))
+        for j in numpy.flatnonzero(~comparable[a]).tolist():
+            problems.append(
+                ("translate comparability", name, tuple(sorted(a)), tuple(sorted(catalog[j])))
+            )
+    return problems
+
+
 def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     problems = []
     fix = fixture("pg_2_2")
@@ -434,16 +464,8 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     pairs_46 = 0
     for name, group in _corpus():
         catalog = _jordan_point_sets(group)
-        orbit_memo: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-        for a in catalog:
-            if a not in orbit_memo:
-                orbit_memo[a] = set_translates(group, a)
-        for a in catalog:
-            translates = orbit_memo[a]
-            for b in catalog:
-                comparability_pairs += 1
-                if not any(t <= b or b <= t for t in translates):
-                    problems.append(("translate comparability", name, tuple(sorted(a)), tuple(sorted(b))))
+        comparability_pairs += len(catalog) ** 2
+        problems.extend(_translate_comparability_problems(name, group, catalog))
         if len(catalog) < 1:
             continue
         sample = catalog if len(catalog) <= 40 else rng.sample(catalog, 40)

@@ -642,3 +642,22 @@ def uncached_theta_exploration(n: int, r: int, s: int, t: int):
         rank(theta_st),
         rank(theta_rt),
     )
+
+
+def frozenset_translate_comparability(name, group, catalog) -> list[tuple]:
+    """The battery's translate-comparability loop before it became an
+    array check: every catalog pair (a, b), in catalog order, tested on
+    frozensets, one translate of a at a time."""
+    from permlab.trees import set_translates
+
+    orbit_memo = {}
+    for a in catalog:
+        if a not in orbit_memo:
+            orbit_memo[a] = set_translates(group, a)
+    problems = []
+    for a in catalog:
+        translates = orbit_memo[a]
+        for b in catalog:
+            if not any(t <= b or b <= t for t in translates):
+                problems.append(("translate comparability", name, tuple(sorted(a)), tuple(sorted(b))))
+    return problems

@@ -53,6 +53,7 @@ def test_cli_output_matches_the_golden_snapshot(case, monkeypatch):
         "involution-factorization",
         "wreath-algebra",
         "subset-incidence",
+        "jordan-span-geometry",
     ],
 )
 def test_battery_verdicts_survive_optimize(name):

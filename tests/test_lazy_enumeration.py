@@ -1,5 +1,5 @@
-"""The lazy BFS prefix, the chain-product walk and the wreath order from the
-chain, each against the full-list code it replaced (kept in ``oracles``),
+"""The lazy BFS prefix, the chain's element table and the wreath order from
+the chain, each against the full-list code it replaced (kept in ``oracles``),
 on the battery corpus, which holds the cyclic_c_wr_cyclic_d towers."""
 
 from __future__ import annotations
@@ -10,14 +10,13 @@ from functools import cache
 
 import pytest
 
-from permlab import groups
+from permlab import groups, incidence
 from permlab.blocks import congruences
 from permlab.config import DEFAULT_CAP
 from permlab.errors import AxiomsFailed, CapExceeded, PointOutOfRange
 from permlab.fixtures import fixture
 from permlab.groups import (
     _bfs_prefix,
-    _chain_products,
     clear_caches,
     coset_spaces_isomorphic,
     cyclic_group,
@@ -27,7 +26,7 @@ from permlab.groups import (
     separation_search,
     stabilizer,
 )
-from permlab.incidence import _fixed_subset_totals
+from permlab.incidence import _element_table, _fixed_subset_totals
 from permlab.perms import compose
 from permlab.suite import _corpus, run_battery
 from permlab.wreath import imprimitive_embedding
@@ -183,29 +182,22 @@ def test_separation_search_rejects_points_outside_the_domain(point):
             separation_search(c5, gamma, delta)
 
 
-# chain products and the Burnside sum
+# the chain's element table
 
 
 @pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
-def test_chain_products_are_the_bfs_elements_once_each(name, group):
-    products = list(_chain_products(group, DEFAULT_CAP))
+def test_element_table_rows_are_the_bfs_elements_once_each(name, group):
+    products = [tuple(row) for row in _element_table(group).tolist()]
     assert len(products) == len(set(products)) == order(group)
     assert set(products) == {g.images for g in bfs_list(name)}
 
 
-@pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
-def test_burnside_totals_equal_the_per_element_sum(name, group):
-    kmax = group.degree
-    expected = oracles.per_element_burnside_totals(bfs_list(name), kmax)
-    assert _fixed_subset_totals(group, kmax, DEFAULT_CAP) == expected
-
-
-def test_chain_products_check_the_cap_before_any_product(monkeypatch):
+def test_element_table_is_built_after_the_cap_check(monkeypatch):
     s6 = fixture("symmetric_6").group
     assert order(s6) == 720  # the chain is built and cached
-    monkeypatch.setattr(groups, "_images_product", None)
+    monkeypatch.setattr(incidence, "_element_table", None)
     with pytest.raises(CapExceeded, match="past cap 719"):
-        _chain_products(s6, 719)
+        _fixed_subset_totals(s6, 6, 719)
 
 
 # the embedding report
