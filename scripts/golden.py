@@ -41,6 +41,10 @@ SAMPLES = (
     "lw --n 9 --k 5 --format json",
     "lw --n 7 --theta 0,3,7",
     "lw --n 5 --theta 2,2,4 --format json",
+    "lw --n 10 --k 3 --format json",
+    "lw --n 8 --k 4",
+    "lw --n 10 --k 5 --format json",
+    "lw --n 11 --k 4",
     "wreath --bottom cyclic_2 --top cyclic_3 --format json",
     "wreath --bottom symmetric_3 --top cyclic_4",
     "wreath --bottom cyclic_3 --top symmetric_3 --format json",

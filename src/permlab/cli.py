@@ -37,7 +37,7 @@ from .groups import (
     symmetric_group,
     transitivity_degree,
 )
-from .incidence import build_r_matrix, rank, rank_mod_p, theta_exploration
+from .incidence import EXACT_RANK_LIMIT, build_r_matrix, rank, rank_mod_p, theta_exploration
 from .jordan import jordan_sets, span
 from .orders import cantor_forth
 from .perms import format_cycles, parse_cycles
@@ -502,7 +502,7 @@ def _cmd_lw(args) -> int:
         sys.stdout.write(matrix.to_csv())
         return 0
     cols = len(matrix.cols)
-    small = len(matrix.rows) <= 130 and cols <= 130
+    small = max(len(matrix.rows), cols) <= EXACT_RANK_LIMIT
     rank_value = rank(matrix) if small else rank_mod_p(matrix)
     payload = {
         "n": args.n,

@@ -14,7 +14,11 @@ over the integers, and an independent elimination mod a large prime as a
 cheap full-rank certificate for the bigger matrices.  The modular route
 reads int entries that fit a machine word straight into an int64 array;
 any other matrix (Fraction or bool entries, or ints past int64) is first
-scaled to integers row by row.  The modulus must be a prime.
+scaled to integers row by row.  The modulus must be a prime.  Both
+eliminations touch only nonzeros: the exact one holds each row as a dict
+of its nonzero entries, and the modular one updates only the columns
+where the pivot row is nonzero.  Inclusion matrices have k ones per row
+and stay sparse while they are eliminated.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .groups import (
 from .perms import Permutation
 
 __all__ = [
+    "EXACT_RANK_LIMIT",
     "ExactMatrix",
     "build_r_matrix",
     "build_theta_matrix",
@@ -53,6 +58,9 @@ __all__ = [
     "theta_exploration",
 ]
 
+
+# Both sides at most this: `lw` and the battery rank exactly, else mod p.
+EXACT_RANK_LIMIT = 130
 
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
@@ -105,10 +113,18 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
 
     Entry (S, F) is 1 exactly when F is S minus one point, so applying
     the matrix to a function on the (k-1)-level sums it over the facets
-    of each k-subset.
+    of each k-subset.  After the range check on k, the larger of the two
+    levels is checked against the cap before any subset is listed.
     """
     if not 1 <= k <= n:
         raise OutOfRange(f"k={k} outside 1..{n}")
+    widest = max(math.comb(n, k), math.comb(n, k - 1))
+    limit = element_cap()
+    if widest > limit:
+        raise CapExceeded(
+            f"{widest} subsets on one level of {n} points, past cap {limit};"
+            f" PERMLAB_CAP={widest} would suffice"
+        )
     rows = _subsets_colex(n, k)
     cols = _subsets_colex(n, k - 1)
     col_index = {c: j for j, c in enumerate(cols)}
@@ -167,26 +183,37 @@ def rank(matrix: ExactMatrix) -> int:
 
     After a pivot every row below it becomes lead * row - factor * top,
     divided by the previous pivot; that division is exact because each
-    entry is then a minor of the input.  Columns left of the pivot are
-    already zero below it and are not touched.
+    entry is then a minor of the input.  Each row is held sparse, as a
+    dict from column to nonzero int, and only nonzeros are touched: a row
+    with factor 0 is rescaled over its own nonzeros, and any other row is
+    recomputed over the columns where it or the pivot row is nonzero,
+    dropping the entries that cancel.  Columns left of the pivot are
+    already zero below it, so they hold no entries.
     """
-    work = _integer_rows(matrix)
+    work = [{j: x for j, x in enumerate(row) if x} for row in _integer_rows(matrix)]
     n_rows, n_cols = matrix.shape
     found = 0
     previous = 1
     for col in range(n_cols):
-        pivot = next((i for i in range(found, n_rows) if work[i][col]), None)
+        pivot = next((i for i in range(found, n_rows) if col in work[i]), None)
         if pivot is None:
             continue
         work[found], work[pivot] = work[pivot], work[found]
-        tail = work[found][col:]
-        lead = tail[0]
+        top = work[found]
+        lead = top[col]
+        top_get = top.get
         for i in range(found + 1, n_rows):
             row = work[i]
-            factor = row[col]
-            row[col:] = [
-                (lead * a - factor * b) // previous for a, b in zip(row[col:], tail)
-            ]
+            factor = row.get(col)
+            if factor is None:
+                work[i] = {j: lead * a // previous for j, a in row.items()}
+                continue
+            get = row.get
+            work[i] = {
+                j: v
+                for j in top.keys() | row.keys()
+                if (v := (lead * get(j, 0) - factor * top_get(j, 0)) // previous)
+            }
         previous = lead
         found += 1
         if found == n_rows:
@@ -212,10 +239,12 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
 
     Int entries that fit in int64 go into the array as they are and are
     reduced there; any other matrix is scaled to integers row by row and
-    reduced entry by entry first.  Entries are then reduced lazily: a
-    column only when it is searched for a pivot, so an entry takes at
-    most min(rows, cols) unreduced updates below p^2 each, and p must
-    keep that sum inside int64.
+    reduced entry by entry first.  Each pivot updates the rows below it
+    that are nonzero in its column, and in them only the columns where the
+    normalised pivot row is nonzero; every other entry would take a zero.
+    Entries are reduced lazily: a column only when it is searched for a
+    pivot, so an entry takes at most min(rows, cols) unreduced updates
+    below p^2 each, and p must keep that sum inside int64.
     """
     if not (p < 2**32 and _is_prime(p)):
         raise OutOfRange(f"p={p} is not a prime below 2**32")
@@ -248,8 +277,10 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
         below = a[found + 1 :, col]
         live = numpy.nonzero(below)[0]
         if live.size:
-            block = a[found + 1 :, col:]
-            block[live] -= numpy.outer(below[live], top)
+            support = numpy.flatnonzero(top)
+            a[numpy.ix_(live + found + 1, support + col)] -= numpy.outer(
+                below[live], top[support]
+            )
         found += 1
         if found == n_rows:
             break

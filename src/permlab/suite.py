@@ -44,7 +44,13 @@ from .groups import (
     symmetric_group,
     transitivity_degree,
 )
-from .incidence import build_r_matrix, orbit_count_inequality, rank, rank_mod_p
+from .incidence import (
+    EXACT_RANK_LIMIT,
+    build_r_matrix,
+    orbit_count_inequality,
+    rank,
+    rank_mod_p,
+)
 from .jordan import _jordan_scan, geometry_audit, is_jordan, jordan_sets, span
 from .orders import (
     LOCAL_KINDS,
@@ -294,7 +300,7 @@ def _check_subset_incidence(rng: random.Random) -> tuple[bool, str]:
             cols = len(matrix.cols)
             if rank_mod_p(matrix) != cols:
                 problems.append(("mod-p rank", n, k))
-            if len(matrix.rows) <= 130 and cols <= 130 and rank(matrix) != cols:
+            if max(len(matrix.rows), cols) <= EXACT_RANK_LIMIT and rank(matrix) != cols:
                 problems.append(("exact rank", n, k))
     checked_gens = 0
     for name, group in _corpus():

@@ -579,7 +579,10 @@ def converting_rank_mod_p(matrix, p: int = 1_000_003) -> int:
     """incidence.rank_mod_p before int entries went straight to int64: every
     row is scaled by the lcm of its denominators and every entry reduced
     with a Python ``x % p`` before numpy sees it.  The rest is the
-    library's lazy elimination, unchanged; p is not checked for primality."""
+    library's lazy elimination as it was then, with the dense trailing
+    update: every row below the pivot with a nonzero factor is rewritten
+    from the pivot column on, zeros included.  p is not checked for
+    primality."""
     import numpy
 
     from permlab.errors import OutOfRange
@@ -615,11 +618,41 @@ def converting_rank_mod_p(matrix, p: int = 1_000_003) -> int:
     return found
 
 
+def dense_bareiss_rank(matrix) -> int:
+    """incidence.rank before its rows went sparse: every row below the pivot
+    is rewritten in full, zeros included, as (lead * a - factor * b) //
+    previous from the pivot column on."""
+    work = _integer_rows(matrix)
+    n_rows, n_cols = matrix.shape
+    found = 0
+    previous = 1
+    for col in range(n_cols):
+        pivot = next((i for i in range(found, n_rows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[found], work[pivot] = work[pivot], work[found]
+        tail = work[found][col:]
+        lead = tail[0]
+        for i in range(found + 1, n_rows):
+            row = work[i]
+            factor = row[col]
+            row[col:] = [
+                (lead * a - factor * b) // previous for a, b in zip(row[col:], tail)
+            ]
+        previous = lead
+        found += 1
+        if found == n_rows:
+            break
+    return found
+
+
 def uncached_theta_exploration(n: int, r: int, s: int, t: int):
     """incidence.theta_exploration before its ranks were memoised: all three
-    sign matrices are built and ranked afresh.  The builders and the
-    Bareiss rank are the library's own."""
-    from permlab.incidence import ThetaReport, build_theta_matrix, rank
+    sign matrices are built and ranked afresh.  The builders are the
+    library's own; the ranks come from the dense Bareiss oracle above."""
+    from permlab.incidence import ThetaReport, build_theta_matrix
+
+    rank = dense_bareiss_rank
 
     theta_rs = build_theta_matrix(n, r, s)
     theta_st = build_theta_matrix(n, s, t)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from permlab import incidence
 from permlab.cli import main
 
 
@@ -395,6 +396,44 @@ def test_lw_needs_k_or_theta(capsys):
     rc, _, err = run_cli(capsys, "lw", "--n", "5")
     assert rc == 2
     assert "--theta" in err
+
+
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format", "text"], ["--csv"]])
+def test_lw_past_the_cap_exits_3_before_listing_subsets(capsys, monkeypatch, fmt):
+    def never(*args):
+        raise AssertionError("subsets listed before the cap check")
+
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.setattr(incidence, "_subsets_colex", never)
+    rc, out, err = run_cli(capsys, "lw", "--n", "40", "--k", "20", *fmt)
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "error: 137846528820 subsets on one level of 40 points, past cap 200000;"
+        " PERMLAB_CAP=137846528820 would suffice\n"
+    )
+
+
+def test_lw_cap_counts_the_wider_of_the_two_levels(capsys, monkeypatch):
+    # C(6, 3) = 20 rows and C(6, 2) = 15 columns, then 15 rows and 20 columns
+    monkeypatch.setenv("PERMLAB_CAP", "19")
+    for k in ("3", "4"):
+        rc, _, err = run_cli(capsys, "lw", "--n", "6", "--k", k)
+        assert rc == 3
+        assert "PERMLAB_CAP=20 would suffice" in err
+    monkeypatch.setenv("PERMLAB_CAP", "20")
+    rc, out, _ = run_cli(capsys, "lw", "--n", "6", "--k", "3", "--format", "json")
+    assert rc == 0
+    assert report_of(out)["rank"] == 15
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "41"])
+def test_lw_k_out_of_range_exits_2_before_the_cap(capsys, monkeypatch, k):
+    monkeypatch.setenv("PERMLAB_CAP", "1")
+    rc, out, err = run_cli(capsys, "lw", "--n", "40", "--k", k)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: k={k} outside 1..40\n"
 
 
 def test_version_flag():
