@@ -45,6 +45,9 @@ SAMPLES = (
     "lw --n 8 --k 4",
     "lw --n 10 --k 5 --format json",
     "lw --n 11 --k 4",
+    "lw --n 9 --k 4 --csv",
+    "lw --n 12 --k 1 --format json",
+    "lw --n 5 --k 5",
     "wreath --bottom cyclic_2 --top cyclic_3 --format json",
     "wreath --bottom symmetric_3 --top cyclic_4",
     "wreath --bottom cyclic_3 --top symmetric_3 --format json",

@@ -564,10 +564,16 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
 
 
 def _subsets_colex(degree: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All sorted k-subsets in colexicographic order."""
-    return tuple(
-        sorted(itertools.combinations(range(degree), k), key=lambda s: tuple(reversed(s)))
-    )
+    """All sorted k-subsets in colexicographic order.
+
+    Colex order is lex order on each subset read from its largest point
+    down.  The combinations of the reversed domain list exactly those
+    readings, in the opposite order, so the list and each combination are
+    reversed.
+    """
+    subsets = list(itertools.combinations(range(degree - 1, -1, -1), k))
+    subsets.reverse()
+    return tuple(s[::-1] for s in subsets)
 
 
 def _tuple_image(item: tuple[int, ...], g: Permutation) -> tuple[int, ...]:

@@ -11,18 +11,25 @@ report computes the composite and compares, asserting nothing.
 
 All arithmetic is exact: int entries, fraction-free (Bareiss) elimination
 over the integers, and an independent elimination mod a large prime as a
-cheap full-rank certificate for the bigger matrices.  The modular route
-reads int entries that fit a machine word straight into an int64 array;
-any other matrix (Fraction or bool entries, or ints past int64) is first
+cheap full-rank certificate for the bigger matrices.  The inclusion
+matrix is stored sparse, as the k columns that hold a 1 in each row, and
+both eliminations read those columns directly; its dense entries are
+derived only when they are read (entry, matmul, CSV).  Every other
+matrix holds its entries as a tuple of rows.  The modular route reads
+int entries that fit a machine word straight into an int64 array; any
+other matrix (Fraction or bool entries, or ints past int64) is first
 scaled to integers row by row.  The modulus must be a prime.  Both
 eliminations touch only nonzeros: the exact one holds each row as a dict
 of its nonzero entries, and the modular one updates only the columns
-where the pivot row is nonzero.  Inclusion matrices have k ones per row
-and stay sparse while they are eliminated.
+where the pivot row is nonzero.  Inclusion matrices stay sparse while
+they are eliminated.  A dense allocation, the modular route's int64
+array or derived entries, is refused with CapExceeded past
+CELLS_PER_CAP cells per unit of the element cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,6 +53,7 @@ from .groups import (
 from .perms import Permutation
 
 __all__ = [
+    "CELLS_PER_CAP",
     "EXACT_RANK_LIMIT",
     "ExactMatrix",
     "build_r_matrix",
@@ -62,28 +70,78 @@ __all__ = [
 # Both sides at most this: `lw` and the battery rank exactly, else mod p.
 EXACT_RANK_LIMIT = 130
 
+# Cells a dense matrix may allocate per unit of the element cap: the int64
+# array of rank_mod_p and derived entries alike.  At the default cap that
+# is 12.8 M cells; the widest inclusion matrix on 12 points is 924 x 792.
+CELLS_PER_CAP = 64
+
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
-@dataclass(frozen=True)
+def _check_cells(n_rows: int, n_cols: int) -> None:
+    """Raise CapExceeded before a dense n_rows x n_cols allocation past the
+    cell budget, naming the cap that would admit it."""
+    cells = n_rows * n_cols
+    limit = element_cap()
+    if cells > CELLS_PER_CAP * limit:
+        raise CapExceeded(
+            f"{cells} cells in a dense {n_rows}x{n_cols} matrix, past"
+            f" {CELLS_PER_CAP} per unit of cap {limit};"
+            f" PERMLAB_CAP={-(-cells // CELLS_PER_CAP)} would suffice"
+        )
+
+
+def _dense_rows(ones: tuple[tuple[int, ...], ...], n_cols: int) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows whose ones sit in the given columns."""
+    dense = []
+    for row in ones:
+        cells = [0] * n_cols
+        for j in row:
+            cells[j] = 1
+        dense.append(tuple(cells))
+    return tuple(dense)
+
+
 class ExactMatrix:
     """Exact matrix whose rows and columns are labeled by subsets.
 
-    The builders below store int entries; Fraction entries are accepted
-    too, and every operation stays exact on them.
+    ExactMatrix(rows, cols, entries) holds its entries as a tuple of rows.
+    The builders store int entries; Fraction entries are accepted too, and
+    every operation stays exact on them.  ExactMatrix(rows, cols, ones=...)
+    is a 0/1 matrix stored sparse: for each row, the increasing columns
+    that hold a 1, as many in every row.  The rank kernels read those columns directly, and its
+    entries are derived on first read, after the cell budget is checked.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[int | Fraction, ...], ...]
+    __slots__ = ("rows", "cols", "ones", "_entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != len(self.rows):
+    def __init__(
+        self,
+        rows: tuple[tuple[int, ...], ...],
+        cols: tuple[tuple[int, ...], ...],
+        entries: tuple[tuple[int | Fraction, ...], ...] | None = None,
+        *,
+        ones: tuple[tuple[int, ...], ...] | None = None,
+    ) -> None:
+        if (entries is None) == (ones is None):
+            raise ValueError("give either entries or ones")
+        self.rows = rows
+        self.cols = cols
+        self.ones = ones
+        self._entries = entries
+        if len(ones if entries is None else entries) != len(rows):
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != len(self.cols):
+        for row in entries or ():
+            if len(row) != len(cols):
                 raise ValueError("column count mismatch")
+
+    @property
+    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        if self._entries is None:
+            _check_cells(*self.shape)
+            self._entries = _dense_rows(self.ones, len(self.cols))
+        return self._entries
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,6 +173,13 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     the matrix to a function on the (k-1)-level sums it over the facets
     of each k-subset.  After the range check on k, the larger of the two
     levels is checked against the cap before any subset is listed.
+
+    The matrix is stored sparse: row S holds the colex ranks of its k
+    facets, in increasing order.  In the combinatorial number system the
+    rank of s_0 < ... < s_(m-1) is the sum of C(s_i, i + 1), so dropping
+    s_d leaves the terms C(s_i, i + 1) before it and shifts every later
+    point down one place, to C(s_i, i).  Dense entries, when read, are
+    bounded by the cell budget, not by this cap.
     """
     if not 1 <= k <= n:
         raise OutOfRange(f"k={k} outside 1..{n}")
@@ -127,15 +192,19 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
         )
     rows = _subsets_colex(n, k)
     cols = _subsets_colex(n, k - 1)
-    col_index = {c: j for j, c in enumerate(cols)}
-    entries = []
+    comb = [[math.comb(x, i) for i in range(k + 1)] for x in range(n)]
+    ones = []
     for s in rows:
-        row = [0] * len(cols)
-        for drop in range(k):
-            facet = s[:drop] + s[drop + 1 :]
-            row[col_index[facet]] = 1
-        entries.append(tuple(row))
-    return ExactMatrix(rows, cols, tuple(entries))
+        kept = [comb[x][i + 1] for i, x in enumerate(s)]
+        head = sum(kept) - kept[-1]  # dropping the last point: the smallest rank
+        tail = 0
+        facets = [head]
+        for d in range(k - 1, 0, -1):
+            head -= kept[d - 1]
+            tail += comb[s[d]][d]
+            facets.append(head + tail)
+        ones.append(tuple(facets))
+    return ExactMatrix(rows, cols, ones=tuple(ones))
 
 
 def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
@@ -184,13 +253,17 @@ def rank(matrix: ExactMatrix) -> int:
     After a pivot every row below it becomes lead * row - factor * top,
     divided by the previous pivot; that division is exact because each
     entry is then a minor of the input.  Each row is held sparse, as a
-    dict from column to nonzero int, and only nonzeros are touched: a row
+    dict from column to nonzero int, taken straight from the stored
+    columns of a sparse 0/1 matrix; only nonzeros are touched: a row
     with factor 0 is rescaled over its own nonzeros, and any other row is
     recomputed over the columns where it or the pivot row is nonzero,
     dropping the entries that cancel.  Columns left of the pivot are
     already zero below it, so they hold no entries.
     """
-    work = [{j: x for j, x in enumerate(row) if x} for row in _integer_rows(matrix)]
+    if matrix.ones is None:
+        work = [{j: x for j, x in enumerate(row) if x} for row in _integer_rows(matrix)]
+    else:
+        work = [dict.fromkeys(row, 1) for row in matrix.ones]
     n_rows, n_cols = matrix.shape
     found = 0
     previous = 1
@@ -237,11 +310,16 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     also be below 2**32, since a larger p overflows int64 on any matrix;
     that bound keeps the trial division short.
 
-    Int entries that fit in int64 go into the array as they are and are
-    reduced there; any other matrix is scaled to integers row by row and
-    reduced entry by entry first.  Each pivot updates the rows below it
-    that are nonzero in its column, and in them only the columns where the
-    normalised pivot row is nonzero; every other entry would take a zero.
+    The rows x cols int64 array is checked against the cell budget
+    (CELLS_PER_CAP per unit of the element cap) before it is allocated,
+    and CapExceeded is raised past it.  A sparse 0/1 matrix fills it with
+    one assignment from its stored columns.  Int entries that fit in int64
+    go into the array as they are and are reduced there; any other matrix
+    is scaled to integers row by row and reduced entry by entry first, and
+    one holding a Fraction is never made an array before that.  Each pivot
+    updates the rows below it that are nonzero in its column, and in them
+    only the columns where the normalised pivot row is nonzero; every
+    other entry would take a zero.
     Entries are reduced lazily: a column only when it is searched for a
     pivot, so an entry takes at most min(rows, cols) unreduced updates
     below p^2 each, and p must keep that sum inside int64.
@@ -255,10 +333,16 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
         raise OutOfRange(
             f"p={p} overflows int64 elimination on a {n_rows}x{n_cols} matrix"
         )
-    # no forced dtype: ints past int64 come out float64 or object, and
-    # bools come out bool, so only a true int64 array skips the scaling
-    a = numpy.array(matrix.entries)
-    if a.dtype == numpy.int64:
+    _check_cells(n_rows, n_cols)
+    if matrix.ones is not None:
+        a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
+        a[numpy.arange(n_rows)[:, None], matrix.ones] = 1
+    # only all-int entries are tried as an array, with no forced dtype: ints
+    # past int64 come out float64 or object, so only a true int64 array
+    # skips the scaling, and Fraction or bool entries go there directly
+    elif set(map(type, itertools.chain.from_iterable(matrix.entries))) <= {int} and (
+        a := numpy.array(matrix.entries)
+    ).dtype == numpy.int64:
         a %= p
     else:
         a = numpy.array(

@@ -288,6 +288,25 @@ def _check_wreath_algebra(rng: random.Random) -> tuple[bool, str]:
     return not problems, detail
 
 
+def _commutes_with_lift(
+    ones: tuple[tuple[int, ...], ...], s: Permutation, g: Permutation
+) -> bool:
+    """P2 R == R P1 for the inclusion matrix R from points to 2-subsets,
+    given as the columns of its ones, g acting on the points and s its
+    lift to the 2-subsets.
+
+    The rows of R and the items of the lift are both the colex 2-subsets,
+    and its columns are the single points, so the entry at (s i, g j) must
+    equal the one at (i, j): g must send the ones of row i onto those of
+    row s i.
+    """
+    images = g.images
+    return all(
+        set(map(images.__getitem__, row)) == set(ones[s.images[i]])
+        for i, row in enumerate(ones)
+    )
+
+
 def _check_subset_incidence(rng: random.Random) -> tuple[bool, str]:
     problems = []
     injective_cases = 0
@@ -304,18 +323,11 @@ def _check_subset_incidence(rng: random.Random) -> tuple[bool, str]:
                 problems.append(("exact rank", n, k))
     checked_gens = 0
     for name, group in _corpus():
-        # P2 R == R P1 iff the entry at (s i, g j) equals the entry at (i, j):
-        # the rows of R and the items of the lifted action are both the
-        # colex 2-subsets, and its columns are the single points
-        r2 = build_r_matrix(group.degree, 2).entries
+        ones = build_r_matrix(group.degree, 2).ones
         lifted = induced_action(group, "subsets", 2).group.generators
         for s, g in zip(lifted, group.generators):
             checked_gens += 1
-            if any(
-                r2[s.images[i]][g.images[j]] != row[j]
-                for i, row in enumerate(r2)
-                for j in range(group.degree)
-            ):
+            if not _commutes_with_lift(ones, s, g):
                 problems.append(("equivariance", name))
     for name, group in _corpus():
         counts = orbit_count_inequality(group, group.degree // 2)

@@ -694,3 +694,53 @@ def frozenset_translate_comparability(name, group, catalog) -> list[tuple]:
             if not any(t <= b or b <= t for t in translates):
                 problems.append(("translate comparability", name, tuple(sorted(a)), tuple(sorted(b))))
     return problems
+
+
+def colex_subsets(degree: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """groups._subsets_colex before it reversed the combinations of the
+    reversed domain: every combination, sorted on its reversal."""
+    return tuple(
+        sorted(itertools.combinations(range(degree), k), key=lambda s: tuple(reversed(s)))
+    )
+
+
+def dense_r_matrix(n: int, k: int):
+    """incidence.build_r_matrix before its rows went sparse: each row a
+    dense 0/1 tuple, its facets found through a dict from column label to
+    index.  The cap check is left out."""
+    from permlab.incidence import ExactMatrix
+
+    rows = colex_subsets(n, k)
+    cols = colex_subsets(n, k - 1)
+    col_index = {c: j for j, c in enumerate(cols)}
+    entries = []
+    for s in rows:
+        row = [0] * len(cols)
+        for drop in range(k):
+            facet = s[:drop] + s[drop + 1 :]
+            row[col_index[facet]] = 1
+        entries.append(tuple(row))
+    return ExactMatrix(rows, cols, tuple(entries))
+
+
+def dense_commutes_with_lift(entries, s: Permutation, g: Permutation, degree: int) -> bool:
+    """The battery's equivariance loop before it read the stored columns:
+    every cell (i, j) of the dense inclusion matrix from points to
+    2-subsets against the cell (s i, g j)."""
+    return not any(
+        entries[s.images[i]][g.images[j]] != row[j]
+        for i, row in enumerate(entries)
+        for j in range(degree)
+    )
+
+
+def wilson_rank_mod_p(n: int, k: int, p: int) -> int:
+    """p-rank of the inclusion matrix from (k-1)-subsets to k-subsets of n
+    points, for n >= 2k-1, by R. M. Wilson's diagonal form (European J.
+    Combin. 11, 1990): the sum of C(n, i) - C(n, i-1) over the i < k for
+    which p does not divide C(k-i, k-1-i) = k-i."""
+    return sum(
+        math.comb(n, i) - (math.comb(n, i - 1) if i else 0)
+        for i in range(k)
+        if (k - i) % p
+    )

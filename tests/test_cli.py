@@ -414,6 +414,41 @@ def test_lw_past_the_cap_exits_3_before_listing_subsets(capsys, monkeypatch, fmt
     )
 
 
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format", "text"], ["--csv"]])
+def test_lw_past_the_cell_budget_exits_3_before_allocating(capsys, monkeypatch, fmt):
+    # both levels fit the default cap, but the dense matrix would hold
+    # 184756 x 167960 cells: as an int64 array for the rank, as rows for CSV
+    def never(*args, **kwargs):
+        raise AssertionError("dense matrix allocated past the cell budget")
+
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.setattr(incidence.numpy, "zeros", never)
+    monkeypatch.setattr(incidence, "_dense_rows", never)
+    rc, out, err = run_cli(capsys, "lw", "--n", "20", "--k", "10", *fmt)
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "error: 31031617760 cells in a dense 184756x167960 matrix, past 64 per"
+        " unit of cap 200000; PERMLAB_CAP=484869028 would suffice\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--csv"]])
+def test_lw_cell_budget_is_64_cells_per_unit_of_the_cap(capsys, monkeypatch, fmt):
+    # 924 x 792 = 731808 cells, and 64 * 11435 is the first budget past it
+    monkeypatch.setenv("PERMLAB_CAP", "11434")
+    rc, out, err = run_cli(capsys, "lw", "--n", "12", "--k", "6", *fmt)
+    assert (rc, out) == (3, "")
+    assert "PERMLAB_CAP=11435 would suffice" in err
+    monkeypatch.setenv("PERMLAB_CAP", "11435")
+    rc, out, _ = run_cli(capsys, "lw", "--n", "12", "--k", "6", *fmt)
+    assert rc == 0
+    if fmt == ["--csv"]:
+        assert out.count("\n") == 923
+    else:
+        assert report_of(out)["rank"] == 792
+
+
 def test_lw_cap_counts_the_wider_of_the_two_levels(capsys, monkeypatch):
     # C(6, 3) = 20 rows and C(6, 2) = 15 columns, then 15 rows and 20 columns
     monkeypatch.setenv("PERMLAB_CAP", "19")

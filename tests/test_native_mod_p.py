@@ -116,6 +116,36 @@ def test_edge_entries_equal_the_converting_route(entries, dtype):
     assert rank_mod_p(m) == rank(m) == oracles.rational_rank(entries)
 
 
+# the arrays rank_mod_p builds: the scaled int64 array, after a first try
+# only when every entry is an int
+ARRAYS_BUILT = [
+    ("one-fraction", [[1, Fraction(1, 2)], [2, 1]], [numpy.int64]),
+    ("all-fractions", [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]], [numpy.int64]),
+    ("bools", [[True, False], [True, True]], [numpy.int64]),
+    ("ints", [[1, 2], [3, 4]], [numpy.int64]),
+    ("two-to-the-64", [[2**64, 1], [1, 1]], [numpy.object_, numpy.int64]),
+]
+
+
+@pytest.mark.parametrize(
+    "entries,dtypes", [c[1:] for c in ARRAYS_BUILT], ids=[c[0] for c in ARRAYS_BUILT]
+)
+def test_only_all_int_entries_are_tried_as_an_array(monkeypatch, entries, dtypes):
+    real = numpy.array
+    built = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(out.dtype)
+        return out
+
+    m = _labeled(entries)
+    want = oracles.converting_rank_mod_p(m)
+    monkeypatch.setattr(incidence.numpy, "array", spy)
+    assert rank_mod_p(m) == want
+    assert built == [numpy.dtype(d) for d in dtypes]
+
+
 def test_int64_entries_are_reduced_before_any_update():
     # unreduced, -2^63 - y would wrap around int64; reduced, it is 0 mod p
     p = 1_000_003
