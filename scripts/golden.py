@@ -5,9 +5,11 @@ Each case is one in-process ``permlab`` call under the default element
 cap: ``analyze --format json`` for every corpus fixture and pass (span
 with ``--points 1,2``), ``corpus describe --format json`` for every
 fixture, ``analyze --format text`` and ``--format dot`` for the jordan,
-suborbits and span passes on a few fixtures, and samples of ``lw`` (rank,
-CSV and theta reports), ``wreath`` and ``cantor`` in both formats.  A change that must keep the CLI's bytes
-runs ``tests/test_golden.py``, which replays every case.
+suborbits and span passes on a few fixtures, ``analyze --gens`` with the
+jordan and span passes in JSON and text for two relabeled fixtures, and
+samples of ``lw`` (rank, CSV and theta reports), ``wreath`` and ``cantor``
+in both formats.  A change that must keep the CLI's bytes runs
+``tests/test_golden.py``, which replays every case.
 
     PYTHONPATH=src python3 scripts/golden.py [--out PATH]
 """
@@ -23,7 +25,8 @@ import os
 from pathlib import Path
 
 from permlab import cli
-from permlab.fixtures import FIXTURE_NAMES
+from permlab.fixtures import FIXTURE_NAMES, fixture
+from permlab.perms import Permutation, format_cycles
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_cli.json"
 PASSES = tuple(cli._PASSES)
@@ -58,10 +61,31 @@ SAMPLES = (
 # the passes and fixtures whose text and DOT renderings are pinned too
 RENDERED_PASSES = ("jordan", "suborbits", "span")
 RENDERED_FIXTURES = ("pg_2_2", "pg_2_3", "symmetric_5", "alternating_7", "c2wrc2wrc2", "dihedral_6")
+# fixtures given by --gens under the relabeling p -> 5p + 2 (mod degree, a
+# bijection as neither degree is a multiple of 5), so their points no longer
+# come in the order the fixture's orbits list them
+RELABELED_FIXTURES = ("pg_2_3", "c2wrc2wrc2")
 
 
 def _analyze(name: str, pass_name: str, fmt: str) -> list[str]:
     argv = ["analyze", "--fixture", name, "--pass", pass_name, "--format", fmt]
+    if pass_name == "span":
+        argv += ["--points", "1,2"]
+    return argv
+
+
+def _relabeled(name: str, pass_name: str, fmt: str) -> list[str]:
+    group = fixture(name).group
+    n = group.degree
+    labels = [(5 * p + 2) % n for p in range(n)]
+    gens = []
+    for g in group.generators:
+        images = [0] * n
+        for p in range(n):
+            images[labels[p]] = labels[g.images[p]]
+        gens.append(format_cycles(Permutation(tuple(images))))
+    argv = ["analyze", "--gens", ",".join(gens), "--degree", str(n), "--pass", pass_name]
+    argv += ["--format", fmt]
     if pass_name == "span":
         argv += ["--points", "1,2"]
     return argv
@@ -76,6 +100,9 @@ def cases() -> list[list[str]]:
     for name in RENDERED_FIXTURES:
         for pass_name in RENDERED_PASSES:
             out += [_analyze(name, pass_name, fmt) for fmt in ("text", "dot")]
+    for name in RELABELED_FIXTURES:
+        for pass_name in ("jordan", "span"):
+            out += [_relabeled(name, pass_name, fmt) for fmt in ("json", "text")]
     return out
 
 

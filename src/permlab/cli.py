@@ -37,7 +37,15 @@ from .groups import (
     symmetric_group,
     transitivity_degree,
 )
-from .incidence import EXACT_RANK_LIMIT, build_r_matrix, rank, rank_mod_p, theta_exploration
+from .incidence import (
+    EXACT_RANK_LIMIT,
+    _check_cells,
+    _inclusion_shape,
+    build_r_matrix,
+    rank,
+    rank_mod_p,
+    theta_exploration,
+)
 from .jordan import jordan_sets, span
 from .orders import cantor_forth
 from .perms import format_cycles, parse_cycles
@@ -497,26 +505,30 @@ def _cmd_lw(args) -> int:
         return _emit(args, payload, lines)
     if args.k is None:
         raise OutOfRange("need --k (inclusion matrix) or --theta r,s,t")
+    n_rows, n_cols = _inclusion_shape(args.n, args.k)
+    small = max(n_rows, n_cols) <= EXACT_RANK_LIMIT
+    if args.csv or not small:
+        # CSV rows and the modular route's array are both dense: refuse
+        # them before a subset is listed
+        _check_cells(n_rows, n_cols)
     matrix = build_r_matrix(args.n, args.k)
     if args.csv:
         sys.stdout.write(matrix.to_csv())
         return 0
-    cols = len(matrix.cols)
-    small = max(len(matrix.rows), cols) <= EXACT_RANK_LIMIT
     rank_value = rank(matrix) if small else rank_mod_p(matrix)
     payload = {
         "n": args.n,
         "k": args.k,
-        "rows": len(matrix.rows),
-        "cols": cols,
+        "rows": n_rows,
+        "cols": n_cols,
         "rank": rank_value,
-        "injective": rank_value == cols,
+        "injective": rank_value == n_cols,
         "method": "exact" if small else "modular",
     }
     lines = [
         f"inclusion matrix from {args.k}-sets to {args.k - 1}-sets of"
-        f" {args.n} points: {len(matrix.rows)} x {cols}",
-        f"rank {rank_value} ({payload['method']}), injective: {rank_value == cols}",
+        f" {args.n} points: {n_rows} x {n_cols}",
+        f"rank {rank_value} ({payload['method']}), injective: {rank_value == n_cols}",
     ]
     return _emit(args, payload, lines)
 

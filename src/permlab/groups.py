@@ -15,7 +15,11 @@ the greedy generating-set scan) are answered by a stabilizer chain built
 by deterministic Schreier-Sims on the base 0, 1, ..., n-1.  Point and
 pointwise stabilizers are read off that chain's lower levels, or off
 further chains whose base starts at a stabilized point; none of them
-lists an element.
+lists an element.  Such a chain is of a stabilizer whose order is
+already known, so it is filled to that order from seeded random
+elements (a chain's order is exact, so reaching it proves the chain
+complete), and a point that is not the least of its orbit gets the
+conjugate of its least sibling's stabilizer instead of a chain.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
 order.  Sums that ignore order (the Burnside count of fixed subsets in
@@ -35,8 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -67,11 +72,17 @@ class GenGroup:
 
     degree: int
     generators: tuple[Permutation, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for g in self.generators:
             if g.degree != self.degree:
                 raise ValueError("generator degree mismatch")
+        # every cache keyed on a group hashes it, so hash the generators once
+        object.__setattr__(self, "_hash", hash((self.degree, self.generators)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def group_from_cycles(degree: int, *cycle_texts: str) -> GenGroup:
@@ -175,6 +186,36 @@ def _images_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(b.__getitem__, a))
 
 
+# The product-replacement walk starts from this seed in every chain, so a
+# chain, and the generators read off it, never depend on the run.
+_FILL_SEED = 0
+# Sifts in a row that reach the identity before a fill stops drawing
+# elements and checks Schreier generators instead.
+_FILL_MISSES = 40
+
+
+def _random_elements(generators: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Elements of the group the generators make, by product replacement.
+
+    The rattle variant (Leedham-Green and Murray; Seress, Permutation
+    Group Algorithms, 2003, ch. 2): each step multiplies one slot by
+    another and the accumulator by the new slot, and yields the
+    accumulator.  The slots start as the generators, repeated to at least
+    ten, and the first steps are discarded.
+    """
+    rng = random.Random(_FILL_SEED)
+    slots = generators * -(-10 // len(generators))
+    accumulator = tuple(range(len(generators[0])))
+    for step in itertools.count(-len(slots)):
+        i = int(rng.random() * len(slots))
+        j = int(rng.random() * (len(slots) - 1))
+        j += j >= i
+        slots[i] = _images_product(slots[i], slots[j])
+        accumulator = _images_product(accumulator, slots[i])
+        if step >= 0:
+            yield accumulator
+
+
 class _Chain:
     """Base and strong generating set for the base 0, 1, ..., n-1, or for
     another ordering of the points.
@@ -190,6 +231,14 @@ class _Chain:
     the orbit of the first k base points.  The transversal products are
     distinct members of G at every stage, so a product equal to a known
     `target` order proves the chain complete, and extend stops there.
+
+    A chain whose target is known can instead be filled (known-order
+    Schreier-Sims; Seress 2003, ch. 4-5): the generators, then seeded
+    product-replacement elements, are sifted and their residues
+    installed with no Schreier generator checked, until the orbit lengths
+    multiply to the target.  That product is exact, not a probability.
+    Should many elements in a row sift to the identity first, the fill
+    ends with the deterministic checks, which always terminate.
     """
 
     def __init__(
@@ -231,14 +280,39 @@ class _Chain:
 
         Returns False, changing nothing, when g is already a member.
         """
+        level = self._add(g)
+        if level is None:
+            return False
+        self._complete(level)
+        return True
+
+    def fill(self, generators: list[tuple[int, ...]]) -> None:
+        """Grow an empty chain to the group the generators make, whose
+        order must be the target."""
+        for g in generators:
+            self._add(g)
+        elements = _random_elements(generators)
+        misses = 0
+        while self.order() != self.target and misses < _FILL_MISSES:
+            misses = 0 if self._add(next(elements)) is not None else misses + 1
+        self._complete(self.degree - 1)
+
+    def _add(self, g: tuple[int, ...]) -> int | None:
+        """Install the residue of g at the levels down to where it dropped
+        out, and return that level; None when g was already a member."""
         residue, level = self.sift(g)
         if level == self.degree:
-            return False
+            return None
         self._install(residue, 0, level)
+        return level
+
+    def _complete(self, level: int) -> None:
+        """Check the Schreier generators from `level` up to level 0,
+        going back down to where each new residue dropped out, until
+        every one sifts or the target order is reached."""
         while level >= 0 and self.order() != self.target:
             dropped = self._schreier_check(level)
             level = level - 1 if dropped is None else dropped
-        return True
 
     def _install(self, g: tuple[int, ...], low: int, high: int) -> None:
         """Add g as a strong generator of the levels low..high."""
@@ -527,37 +601,77 @@ def stabilizer(
     raise ValueError(f"unknown stabilizer kind {kind!r}")
 
 
+def _below(chain: _Chain, level: int) -> tuple[GenGroup, int]:
+    """The subgroup fixing the chain's first `level` base points, generated
+    by the strong generators of the levels from there on, and its order."""
+    strong = dict.fromkeys(g for below in chain.strong[level:] for g in below)
+    generators = tuple(_trusted(images) for images in strong)
+    return GenGroup(chain.degree, generators), math.prod(chain.orbit_lengths()[level:])
+
+
+@_bounded_cache
+def _stabilizer_in(group: GenGroup, size: int, point: int) -> tuple[GenGroup, int]:
+    """G_point and its order, for G of the known order `size`: read below
+    level 1 of a chain of G, with the point as its first base point,
+    filled to that order."""
+    base = (point,) + tuple(p for p in range(group.degree) if p != point)
+    chain = _Chain(group.degree, base, size)
+    chain.fill([g.images for g in group.generators])
+    return _below(chain, 1)
+
+
+def _to_least(group: GenGroup, point: int) -> tuple[int, tuple[int, ...]]:
+    """The least point r of the point's orbit, and the images of an
+    element of the group sending the point to r, from one walk over the
+    generators."""
+    reached = {point: tuple(range(group.degree))}
+    queue = [point]
+    for current in queue:
+        u = reached[current]
+        for g in group.generators:
+            image = g.images[current]
+            if image not in reached:
+                reached[image] = _images_product(u, g.images)
+                queue.append(image)
+    least = min(reached)
+    return least, reached[least]
+
+
 @_bounded_cache
 def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[GenGroup, int]:
     """G_(points) and its order, for a sorted tuple of distinct points.
 
     A prefix 0, 1, ..., k-1 is read off the group's own chain, below
-    level k.  Otherwise G_(p1..pk) is the stabilizer of pk in the
-    memoized G_(p1..pk-1): the parent itself when its generators already
-    fix pk (a trivial parent among them), else what a fresh chain of the
-    parent, with pk as its first base point, holds below level 1.  That
-    chain stops once its orbit lengths multiply to the parent's order.
-    Walks over the subsets of the points (the Jordan scan, the search for
-    a minimum base) get every node from its memoized prefix this way.
+    level k.  Otherwise G_(p1..pk) is the stabilizer of p = pk in the
+    memoized H = G_(p1..pk-1): H itself when its generators already fix
+    p (a trivial H among them).  Else let r be the least point of p's
+    orbit under H.  H_r comes from a chain of H with r as its first base
+    point, filled to the known order |H|, and memoized per (H, r), so
+    every p in one orbit of H shares one chain.  For p != r, a walk over
+    H's generators finds v in H with (p)v = r, and H_p is generated by
+    the conjugates v h v^-1 ("apply v, then h, then v^-1") of H_r's
+    generators h, with the same order.  Walks over the subsets of the
+    points (the Jordan scan, the search for a minimum base) get every
+    node from its memoized prefix this way.
     """
     if not points:
         return group, _chain(group).order()
     if points[-1] == len(points) - 1:
-        chain, level = _chain(group), len(points)
-    else:
-        parent, parent_order = _pointwise_stabilizer(group, points[:-1])
-        last = points[-1]
-        if all(g.images[last] == last for g in parent.generators):
-            return parent, parent_order
-        base = (last,) + tuple(p for p in range(group.degree) if p != last)
-        chain, level = _Chain(group.degree, base, parent_order), 1
-        for g in parent.generators:
-            chain.extend(g.images)
-            if chain.order() == parent_order:
-                break
-    strong = dict.fromkeys(g for below in chain.strong[level:] for g in below)
-    generators = tuple(_trusted(images) for images in strong)
-    return GenGroup(group.degree, generators), math.prod(chain.orbit_lengths()[level:])
+        return _below(_chain(group), len(points))
+    parent, parent_order = _pointwise_stabilizer(group, points[:-1])
+    last = points[-1]
+    if all(g.images[last] == last for g in parent.generators):
+        return parent, parent_order
+    least, v = _to_least(parent, last)
+    stab, size = _stabilizer_in(parent, parent_order, least)
+    if least == last:
+        return stab, size
+    v_inverse = _inverse_images(v)
+    generators = tuple(
+        _trusted(_images_product(_images_product(v, h.images), v_inverse))
+        for h in stab.generators
+    )
+    return GenGroup(group.degree, generators), size
 
 
 # induced actions on tuples and subsets

@@ -29,7 +29,6 @@ CELLS_PER_CAP cells per unit of the element cap.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -166,6 +165,22 @@ class ExactMatrix:
         return "\n".join(",".join(str(x) for x in row) for row in self.entries)
 
 
+def _inclusion_shape(n: int, k: int) -> tuple[int, int]:
+    """C(n, k) x C(n, k-1), the shape of build_r_matrix(n, k), after its
+    range check on k and the check of the larger level against the cap."""
+    if not 1 <= k <= n:
+        raise OutOfRange(f"k={k} outside 1..{n}")
+    shape = math.comb(n, k), math.comb(n, k - 1)
+    widest = max(shape)
+    limit = element_cap()
+    if widest > limit:
+        raise CapExceeded(
+            f"{widest} subsets on one level of {n} points, past cap {limit};"
+            f" PERMLAB_CAP={widest} would suffice"
+        )
+    return shape
+
+
 def build_r_matrix(n: int, k: int) -> ExactMatrix:
     """Inclusion incidence matrix from (k-1)-subsets to k-subsets.
 
@@ -181,15 +196,7 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     point down one place, to C(s_i, i).  Dense entries, when read, are
     bounded by the cell budget, not by this cap.
     """
-    if not 1 <= k <= n:
-        raise OutOfRange(f"k={k} outside 1..{n}")
-    widest = max(math.comb(n, k), math.comb(n, k - 1))
-    limit = element_cap()
-    if widest > limit:
-        raise CapExceeded(
-            f"{widest} subsets on one level of {n} points, past cap {limit};"
-            f" PERMLAB_CAP={widest} would suffice"
-        )
+    _inclusion_shape(n, k)
     rows = _subsets_colex(n, k)
     cols = _subsets_colex(n, k - 1)
     comb = [[math.comb(x, i) for i in range(k + 1)] for x in range(n)]
@@ -301,6 +308,14 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def _int64_entries(entries) -> bool:
+    """Every entry an int (not a bool) within int64's range."""
+    return all(
+        set(map(type, row)) <= {int} and -(2**63) <= min(row) and max(row) < 2**63
+        for row in entries
+    )
+
+
 def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     """Rank of the reduction mod p; a lower bound for the rational rank.
 
@@ -315,8 +330,9 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     and CapExceeded is raised past it.  A sparse 0/1 matrix fills it with
     one assignment from its stored columns.  Int entries that fit in int64
     go into the array as they are and are reduced there; any other matrix
-    is scaled to integers row by row and reduced entry by entry first, and
-    one holding a Fraction is never made an array before that.  Each pivot
+    (a Fraction, a bool, or an int out of int64's range) is scaled to
+    integers row by row and reduced entry by entry first, and is never
+    made an array before that.  Each pivot
     updates the rows below it that are nonzero in its column, and in them
     only the columns where the normalised pivot row is nonzero; every
     other entry would take a zero.
@@ -337,12 +353,8 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     if matrix.ones is not None:
         a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
         a[numpy.arange(n_rows)[:, None], matrix.ones] = 1
-    # only all-int entries are tried as an array, with no forced dtype: ints
-    # past int64 come out float64 or object, so only a true int64 array
-    # skips the scaling, and Fraction or bool entries go there directly
-    elif set(map(type, itertools.chain.from_iterable(matrix.entries))) <= {int} and (
-        a := numpy.array(matrix.entries)
-    ).dtype == numpy.int64:
+    elif _int64_entries(matrix.entries):
+        a = numpy.array(matrix.entries, dtype=numpy.int64)
         a %= p
     else:
         a = numpy.array(

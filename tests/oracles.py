@@ -744,3 +744,33 @@ def wilson_rank_mod_p(n: int, k: int, p: int) -> int:
         for i in range(k)
         if (k - i) % p
     )
+
+
+def schreier_sims_pointwise_stabilizer(group, points: tuple[int, ...]):
+    """The library's G_(points) and its order before the known-order fill
+    and the conjugation of same-orbit siblings: a base prefix 0..k-1 is
+    read off the group's own chain; otherwise G_(p1..pk) is the parent
+    G_(p1..pk-1) itself when the parent fixes pk, else what a chain of the
+    parent with pk as its first base point holds below level 1, built by
+    deterministic Schreier-Sims and stopped at the parent's order."""
+    from permlab.groups import GenGroup, _chain, _Chain
+    from permlab.perms import _trusted
+
+    if not points:
+        return group, _chain(group).order()
+    if points[-1] == len(points) - 1:
+        chain, level = _chain(group), len(points)
+    else:
+        parent, parent_order = schreier_sims_pointwise_stabilizer(group, points[:-1])
+        last = points[-1]
+        if all(g.images[last] == last for g in parent.generators):
+            return parent, parent_order
+        base = (last,) + tuple(p for p in range(group.degree) if p != last)
+        chain, level = _Chain(group.degree, base, parent_order), 1
+        for g in parent.generators:
+            chain.extend(g.images)
+            if chain.order() == parent_order:
+                break
+    strong = dict.fromkeys(g for below in chain.strong[level:] for g in below)
+    generators = tuple(_trusted(images) for images in strong)
+    return GenGroup(group.degree, generators), math.prod(chain.orbit_lengths()[level:])

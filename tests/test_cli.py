@@ -424,6 +424,8 @@ def test_lw_past_the_cell_budget_exits_3_before_allocating(capsys, monkeypatch, 
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
     monkeypatch.setattr(incidence.numpy, "zeros", never)
     monkeypatch.setattr(incidence, "_dense_rows", never)
+    # nor is a subset listed: the refusal comes before the sparse rows
+    monkeypatch.setattr(incidence, "_subsets_colex", never)
     rc, out, err = run_cli(capsys, "lw", "--n", "20", "--k", "10", *fmt)
     assert rc == 3
     assert out == ""

@@ -27,8 +27,11 @@ SRC = Path(permlab.__file__).parent.parent
 
 
 def _case_id(case) -> str:
-    """The first five words; an analyze case in text or DOT adds its format."""
+    """The first five words; an analyze case in text or DOT adds its format.
+    An analyze case given by --gens names its degree, pass and format."""
     argv = case["argv"]
+    if argv[:2] == ["analyze", "--gens"]:
+        return " ".join(["analyze", "--gens", *argv[3:9]])
     label = " ".join(argv[:5])
     if argv[0] == "analyze" and argv[6] != "json":
         label += f" {argv[6]}"

@@ -128,6 +128,16 @@ def test_fixture_orders():
 # stabilizers
 
 
+def test_a_group_hashes_its_degree_and_generators_once():
+    for g in sample_groups():
+        twin = GenGroup(g.degree, tuple(Permutation(f.images) for f in g.generators))
+        assert twin == g and twin is not g
+        assert hash(twin) == hash(g) == hash((g.degree, g.generators))
+        assert {g: 1}[twin] == 1
+    assert GenGroup(3, ()) != GenGroup(4, ())
+    assert symmetric_group(4) != GenGroup(4, symmetric_group(4).generators[::-1])
+
+
 def test_point_stabilizer_example():
     s3 = symmetric_group(3)
     stab = stabilizer(s3, "point", 0)

@@ -1,0 +1,150 @@
+"""Pointwise stabilizers from chains filled to a known order, and from
+conjugates of a same-orbit sibling, against the deterministic
+Schreier-Sims stabilizer they replace (``tests/oracles.py``).
+
+Every check also runs on the corpus relabeled by a fixed shuffle of the
+points, where a point is most often not the least of its orbit under
+the parent stabilizer, so its stabilizer is a conjugate.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permlab
+from permlab import groups
+from permlab.fixtures import fixture
+from permlab.groups import (
+    GenGroup,
+    _Chain,
+    _pointwise_stabilizer,
+    _stabilizer_in,
+    clear_caches,
+    element_set,
+    order,
+    symmetric_group,
+)
+from permlab.jordan import _jordan_scan
+from permlab.perms import Permutation
+from permlab.suite import _corpus
+
+import oracles
+
+SRC = Path(permlab.__file__).parent.parent
+
+
+def _relabeled(group: GenGroup) -> GenGroup:
+    """The group conjugated by a shuffle of its points seeded by the degree."""
+    n = group.degree
+    labels = list(range(n))
+    random.Random(n).shuffle(labels)
+    generators = []
+    for g in group.generators:
+        images = [0] * n
+        for p in range(n):
+            images[labels[p]] = labels[g.images[p]]
+        generators.append(Permutation(tuple(images)))
+    return GenGroup(n, tuple(generators))
+
+
+CORPUS = list(_corpus())
+CASES = CORPUS + [(f"{name}_relabeled", _relabeled(group)) for name, group in CORPUS]
+IDS = [name for name, _ in CASES]
+
+
+@pytest.mark.parametrize("name,group", CASES, ids=IDS)
+def test_stabilizers_equal_the_schreier_sims_stabilizers(name, group):
+    # every S of at most two points and p outside it: the sorted S + p
+    for points in (c for m in range(1, 4) for c in itertools.combinations(range(group.degree), m)):
+        stab, size = _pointwise_stabilizer(group, points)
+        expected, expected_size = oracles.schreier_sims_pointwise_stabilizer(group, points)
+        assert size == expected_size == order(stab), points
+        assert element_set(stab) == element_set(expected), points
+        assert all(g.images[p] == p for g in stab.generators for p in points), points
+
+
+@pytest.mark.parametrize("name,group", CASES[len(CORPUS) :], ids=IDS[len(CORPUS) :])
+def test_scan_of_a_relabeled_group_equals_the_support_table_scan(name, group):
+    expected = oracles.support_jordan_scan(group.degree, group.generators)
+    assert tuple(_jordan_scan(group, None, None)) == expected
+
+
+def test_a_fill_whose_elements_all_sift_ends_with_the_schreier_checks(monkeypatch):
+    s7 = symmetric_group(7)
+    base = (3, 0, 1, 2, 4, 5, 6)
+    e = tuple(range(7))
+    drawn = []
+    checked = []
+
+    def identities(generators):
+        while True:
+            drawn.append(e)
+            yield e
+
+    check = _Chain._schreier_check
+
+    def counted(self, level):
+        checked.append(level)
+        return check(self, level)
+
+    monkeypatch.setattr(_Chain, "_schreier_check", counted)
+    chain = _Chain(7, base, 5040)
+    chain.fill([g.images for g in s7.generators])
+    # the seeded elements reach the known order with no Schreier generator checked
+    assert chain.order() == 5040 and not checked
+    monkeypatch.setattr(groups, "_random_elements", identities)
+    chain = _Chain(7, base, 5040)
+    chain.fill([g.images for g in s7.generators])
+    assert len(drawn) == groups._FILL_MISSES
+    assert checked
+    assert chain.order() == 5040
+    clear_caches()
+    stab, size = _stabilizer_in(s7, 5040, 3)
+    assert size == 720
+    assert element_set(stab) == element_set(oracles.schreier_sims_pointwise_stabilizer(s7, (3,))[0])
+
+
+_PRINT_GENERATORS = """
+import itertools
+from permlab.fixtures import fixture
+from permlab.groups import _pointwise_stabilizer
+for name in ("pg_2_3", "c2wrc2wrc2", "symmetric_6"):
+    group = fixture(name).group
+    for m in (1, 2):
+        for points in itertools.combinations(range(group.degree), m):
+            print(name, points, [g.images for g in _pointwise_stabilizer(group, points)[0].generators])
+"""
+
+
+def test_stabilizer_generators_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", _PRINT_GENERATORS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == (13 + 78) + (8 + 28) + (6 + 15)
+
+
+def test_siblings_in_one_orbit_share_one_fresh_chain():
+    # G_(0, q) for q = 1..7: G_(0, 1) is a base prefix, and every other q
+    # lies in the orbit of 1 under G_(0), so its stabilizer is a conjugate
+    s8 = fixture("symmetric_8").group
+    clear_caches()
+    for q in range(1, 8):
+        assert _pointwise_stabilizer(s8, (0, q))[1] == 720
+    assert _stabilizer_in.cache_info().misses == 1

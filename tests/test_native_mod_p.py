@@ -94,7 +94,8 @@ def test_fraction_matrices_equal_the_converting_route(entries, data, p):
     assert rank_mod_p(m, p) == oracles.converting_rank_mod_p(m, p)
 
 
-# the dtype numpy infers decides the route; only int64 skips the scaling
+# the dtype numpy infers for each: the ints it makes int64 are exactly
+# those the range check lets skip the scaling
 EDGE_MATRICES = [
     ("two-to-the-63", [[1, 2**63], [3, 4]], numpy.float64),
     ("two-to-the-64", [[2**64, 1], [1, 1]], numpy.object_),
@@ -116,14 +117,15 @@ def test_edge_entries_equal_the_converting_route(entries, dtype):
     assert rank_mod_p(m) == rank(m) == oracles.rational_rank(entries)
 
 
-# the arrays rank_mod_p builds: the scaled int64 array, after a first try
-# only when every entry is an int
+# the arrays rank_mod_p builds: one int64 array, taken straight from the
+# entries when every one is an int within int64's range, else scaled
 ARRAYS_BUILT = [
     ("one-fraction", [[1, Fraction(1, 2)], [2, 1]], [numpy.int64]),
     ("all-fractions", [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]], [numpy.int64]),
     ("bools", [[True, False], [True, True]], [numpy.int64]),
     ("ints", [[1, 2], [3, 4]], [numpy.int64]),
-    ("two-to-the-64", [[2**64, 1], [1, 1]], [numpy.object_, numpy.int64]),
+    ("two-to-the-63", [[2**63, 1], [1, 1]], [numpy.int64]),
+    ("two-to-the-64", [[2**64, 1], [1, 1]], [numpy.int64]),
 ]
 
 
