@@ -51,6 +51,10 @@ SAMPLES = (
     "lw --n 9 --k 4 --csv",
     "lw --n 12 --k 1 --format json",
     "lw --n 5 --k 5",
+    "lw --n 7 --theta 2,3,4 --format json",
+    "lw --n 7 --theta 0,0,7",
+    "lw --n 12 --k 5 --format json",
+    "lw --n 10 --k 4",
     "wreath --bottom cyclic_2 --top cyclic_3 --format json",
     "wreath --bottom symmetric_3 --top cyclic_4",
     "wreath --bottom cyclic_3 --top symmetric_3 --format json",

@@ -22,9 +22,22 @@ scaled to integers row by row.  The modulus must be a prime.  Both
 eliminations touch only nonzeros: the exact one holds each row as a dict
 of its nonzero entries, and the modular one updates only the columns
 where the pivot row is nonzero.  Inclusion matrices stay sparse while
-they are eliminated.  A dense allocation, the modular route's int64
-array or derived entries, is refused with CapExceeded past
-CELLS_PER_CAP cells per unit of the element cap.
+they are eliminated.
+
+Both eliminations take a sparse 0/1 matrix's rows bottom-up; the rank
+does not depend on row order.  In colex order the inclusion matrix is
+[[A, 0], [I, B]]: the k-subsets without the last point come first, and
+each k-subset T + {n-1} meets the column of T in an identity block.
+Bottom-up, every column of the identity block meets its unit row first,
+so a pivot puts only A * B into the rows above, where the top-down order
+filled them almost dense.
+
+The sign matrices are int64 arrays: the intersection sizes are one
+product of 0/1 point-membership rows, the composite of two sign maps is
+one more, and it is compared with the direct map as one array.  A dense
+allocation, the modular route's int64 array, derived entries, or any
+array of the sign maps, is refused with CapExceeded past CELLS_PER_CAP
+cells per unit of the element cap.
 """
 
 from __future__ import annotations
@@ -43,11 +56,8 @@ from .groups import (
     _bounded_cache,
     _capped_order,
     _chain,
-    _mask,
     _subsets_colex,
-    induced_action,
     order,
-    orbits,
 )
 from .perms import Permutation
 
@@ -78,11 +88,12 @@ _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
-def _check_cells(n_rows: int, n_cols: int) -> None:
+def _check_cells(n_rows: int, n_cols: int, cap: int | None = None) -> None:
     """Raise CapExceeded before a dense n_rows x n_cols allocation past the
-    cell budget, naming the cap that would admit it."""
+    cell budget of the cap (the active one by default), naming the cap
+    that would admit it."""
     cells = n_rows * n_cols
-    limit = element_cap()
+    limit = element_cap(cap)
     if cells > CELLS_PER_CAP * limit:
         raise CapExceeded(
             f"{cells} cells in a dense {n_rows}x{n_cols} matrix, past"
@@ -165,20 +176,25 @@ class ExactMatrix:
         return "\n".join(",".join(str(x) for x in row) for row in self.entries)
 
 
-def _inclusion_shape(n: int, k: int) -> tuple[int, int]:
-    """C(n, k) x C(n, k-1), the shape of build_r_matrix(n, k), after its
-    range check on k and the check of the larger level against the cap."""
-    if not 1 <= k <= n:
-        raise OutOfRange(f"k={k} outside 1..{n}")
-    shape = math.comb(n, k), math.comb(n, k - 1)
-    widest = max(shape)
-    limit = element_cap()
+def _check_levels(n: int, levels, cap: int | None = None) -> None:
+    """Raise CapExceeded, naming the cap that would suffice, when one of
+    these subset levels of n points holds more subsets than the cap."""
+    widest = max(math.comb(n, m) for m in levels)
+    limit = element_cap(cap)
     if widest > limit:
         raise CapExceeded(
             f"{widest} subsets on one level of {n} points, past cap {limit};"
             f" PERMLAB_CAP={widest} would suffice"
         )
-    return shape
+
+
+def _inclusion_shape(n: int, k: int) -> tuple[int, int]:
+    """C(n, k) x C(n, k-1), the shape of build_r_matrix(n, k), after its
+    range check on k and the check of the larger level against the cap."""
+    if not 1 <= k <= n:
+        raise OutOfRange(f"k={k} outside 1..{n}")
+    _check_levels(n, (k, k - 1))
+    return math.comb(n, k), math.comb(n, k - 1)
 
 
 def build_r_matrix(n: int, k: int) -> ExactMatrix:
@@ -214,21 +230,50 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix(rows, cols, ones=tuple(ones))
 
 
+def _members(n: int, subsets: tuple[tuple[int, ...], ...]) -> numpy.ndarray:
+    """0/1 int64 rows, one per subset, with a 1 in the column of each point."""
+    members = numpy.zeros((len(subsets), n), dtype=numpy.int64)
+    members[numpy.arange(len(subsets))[:, None], numpy.array(subsets, dtype=numpy.intp)] = 1
+    return members
+
+
+def _signs(rows: numpy.ndarray, cols: numpy.ndarray) -> numpy.ndarray:
+    """(-1)^|S & R| for every row subset S and column subset R, given as
+    membership rows: the intersection sizes are one product."""
+    return 1 - 2 * (rows @ cols.T & 1)
+
+
+def _check_sign_cells(n: int, steps, cap: int | None = None) -> None:
+    """Check the largest array the sign maps of the (low, high) steps need
+    against the cell budget, before any is allocated: a membership array,
+    C(n, m) x n, for each level, or a sign array, C(n, high) x C(n, low),
+    for each step.  A cap that admits it admits them all."""
+    levels = {m for step in steps for m in step}
+    shapes = [(math.comb(n, m), n) for m in levels]
+    shapes += [(math.comb(n, high), math.comb(n, low)) for low, high in steps]
+    _check_cells(*max(shapes, key=math.prod), cap)
+
+
+def _sign_matrix(n: int, r: int, s: int) -> ExactMatrix:
+    """The sign matrix from r-subsets to s-subsets, with no check."""
+    rows, cols = _subsets_colex(n, s), _subsets_colex(n, r)
+    signs = _signs(_members(n, rows), _members(n, cols))
+    return ExactMatrix(rows, cols, tuple(map(tuple, signs.tolist())))
+
+
 def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
-    """Sign matrix from r-subsets to s-subsets: (-1)^|intersection|."""
+    """Sign matrix from r-subsets to s-subsets: (-1)^|intersection|.
+
+    It is built as an int64 array: the intersection sizes are the product
+    of the 0/1 point-membership rows of the s-subsets and of the r-subsets,
+    and each sign is 1 - 2 * (size mod 2).  The membership arrays and the
+    sign array are checked against the cell budget before any is
+    allocated, and the entries are the sign array's rows.
+    """
     if not 0 <= r <= n or not 0 <= s <= n:
         raise OutOfRange(f"levels ({r},{s}) outside 0..{n}")
-    rows = _subsets_colex(n, s)
-    cols = _subsets_colex(n, r)
-    col_masks = [_mask(gamma) for gamma in cols]
-    entries = tuple(
-        tuple(
-            -1 if (row_mask & col_mask).bit_count() % 2 else 1
-            for col_mask in col_masks
-        )
-        for row_mask in map(_mask, rows)
-    )
-    return ExactMatrix(rows, cols, entries)
+    _check_sign_cells(n, [(r, s)])
+    return _sign_matrix(n, r, s)
 
 
 def subset_permutation_matrix(g: Permutation, k: int) -> ExactMatrix:
@@ -261,16 +306,18 @@ def rank(matrix: ExactMatrix) -> int:
     divided by the previous pivot; that division is exact because each
     entry is then a minor of the input.  Each row is held sparse, as a
     dict from column to nonzero int, taken straight from the stored
-    columns of a sparse 0/1 matrix; only nonzeros are touched: a row
-    with factor 0 is rescaled over its own nonzeros, and any other row is
-    recomputed over the columns where it or the pivot row is nonzero,
-    dropping the entries that cancel.  Columns left of the pivot are
-    already zero below it, so they hold no entries.
+    columns of a sparse 0/1 matrix, read bottom-up so that an inclusion
+    matrix meets its unit rows first (see the module docstring); only
+    nonzeros are touched: a row with factor 0 is rescaled over its own
+    nonzeros, and left alone when the pivot equals the previous one, and
+    any other row is recomputed over the columns where it or the pivot
+    row is nonzero, dropping the entries that cancel.  Columns left of
+    the pivot are already zero below it, so they hold no entries.
     """
     if matrix.ones is None:
         work = [{j: x for j, x in enumerate(row) if x} for row in _integer_rows(matrix)]
     else:
-        work = [dict.fromkeys(row, 1) for row in matrix.ones]
+        work = [dict.fromkeys(row, 1) for row in reversed(matrix.ones)]
     n_rows, n_cols = matrix.shape
     found = 0
     previous = 1
@@ -286,7 +333,8 @@ def rank(matrix: ExactMatrix) -> int:
             row = work[i]
             factor = row.get(col)
             if factor is None:
-                work[i] = {j: lead * a // previous for j, a in row.items()}
+                if lead != previous:
+                    work[i] = {j: lead * a // previous for j, a in row.items()}
                 continue
             get = row.get
             work[i] = {
@@ -328,17 +376,22 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     The rows x cols int64 array is checked against the cell budget
     (CELLS_PER_CAP per unit of the element cap) before it is allocated,
     and CapExceeded is raised past it.  A sparse 0/1 matrix fills it with
-    one assignment from its stored columns.  Int entries that fit in int64
-    go into the array as they are and are reduced there; any other matrix
-    (a Fraction, a bool, or an int out of int64's range) is scaled to
-    integers row by row and reduced entry by entry first, and is never
-    made an array before that.  Each pivot
-    updates the rows below it that are nonzero in its column, and in them
+    one assignment from its stored columns, its rows in reverse order, so
+    that an inclusion matrix meets its unit rows first (see the module
+    docstring).  Int entries that fit in int64 go into the array as they
+    are and are reduced there; any other matrix (a Fraction, a bool, or
+    an int out of int64's range) is scaled to integers row by row and
+    reduced entry by entry first, and is never made an array before that.
+
+    One nonzero search per column finds the pivot and the live rows: the
+    column's other hits, since a row swapped out of the pivot's place is
+    zero there.  Rows are swapped by slices, and only when the pivot
+    moves.  One broadcast update then changes the live rows, and in them
     only the columns where the normalised pivot row is nonzero; every
-    other entry would take a zero.
-    Entries are reduced lazily: a column only when it is searched for a
-    pivot, so an entry takes at most min(rows, cols) unreduced updates
-    below p^2 each, and p must keep that sum inside int64.
+    other entry would take a zero.  Entries are reduced lazily: a column
+    only when it is searched for a pivot, so an entry takes at most
+    min(rows, cols) unreduced updates below p^2 each, and p must keep
+    that sum inside int64.
     """
     if not (p < 2**32 and _is_prime(p)):
         raise OutOfRange(f"p={p} is not a prime below 2**32")
@@ -352,7 +405,7 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     _check_cells(n_rows, n_cols)
     if matrix.ones is not None:
         a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
-        a[numpy.arange(n_rows)[:, None], matrix.ones] = 1
+        a[numpy.arange(n_rows - 1, -1, -1)[:, None], matrix.ones] = 1
     elif _int64_entries(matrix.entries):
         a = numpy.array(matrix.entries, dtype=numpy.int64)
         a %= p
@@ -364,19 +417,20 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     for col in range(n_cols):
         column = a[found:, col]
         column %= p
-        hits = numpy.nonzero(column)[0]
+        hits = numpy.flatnonzero(column)
         if hits.size == 0:
             continue
-        pivot = int(hits[0]) + found
-        a[[found, pivot], col:] = a[[pivot, found], col:]
-        top = a[found, col:] % p * pow(int(a[found, col]), -1, p) % p
-        below = a[found + 1 :, col]
-        live = numpy.nonzero(below)[0]
+        pivot = found + int(hits[0])
+        if pivot != found:
+            # the row moved out of found is zero in this column
+            held = a[found, col:].copy()
+            a[found, col:] = a[pivot, col:]
+            a[pivot, col:] = held
+        top = a[found, col:] % p * pow(int(column[0]), -1, p) % p
+        live = hits[1:] + found
         if live.size:
             support = numpy.flatnonzero(top)
-            a[numpy.ix_(live + found + 1, support + col)] -= numpy.outer(
-                below[live], top[support]
-            )
+            a[live[:, None], support + col] -= column[hits[1:], None] * top[support]
         found += 1
         if found == n_rows:
             break
@@ -472,20 +526,63 @@ def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int) -> list[int]:
     return totals
 
 
+def _subset_orbit_count(group: GenGroup, k: int, cap: int | None = None) -> int:
+    """Orbits of G on its k-subsets, from the generators' images alone.
+
+    C(n, k) is checked against the cap before any subset is listed.  Each
+    generator sends the colex k-subsets, one int array of points per row,
+    to sorted image rows, ranked in the combinatorial number system as in
+    build_r_matrix.  Every subset then carries a label, at first its own
+    rank: each sweep lowers a label to its image's under every generator
+    in turn, then to its label's label, until a sweep changes nothing.  A
+    label is always the rank of a subset in the same orbit and never above
+    its own, and once it is stable it is at most the image's label under
+    every generator, so, as a generator has finite order, it is constant
+    on the orbit: exactly one subset per orbit is its own label.
+    """
+    n = group.degree
+    size = math.comb(n, k)
+    if size > element_cap(cap):
+        raise CapExceeded(f"derived domain of size {size} passes the cap")
+    subsets = numpy.array(_subsets_colex(n, k), dtype=numpy.intp)
+    # C(x, i + 1) where point x may sit at place i, n - k + i at the most:
+    # each term is at most the last subset's rank, below C(n, k)
+    comb = numpy.array(
+        [[math.comb(x, i + 1) if x <= n - k + i else 0 for i in range(k)] for x in range(n)],
+        dtype=numpy.int64,
+    )
+    places = numpy.arange(k)
+    images = []
+    for g in group.generators:
+        moved = numpy.array(g.images, dtype=numpy.intp)[subsets]
+        moved.sort(axis=1)
+        images.append(comb[moved, places].sum(axis=1))
+    labels = numpy.arange(size)
+    while True:
+        lowered = labels
+        for image in images:
+            lowered = numpy.minimum(lowered, lowered[image])
+        lowered = lowered[lowered]
+        if numpy.array_equal(lowered, labels):
+            return int(numpy.count_nonzero(labels == numpy.arange(size)))
+        labels = lowered
+
+
 def orbit_count_inequality(
     group: GenGroup, kmax: int, cap: int | None = None
 ) -> tuple[int, ...]:
     """Orbit counts on k-subsets for k = 0..kmax, with the growth law.
 
-    Counts come from the induced action; each is cross-checked against
-    the number of fixed k-subsets summed over the whole group (Burnside),
-    and the counts must be nondecreasing while n >= 2k.  A failed check
-    raises AxiomsFailed.  The Burnside sum ignores order, so it reads the
-    stabilizer chain's transversal products rather than the BFS element
-    list, and |G| is the chain's order.  |G| is checked against the cap
-    before anything is built; the products then form one array, a row per
-    element, in the smallest unsigned dtype that holds degree - 1 (one
-    byte per entry up to degree 256).
+    Counts come from the generators' images on the colex k-subsets
+    (_subset_orbit_count), with no induced group built; each is
+    cross-checked against the number of fixed k-subsets summed over the
+    whole group (Burnside), and the counts must be nondecreasing while
+    n >= 2k.  A failed check raises AxiomsFailed.  The Burnside sum ignores
+    order, so it reads the stabilizer chain's transversal products rather
+    than the BFS element list, and |G| is the chain's order.  |G| is
+    checked against the cap before anything is built; the products then
+    form one array, a row per element, in the smallest unsigned dtype that
+    holds degree - 1 (one byte per entry up to degree 256).
     """
     n = group.degree
     if not 0 <= kmax <= n:
@@ -494,8 +591,7 @@ def orbit_count_inequality(
     totals = _fixed_subset_totals(group, kmax, element_cap(cap))
     counts = [1]
     for k in range(1, kmax + 1):
-        action = induced_action(group, "subsets", k, cap)
-        count = len(orbits(action.group))
+        count = _subset_orbit_count(group, k, cap)
         if totals[k] != count * size:
             raise AxiomsFailed(
                 f"{count} orbits on {k}-subsets, but the Burnside average is "
@@ -533,8 +629,9 @@ class ThetaReport:
 
 @_bounded_cache
 def _theta_rank(n: int, r: int, s: int) -> int:
-    """Exact rank of one sign matrix; only the int is kept, not the matrix."""
-    return rank(build_theta_matrix(n, r, s))
+    """Exact rank of one sign matrix, whose cells the caller has checked;
+    only the int is kept, not the matrix."""
+    return rank(_sign_matrix(n, r, s))
 
 
 def theta_exploration(
@@ -542,32 +639,31 @@ def theta_exploration(
 ) -> ThetaReport:
     """Compose the sign maps level r -> s -> t and compare with r -> t.
 
-    The cap is checked first; the three exact ranks then come from a cache
-    keyed on (n, r, s), since many triples share a level pair.
+    The widest level is checked against the cap first, then every array
+    this builds against the cell budget: the three levels' membership
+    arrays, the three sign arrays, and so the composite, which has the
+    shape of the r -> t array.  The sign arrays are int64, the composite
+    is one matrix product, and proportionality is one array comparison:
+    the r -> t entry at (first t-subset, first r-subset) is (-1)^r, never
+    0.  The three exact ranks come from a cache keyed on (n, r, s), since
+    many triples share a level pair.
     """
     if not 0 <= r <= s <= t <= n:
         raise OutOfRange(f"levels ({r},{s},{t}) not increasing within 0..{n}")
-    widest = max(math.comb(n, m) for m in (r, s, t))
-    if widest > element_cap(cap):
-        raise CapExceeded(f"{widest} subsets on one level passes the cap")
-    theta_rs = build_theta_matrix(n, r, s)
-    theta_st = build_theta_matrix(n, s, t)
-    theta_rt = build_theta_matrix(n, r, t)
-    composite = theta_st.matmul(theta_rs)
-    c0, d0 = composite.entries[0][0], theta_rt.entries[0][0]
-    scalar = Fraction(c0, d0)
-    proportional = all(
-        c * d0 == c0 * d
-        for crow, drow in zip(composite.entries, theta_rt.entries)
-        for c, d in zip(crow, drow)
-    )
+    _check_levels(n, (r, s, t), cap)
+    _check_sign_cells(n, [(r, s), (s, t), (r, t)], cap)
+    members = {m: _members(n, _subsets_colex(n, m)) for m in {r, s, t}}
+    theta_rt = _signs(members[t], members[r])
+    composite = _signs(members[t], members[s]) @ _signs(members[s], members[r])
+    c0, d0 = int(composite[0, 0]), int(theta_rt[0, 0])
+    proportional = bool(numpy.array_equal(composite * d0, theta_rt * c0))
     return ThetaReport(
         n,
         r,
         s,
         t,
         proportional,
-        scalar if proportional else None,
+        Fraction(c0, d0) if proportional else None,
         _theta_rank(n, r, s),
         _theta_rank(n, s, t),
         _theta_rank(n, r, t),

@@ -646,17 +646,95 @@ def dense_bareiss_rank(matrix) -> int:
     return found
 
 
+def column_support_rank_mod_p(matrix, p: int = 1_000_003) -> int:
+    """incidence.rank_mod_p before its sparse rows were loaded bottom-up: a
+    sparse 0/1 matrix fills the int64 array in its stored row order, and
+    each pivot swaps rows by fancy index and updates the rows below it
+    through ``ix_`` and ``outer``, only in the columns where the normalised
+    pivot row is nonzero.  Int entries within int64's range go into the
+    array as they are; anything else is scaled and reduced row by row
+    first.  The primality check and the cell budget are left out."""
+    import numpy
+
+    from permlab.errors import OutOfRange
+
+    n_rows, n_cols = matrix.shape
+    if n_rows == 0 or n_cols == 0:
+        return 0
+    if min(n_rows, n_cols) * (p - 1) ** 2 + p >= 2**63:
+        raise OutOfRange(
+            f"p={p} overflows int64 elimination on a {n_rows}x{n_cols} matrix"
+        )
+    if matrix.ones is not None:
+        a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
+        a[numpy.arange(n_rows)[:, None], matrix.ones] = 1
+    elif all(
+        set(map(type, row)) <= {int} and -(2**63) <= min(row) and max(row) < 2**63
+        for row in matrix.entries
+    ):
+        a = numpy.array(matrix.entries, dtype=numpy.int64)
+        a %= p
+    else:
+        a = numpy.array(
+            [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
+        )
+    found = 0
+    for col in range(n_cols):
+        column = a[found:, col]
+        column %= p
+        hits = numpy.nonzero(column)[0]
+        if hits.size == 0:
+            continue
+        pivot = int(hits[0]) + found
+        a[[found, pivot], col:] = a[[pivot, found], col:]
+        top = a[found, col:] % p * pow(int(a[found, col]), -1, p) % p
+        below = a[found + 1 :, col]
+        live = numpy.nonzero(below)[0]
+        if live.size:
+            support = numpy.flatnonzero(top)
+            a[numpy.ix_(live + found + 1, support + col)] -= numpy.outer(
+                below[live], top[support]
+            )
+        found += 1
+        if found == n_rows:
+            break
+    return found
+
+
+def tuple_theta_matrix(n: int, r: int, s: int):
+    """incidence.build_theta_matrix before it was built as an array: entry
+    (S, R) is -1 when the bitmasks of the colex s-subset S and r-subset R
+    share an odd number of points, else 1, one Python int at a time."""
+    from permlab.errors import OutOfRange
+    from permlab.incidence import ExactMatrix
+
+    if not 0 <= r <= n or not 0 <= s <= n:
+        raise OutOfRange(f"levels ({r},{s}) outside 0..{n}")
+    rows = colex_subsets(n, s)
+    cols = colex_subsets(n, r)
+    col_masks = [sum(1 << x for x in gamma) for gamma in cols]
+    entries = tuple(
+        tuple(
+            -1 if (row_mask & col_mask).bit_count() % 2 else 1
+            for col_mask in col_masks
+        )
+        for row_mask in (sum(1 << x for x in delta) for delta in rows)
+    )
+    return ExactMatrix(rows, cols, entries)
+
+
 def uncached_theta_exploration(n: int, r: int, s: int, t: int):
-    """incidence.theta_exploration before its ranks were memoised: all three
-    sign matrices are built and ranked afresh.  The builders are the
-    library's own; the ranks come from the dense Bareiss oracle above."""
-    from permlab.incidence import ThetaReport, build_theta_matrix
+    """incidence.theta_exploration before its ranks were memoised and its
+    sign matrices became arrays: all three are built as tuples by
+    tuple_theta_matrix, composed by the pure-Python ExactMatrix.matmul, and
+    ranked afresh by the dense Bareiss oracle above."""
+    from permlab.incidence import ThetaReport
 
     rank = dense_bareiss_rank
 
-    theta_rs = build_theta_matrix(n, r, s)
-    theta_st = build_theta_matrix(n, s, t)
-    theta_rt = build_theta_matrix(n, r, t)
+    theta_rs = tuple_theta_matrix(n, r, s)
+    theta_st = tuple_theta_matrix(n, s, t)
+    theta_rt = tuple_theta_matrix(n, r, t)
     composite = theta_st.matmul(theta_rs)
     c0, d0 = composite.entries[0][0], theta_rt.entries[0][0]
     proportional = all(

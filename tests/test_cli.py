@@ -435,6 +435,25 @@ def test_lw_past_the_cell_budget_exits_3_before_allocating(capsys, monkeypatch, 
     )
 
 
+@pytest.mark.parametrize("fmt", [["--format", "json"], ["--format", "text"]])
+def test_lw_theta_past_the_cell_budget_exits_3_before_allocating(capsys, monkeypatch, fmt):
+    # every level fits the default cap, but the membership array of the
+    # 5000 points and the 1 -> 1 sign array would hold 5000 x 5000 cells
+    def never(*args, **kwargs):
+        raise AssertionError("array allocated past the cell budget")
+
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.setattr(incidence.numpy, "zeros", never)
+    monkeypatch.setattr(incidence, "_subsets_colex", never)
+    rc, out, err = run_cli(capsys, "lw", "--n", "5000", "--theta", "0,1,1", *fmt)
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "error: 25000000 cells in a dense 5000x5000 matrix, past 64 per"
+        " unit of cap 200000; PERMLAB_CAP=390625 would suffice\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", [["--format", "json"], ["--csv"]])
 def test_lw_cell_budget_is_64_cells_per_unit_of_the_cap(capsys, monkeypatch, fmt):
     # 924 x 792 = 731808 cells, and 64 * 11435 is the first budget past it

@@ -38,7 +38,19 @@ def _case_id(case) -> str:
     return label
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[_case_id(c) for c in GOLDEN])
+def _case_ids(cases) -> list[str]:
+    """Each case's _case_id; a case whose id an earlier case already took
+    adds its remaining words."""
+    ids = []
+    for case in cases:
+        label = _case_id(case)
+        if label in ids:
+            label = " ".join(case["argv"])
+        ids.append(label)
+    return ids
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=_case_ids(GOLDEN))
 def test_cli_output_matches_the_golden_snapshot(case, monkeypatch):
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
     stdout = io.StringIO()
