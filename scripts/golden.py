@@ -6,8 +6,9 @@ cap: ``analyze --format json`` for every corpus fixture and pass (span
 with ``--points 1,2``), ``corpus describe --format json`` for every
 fixture, ``analyze --format text`` and ``--format dot`` for the jordan,
 suborbits and span passes on a few fixtures, ``analyze --gens`` with the
-jordan and span passes in JSON and text for two relabeled fixtures, and
-samples of ``lw`` (rank, CSV and theta reports), ``wreath`` and ``cantor``
+jordan and span passes in JSON and text for two relabeled fixtures (the
+jordan pass alone for a third), the jordan pass for an intransitive group
+with fixed points, and samples of ``lw`` (rank, CSV and theta reports), ``wreath`` and ``cantor``
 in both formats.  A change that must keep the CLI's bytes runs
 ``tests/test_golden.py``, which replays every case.
 
@@ -66,9 +67,16 @@ SAMPLES = (
 RENDERED_PASSES = ("jordan", "suborbits", "span")
 RENDERED_FIXTURES = ("pg_2_2", "pg_2_3", "symmetric_5", "alternating_7", "c2wrc2wrc2", "dihedral_6")
 # fixtures given by --gens under the relabeling p -> 5p + 2 (mod degree, a
-# bijection as neither degree is a multiple of 5), so their points no longer
-# come in the order the fixture's orbits list them
-RELABELED_FIXTURES = ("pg_2_3", "c2wrc2wrc2")
+# bijection as no degree is a multiple of 5), so their points no longer
+# come in the order the fixture's orbits list them, with the passes pinned
+RELABELED_FIXTURES = {
+    "pg_2_3": ("jordan", "span"),
+    "c2wrc2wrc2": ("jordan", "span"),
+    "ag_2_3": ("jordan",),
+}
+# groups given by --gens and --degree whose jordan pass is pinned: every
+# fixture is transitive, and these have several orbits and fixed points
+GENERATED_GROUPS = (("(1 2 3 4),(1 2),(5 6 7)", 9),)
 
 
 def _analyze(name: str, pass_name: str, fmt: str) -> list[str]:
@@ -104,9 +112,12 @@ def cases() -> list[list[str]]:
     for name in RENDERED_FIXTURES:
         for pass_name in RENDERED_PASSES:
             out += [_analyze(name, pass_name, fmt) for fmt in ("text", "dot")]
-    for name in RELABELED_FIXTURES:
-        for pass_name in ("jordan", "span"):
+    for name, passes in RELABELED_FIXTURES.items():
+        for pass_name in passes:
             out += [_relabeled(name, pass_name, fmt) for fmt in ("json", "text")]
+    for gens, degree in GENERATED_GROUPS:
+        argv = ["analyze", "--gens", gens, "--degree", str(degree), "--pass", "jordan"]
+        out += [argv + ["--format", fmt] for fmt in ("json", "text")]
     return out
 
 

@@ -620,6 +620,22 @@ def _stabilizer_in(group: GenGroup, size: int, point: int) -> tuple[GenGroup, in
     return _below(chain, 1)
 
 
+def _least_stabilizer(
+    group: GenGroup, parent: GenGroup, size: int, prefix: int | None, least: int
+) -> tuple[GenGroup, int]:
+    """H_least and its order, for H = parent a subgroup of group of the
+    known order `size`.  When H is the base prefix's stabilizer
+    G_(0..prefix-1) and fixes every point from prefix below least, H is
+    G_(0..least-1), so H_least is read below level least + 1 of the
+    group's own chain; otherwise it comes from a chain of H filled to
+    that order (_stabilizer_in)."""
+    if prefix is not None and all(
+        g.images[p] == p for g in parent.generators for p in range(prefix, least)
+    ):
+        return _below(_chain(group), least + 1)
+    return _stabilizer_in(parent, size, least)
+
+
 def _to_least(group: GenGroup, point: int) -> tuple[int, tuple[int, ...]]:
     """The least point r of the point's orbit, and the images of an
     element of the group sending the point to r, from one walk over the
@@ -645,7 +661,9 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
     level k.  Otherwise G_(p1..pk) is the stabilizer of p = pk in the
     memoized H = G_(p1..pk-1): H itself when its generators already fix
     p (a trivial H among them).  Else let r be the least point of p's
-    orbit under H.  H_r comes from a chain of H with r as its first base
+    orbit under H.  When p1..pk-1 is the prefix 0..k-2 and H fixes
+    k-1..r-1, H_r is G_(0..r), read off the group's own chain too.
+    Otherwise H_r comes from a chain of H with r as its first base
     point, filled to the known order |H|, and memoized per (H, r), so
     every p in one orbit of H shares one chain.  For p != r, a walk over
     H's generators finds v in H with (p)v = r, and H_p is generated by
@@ -663,7 +681,10 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
     if all(g.images[last] == last for g in parent.generators):
         return parent, parent_order
     least, v = _to_least(parent, last)
-    stab, size = _stabilizer_in(parent, parent_order, least)
+    prefix = len(points) - 1
+    if prefix and points[-2] != prefix - 1:
+        prefix = None
+    stab, size = _least_stabilizer(group, parent, parent_order, prefix, least)
     if least == last:
         return stab, size
     v_inverse = _inverse_images(v)

@@ -10,12 +10,15 @@ Nothing here lists the group.  The elements available inside a candidate
 set are those fixing its complement, the pointwise stabilizer that
 ``groups`` reads off a stabilizer chain.  A set A = Omega - S of at least
 two points is a Jordan set exactly when it is one orbit of G_(S)
-(P. M. Neumann, Proc. LMS 1985), so the catalog is a depth-first walk
-over the sorted complements S, each stabilizer taken from its memoized
-prefix's, that leaves out every subtree a fixed point rules out.  A
-decreasing fixpoint over the same stabilizers finds the unique maximal
-Jordan set avoiding a prescribed set of points, and spans and the
-closure-operator audit reduce to it.
+(P. M. Neumann, Proc. LMS 1985).  Such an S is closed, S = fix(G_(S)),
+and g in G maps Jordan sets onto Jordan sets, so the catalog walks the
+closed complements up to translates: from G, each node H = G_(S) gets
+one child per H-orbit, the stabilizer of the orbit's least point, and
+the sets found are expanded into their G-orbits.  Every set so found is
+then certified again by ``is_jordan``.  A decreasing fixpoint over the
+same stabilizers finds the unique maximal Jordan set avoiding a
+prescribed set of points, and spans and the closure-operator audit
+reduce to it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from .errors import AxiomsFailed, CapExceeded, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
     _item_orbit,
+    _item_walk,
+    _least_stabilizer,
     _point_in_range,
     _pointwise_stabilizer,
+    _subset_image,
     _tuple_image,
     orbit,
     order,
@@ -120,13 +126,17 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
     """Subsets, by ascending size then lexicographically, that are one
     orbit of the pointwise stabilizer of their complement.
 
-    Walks the sorted complements S depth first; the children of S add a
-    point past S[-1], so each node's stabilizer comes from its memoized
-    prefix.  A point x outside S that G_(S) fixes stays fixed below S
-    until some descendant adds it, so children add no point past the
-    least such x: none at all when x < S[-1], and none either when those
-    points outnumber the levels left.  Only an S whose stabilizer fixes
-    nothing outside it is tested.
+    Such a complement S is closed: S = fix(G_(S)).  Every closed set has
+    a translate on a path from fix(G) through fix(G_r1), fix(G_(r1,r2)),
+    ..., each r_i the least point of its orbit under the stabilizer
+    before it, since a closed set through a moved point can be moved, by
+    that stabilizer, onto the least point of the point's orbit while
+    keeping the fixed points so far.  So the walk goes over the nodes
+    H = G_(S) with one child per H-orbit, the stabilizer of its least
+    point, and leaves out a node whose moved points were already seen or
+    are fewer than the smallest wanted size.  A node whose moved points
+    are a wanted number and one H-orbit is a hit, and the catalog is the
+    G-orbits of the hits' sets, since g maps Jordan sets onto Jordan sets.
     """
     n = group.degree
     if sizes is None:
@@ -136,27 +146,39 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
         for m in wanted_sizes:
             if not 2 <= m <= n:
                 raise OutOfRange(f"size {m} outside 2..{n}")
+    limit = element_cap(cap)
     count = sum(math.comb(n, m) for m in wanted_sizes)
-    if count > element_cap(cap):
+    if count > limit:
         raise CapExceeded(f"{count} candidate subsets passes the cap")
-    order(group, cap)
-    depths = {n - m for m in wanted_sizes}
-    deepest = max(depths, default=-1)
-    hits = []
-    stack: list[tuple[int, ...]] = [()]
+    size = order(group, cap)
+    if not wanted_sizes:
+        return ()
+    smallest = wanted_sizes[0]
+    found: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
+    # (H, |H|, k when H is G_(0..k-1) as the chain's prefix, else None)
+    stack: list[tuple[GenGroup, int, int | None]] = [(group, size, 0)]
     while stack:
-        s = stack.pop()
-        inside = _pointwise_stabilizer(group, s)[0]
-        moved = {p for g in inside.generators for p in range(n) if g.images[p] != p}
-        fixed = [x for x in range(n) if x not in moved and x not in s]
-        if not fixed and len(s) in depths:
-            members = tuple(p for p in range(n) if p not in s)
-            if _connected_inside(inside, members):
-                hits.append(members)
-        if len(s) + max(len(fixed), 1) <= deepest:
-            top = fixed[0] if fixed else n - 1
-            stack.extend(s + (p,) for p in range(s[-1] + 1 if s else 0, top + 1))
-    yield from sorted(hits, key=lambda a: (len(a), a))
+        inside, size, prefix = stack.pop()
+        moved = tuple(p for p in range(n) if any(g.images[p] != p for g in inside.generators))
+        if len(moved) < smallest or moved in seen:
+            continue
+        seen.add(moved)
+        if (
+            len(moved) in wanted_sizes
+            and moved not in found
+            and _connected_inside(inside, moved)
+        ):
+            found.update(_item_walk(moved, _subset_image, group.generators, limit))
+        if len(moved) == smallest:
+            continue
+        covered: set[int] = set()
+        for r in moved:
+            if r not in covered:
+                covered.update(orbit(inside, r).points)
+                child = _least_stabilizer(group, inside, size, prefix, r)
+                stack.append((*child, r + 1 if prefix is not None and r == moved[0] else None))
+    return tuple(sorted(found, key=lambda a: (len(a), a)))
 
 
 def jordan_sets(
@@ -164,10 +186,12 @@ def jordan_sets(
 ) -> tuple[JordanWitness, ...]:
     """All Jordan sets of the group, optionally restricted to given sizes.
 
-    Walks the pointwise-stabilizer lattice of the complements (see
-    ``_jordan_scan``); the survivors then get full witnesses.  The subset
-    count and the group order are compared against the element cap before
-    anything runs, since the walk may be exponential in the degree.
+    Walks the closed complements, one child per stabilizer orbit, and
+    expands the hits into their translates (see ``_jordan_scan``).  Each
+    set found then gets its witness from ``is_jordan``, a second route
+    through the complement's own pointwise stabilizer; a set it refuses
+    raises AxiomsFailed.  The subset count and the group order are
+    compared against the element cap before anything runs.
     """
     found: list[JordanWitness] = []
     for combo in _jordan_scan(group, sizes, cap):

@@ -852,3 +852,44 @@ def schreier_sims_pointwise_stabilizer(group, points: tuple[int, ...]):
     strong = dict.fromkeys(g for below in chain.strong[level:] for g in below)
     generators = tuple(_trusted(images) for images in strong)
     return GenGroup(group.degree, generators), math.prod(chain.orbit_lengths()[level:])
+
+
+def sorted_complement_jordan_scan(group, sizes, cap: int | None):
+    """The library's Jordan scan before the walk over closed complements:
+    a depth-first walk over the sorted complements S, each stabilizer taken
+    from its memoized prefix's, whose children add no point past the least
+    point outside S that G_(S) fixes; every S whose stabilizer fixes
+    nothing outside it is tested for a single orbit on the rest."""
+    from permlab.config import element_cap
+    from permlab.errors import CapExceeded, OutOfRange
+    from permlab.groups import _pointwise_stabilizer, orbit, order
+
+    n = group.degree
+    if sizes is None:
+        wanted_sizes = tuple(range(2, n + 1))
+    else:
+        wanted_sizes = tuple(sorted(set(sizes)))
+        for m in wanted_sizes:
+            if not 2 <= m <= n:
+                raise OutOfRange(f"size {m} outside 2..{n}")
+    count = sum(math.comb(n, m) for m in wanted_sizes)
+    if count > element_cap(cap):
+        raise CapExceeded(f"{count} candidate subsets passes the cap")
+    order(group, cap)
+    depths = {n - m for m in wanted_sizes}
+    deepest = max(depths, default=-1)
+    hits = []
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        s = stack.pop()
+        inside = _pointwise_stabilizer(group, s)[0]
+        moved = {p for g in inside.generators for p in range(n) if g.images[p] != p}
+        fixed = [x for x in range(n) if x not in moved and x not in s]
+        if not fixed and len(s) in depths:
+            members = tuple(p for p in range(n) if p not in s)
+            if len(orbit(inside, members[0]).points) == len(members):
+                hits.append(members)
+        if len(s) + max(len(fixed), 1) <= deepest:
+            top = fixed[0] if fixed else n - 1
+            stack.extend(s + (p,) for p in range(s[-1] + 1 if s else 0, top + 1))
+    return tuple(sorted(hits, key=lambda a: (len(a), a)))

@@ -1,11 +1,12 @@
 """The Jordan scan and the almost-regular decomposition read off the
-pointwise-stabilizer lattice, against the support-table scan and the
-element-list decomposition they replace (``tests/oracles.py``)."""
+pointwise-stabilizer lattice, against the support-table scan, the
+sorted-complement walk and the element-list decomposition they replace
+(``tests/oracles.py``)."""
 
 from __future__ import annotations
 
 import itertools
-import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from permlab.fixtures import fixture
 from permlab.groups import (
     GenGroup,
     _pointwise_stabilizer,
+    _stabilizer_in,
     clear_caches,
     enumerate_elements,
     is_transitive,
@@ -86,21 +88,128 @@ def test_the_cap_is_checked_before_the_walk():
             jordan_sets(s12, sizes=sizes)
 
 
-def test_fixed_points_prune_the_walk(monkeypatch):
+def _relabeled(group: GenGroup, seed: int) -> GenGroup:
+    """The group conjugated by a shuffle of its points."""
+    n = group.degree
+    labels = list(range(n))
+    random.Random(seed).shuffle(labels)
+    generators = []
+    for g in group.generators:
+        images = [0] * n
+        for p in range(n):
+            images[labels[p]] = labels[g.images[p]]
+        generators.append(Permutation(tuple(images)))
+    return GenGroup(n, tuple(generators))
+
+
+RELABELED = [
+    (f"{name}_seed{seed}", _relabeled(group, seed)) for name, group in CORPUS for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("name,group", RELABELED, ids=[name for name, _ in RELABELED])
+def test_walk_equals_the_sorted_complement_scan(name, group):
+    n = group.degree
+    expected = oracles.sorted_complement_jordan_scan(group, None, None)
+    assert tuple(_jordan_scan(group, None, None)) == expected
+    for m in range(2, n + 1):
+        single = tuple(c for c in expected if len(c) == m)
+        assert tuple(_jordan_scan(group, [m], None)) == single, m
+
+
+@st.composite
+def _intransitive_groups_and_sizes(draw):
+    """Groups that keep each of up to three drawn parts of the points and
+    fix the rest, so they have several orbits and usually fixed points."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    parts = [[p for p in range(n) if labels[p] == part] for part in (1, 2, 3)]
+    generators = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        images = list(range(n))
+        for part in parts:
+            for p, q in zip(part, draw(st.permutations(part))):
+                images[p] = q
+        generators.append(Permutation(tuple(images)))
+    sizes = draw(st.none() | st.lists(st.integers(min_value=2, max_value=max(n, 2)), max_size=3))
+    if sizes is not None and n < 2:
+        sizes = []
+    return GenGroup(n, tuple(generators)), sizes
+
+
+@settings(deadline=None)
+@given(_intransitive_groups_and_sizes())
+def test_walk_equals_the_sorted_complement_scan_on_intransitive_groups(case):
+    group, sizes = case
+    expected = oracles.sorted_complement_jordan_scan(group, sizes, None)
+    assert tuple(_jordan_scan(group, sizes, None)) == expected
+
+
+def _walk_work(group, monkeypatch):
+    """The closed complements the walk tests for one orbit and the ones it
+    reaches, and the fresh chains it fills, from cold caches."""
+    tested = []
+    reached = []
+    monkeypatch.undo()
+    connected = jordan._connected_inside
+    least_stabilizer = jordan._least_stabilizer
+
+    def counted_test(inside, members):
+        moved = tuple(p for p in range(group.degree) if any(g.images[p] != p for g in inside.generators))
+        assert moved == members
+        tested.append(members)
+        return connected(inside, members)
+
+    def counted_child(*args):
+        child = least_stabilizer(*args)
+        reached.append(frozenset(p for p in range(group.degree) if all(g.images[p] == p for g in child[0].generators)))
+        return child
+
+    monkeypatch.setattr(jordan, "_connected_inside", counted_test)
+    monkeypatch.setattr(jordan, "_least_stabilizer", counted_child)
+    clear_caches()
+    list(_jordan_scan(group, None, None))
+    return tested, set(reached), _stabilizer_in.cache_info().misses
+
+
+def test_connected_inside_is_called_once_per_tested_closed_complement(monkeypatch):
+    # the benchmark's tracer counts the scan's candidates through this global
+    plane = fixture("pg_2_3").group
+    tested, _, _ = _walk_work(plane, monkeypatch)
+    assert len(tested) == len(set(tested)) == 8
+    # the sorted-complement walk tested 456 of the 1378 complements it visited
     tower = dict(CORPUS)["cyclic_2_wr_cyclic_6"]
-    visited = []
-    real = jordan._pointwise_stabilizer
+    tested, _, _ = _walk_work(tower, monkeypatch)
+    assert len(tested) == len(set(tested)) == 28
 
-    def counted(group, points):
-        visited.append(points)
-        return real(group, points)
 
-    monkeypatch.setattr(jordan, "_pointwise_stabilizer", counted)
-    list(_jordan_scan(tower, None, None))
-    subsets = sum(math.comb(12, m) for m in range(2, 13))
-    assert len(visited) == len(set(visited))
-    # 187 of the 4083 complements; children that may pass a fixed point visit 301
-    assert len(visited) < subsets // 16
+def test_fixed_points_prune_the_walk(monkeypatch):
+    # the nodes are the closed complements, one child per orbit of a node
+    plane = fixture("pg_2_3").group
+    _, reached, misses = _walk_work(plane, monkeypatch)
+    # 1378 complements visited and 754 fresh chains in the sorted-complement walk
+    assert (len(reached), misses) == (8, 17)
+    tower = dict(CORPUS)["cyclic_2_wr_cyclic_6"]
+    _, reached, misses = _walk_work(tower, monkeypatch)
+    # 187 complements visited and 57 fresh chains in the sorted-complement walk
+    assert (len(reached), misses) == (31, 73)
+    _, _, misses = _walk_work(_relabeled(plane, 1), monkeypatch)
+    assert misses <= 25
+
+
+@pytest.mark.parametrize(
+    "name,closed,levels",
+    [("symmetric_8", (1, 2, 3, 4, 5, 6), 7), ("alternating_8", (1, 2, 3, 4, 5, 8), 6)],
+)
+def test_the_walk_reads_base_prefixes_off_the_chain(name, closed, levels, monkeypatch):
+    # G -> G_0 -> G_(0,1) -> ...: each node has one orbit, through its
+    # least moved point, so every child is read off the group's own chain
+    # (A8's G_(0..5) is trivial and fixes everything)
+    group = fixture(name).group
+    tested, reached, misses = _walk_work(group, monkeypatch)
+    assert misses == 0 and _stabilizer_in.cache_info().hits == 0
+    assert reached == {frozenset(range(k)) for k in closed}
+    assert tested == [tuple(range(k, 8)) for k in range(levels)]
 
 
 @pytest.mark.parametrize("name,group", TRANSITIVE, ids=[name for name, _ in TRANSITIVE])

@@ -141,10 +141,21 @@ def test_stabilizer_generators_do_not_depend_on_the_hash_seed():
 
 
 def test_siblings_in_one_orbit_share_one_fresh_chain():
+    # G_(1, q) for q = 2..7: every q lies in the orbit of 0 under G_(1), so
+    # its stabilizer is a conjugate of G_(1, 0), from one chain of G_(1)
+    s8 = fixture("symmetric_8").group
+    clear_caches()
+    for q in range(2, 8):
+        assert _pointwise_stabilizer(s8, (1, q))[1] == 720
+    assert _stabilizer_in.cache_info().misses == 1
+
+
+def test_siblings_of_a_base_prefix_build_no_chain():
     # G_(0, q) for q = 1..7: G_(0, 1) is a base prefix, and every other q
     # lies in the orbit of 1 under G_(0), so its stabilizer is a conjugate
+    # of G_(0, 1), read off the group's own chain
     s8 = fixture("symmetric_8").group
     clear_caches()
     for q in range(1, 8):
         assert _pointwise_stabilizer(s8, (0, q))[1] == 720
-    assert _stabilizer_in.cache_info().misses == 1
+    assert _stabilizer_in.cache_info().misses == 0
