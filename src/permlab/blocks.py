@@ -4,7 +4,9 @@ Primitivity is decided by two independent algorithms that are always run
 together and must agree: route A looks for a proper minimal congruence,
 route B checks weak connectivity of every non-diagonal orbital graph.
 The almost-regular decomposition at the bottom splits a transitive group
-along the orbit partition of a canonically chosen normal subgroup.
+along the orbit partition of a canonically chosen normal subgroup; that
+subgroup is trivial for every finite group, so only the suborbits and the
+first minimum base are computed, and the rest follows by identity.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ from .errors import (
 from .groups import (
     GenGroup,
     _bounded_cache,
-    _item_orbit,
+    _item_walk,
     _pointwise_stabilizer,
-    contains,
     element_set,
     enumerate_elements,
     is_transitive,
     orbit,
     orbits,
     order,
-    stabilizer,
+    point_stabilizer,
     subgroup_from_elements,
 )
 from .perms import Permutation, compose, conjugate, identity, inverse
@@ -70,37 +71,31 @@ class Partition:
         return self.blocks
 
 
-def _partition_from_classes(
-    degree: int, classes, group: GenGroup | None = None
-) -> Partition:
-    blocks = tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda b: b[0]))
-    return Partition(degree, blocks, group)
-
-
 def _partition_from_parents(
     degree: int, find, group: GenGroup | None = None
 ) -> Partition:
     classes: dict[int, list[int]] = {}
     for point in range(degree):
         classes.setdefault(find(point), []).append(point)
-    return _partition_from_classes(degree, classes.values(), group)
+    return partition_from_blocks(degree, classes.values(), group)
 
 
 def partition_from_blocks(
     degree: int, classes, group: GenGroup | None = None
 ) -> Partition:
     """Public constructor: canonicalize arbitrary class iterables."""
-    return _partition_from_classes(degree, classes, group)
+    blocks = tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda b: b[0]))
+    return Partition(degree, blocks, group)
 
 
 def discrete_partition(group: GenGroup) -> Partition:
-    return _partition_from_classes(
+    return partition_from_blocks(
         group.degree, ([p] for p in range(group.degree)), group
     )
 
 
 def universal_partition(group: GenGroup) -> Partition:
-    return _partition_from_classes(group.degree, [range(group.degree)], group)
+    return partition_from_blocks(group.degree, [range(group.degree)], group)
 
 
 def is_congruence(partition: Partition, group: GenGroup) -> bool:
@@ -261,7 +256,7 @@ def _pair_image(pair: tuple[int, int], g: Permutation) -> tuple[int, int]:
 
 
 def _pair_orbit(group: GenGroup, pair: tuple[int, int]) -> frozenset[tuple[int, int]]:
-    return frozenset(_item_orbit(pair, _pair_image, group.generators, group.degree**2))
+    return frozenset(_item_walk(pair, _pair_image, group.generators, group.degree**2))
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,7 @@ class Suborbits:
 def suborbits(group: GenGroup, alpha: int) -> Suborbits:
     if not is_transitive(group):
         raise NotTransitive("suborbits are tracked for transitive actions")
-    stab = stabilizer(group, "point", alpha)
+    stab = point_stabilizer(group, alpha)
     sets = list(orbits(stab))
     sets.sort(key=lambda s: (alpha not in s, s[0]))
     index_of_point = {}
@@ -329,12 +324,12 @@ def subdegree_check(group: GenGroup) -> SubdegreeReport:
     paired_ok = all(
         len(table.sets[i]) == len(table.sets[j]) for i, j in enumerate(table.pairing)
     )
-    stab = stabilizer(group, "point", 0)
+    stab = point_stabilizer(group, 0)
     stab_order = order(stab)
     index_ok = True
     for suborbit in table.sets:
         beta = suborbit[0]
-        two_point = order(stabilizer(stab, "point", beta))
+        two_point = order(point_stabilizer(stab, beta))
         if len(suborbit) != stab_order // two_point:
             index_ok = False
     return SubdegreeReport(tuple(sorted(table.subdegrees)), paired_ok, index_ok)
@@ -461,7 +456,7 @@ def _overgroups_of_point_stabilizer(
     every intermediate subgroup is reached this way.
     """
     whole = enumerate_elements(group, cap)
-    base = stabilizer(group, "point", alpha)
+    base = point_stabilizer(group, alpha)
     base_members = frozenset(element_set(base, cap))
     found: dict[frozenset[Permutation], tuple[Permutation, ...]] = {
         base_members: base.generators
@@ -603,40 +598,24 @@ def almost_regular_decomposition(
 
     The decomposition is degenerate for every finite group: phi is a
     base, so G_(phi) is trivial, U is every point, N is trivial, rho is
-    discrete and quotient_stab_order is |G_0|.  The normality and class
-    size checks still run.  Everything comes from stabilizer chains; the
-    group is never listed.
+    discrete and quotient_stab_order is |G| / n = |G_0|.  Those fields
+    are returned by these identities; the suborbits, m, the order under
+    the cap and the base search (from stabilizer chains, with no element
+    listed) are what is computed.
     """
     if not is_transitive(group):
         raise NotTransitive("the decomposition needs a transitive action")
     table = suborbits(group, 0)
     m = max(table.subdegrees)
-    order(group, cap)
-    phi = _first_base(group)
-    m0 = 1
-    short = orbits(_pointwise_stabilizer(group, phi)[0])
-    united = tuple(sorted(p for o in short if len(o) == m0 for p in o))
-    n_group = _pointwise_stabilizer(group, united)[0]
-    if not all(
-        contains(n_group, conjugate(x, g), cap)
-        for g in group.generators
-        for x in n_group.generators
-    ):
-        raise AxiomsFailed("N not normal")
-    rho = _partition_from_classes(group.degree, orbits(n_group), group)
-    if any(len(block) > m for block in rho.blocks):
-        raise AxiomsFailed("rho class above m")
-    block_index = {point: i for i, block in enumerate(rho.blocks) for point in block}
-    images = (tuple(block_index[g.images[b[0]]] for b in rho.blocks) for g in group.generators)
-    on_blocks = GenGroup(len(rho.blocks), tuple(map(Permutation, images)))
+    size = order(group, cap)
     return AlmostRegularDecomposition(
         m=m,
-        phi=phi,
-        m0=m0,
-        n_generators=n_group.generators,
-        rho=rho,
-        quotient_stab_order=order(on_blocks, cap) // len(rho.blocks),
-        almost_regular=m0 == 1,
+        phi=_first_base(group),
+        m0=1,
+        n_generators=(),
+        rho=discrete_partition(group),
+        quotient_stab_order=size // group.degree,
+        almost_regular=True,
     )
 
 
@@ -650,7 +629,7 @@ def _conjugacy_classes(group: GenGroup, cap: int | None) -> tuple[tuple[Permutat
     for x in sorted(elements, key=lambda f: f.images):
         if x in seen:
             continue
-        cls = _item_orbit(x, conjugate, group.generators, len(elements))
+        cls = list(_item_walk(x, conjugate, group.generators, len(elements)))
         seen.update(cls)
         classes.append(tuple(sorted(cls, key=lambda f: f.images)))
     return tuple(classes)
@@ -726,7 +705,7 @@ def normal_subgroup_audit(group: GenGroup, cap: int | None = None) -> NormalAudi
     dichotomy = None
     table = suborbits(group, 0)
     if max(table.subdegrees) <= 2:
-        stab_small = order(stabilizer(group, "point", 0)) <= 2
+        stab_small = order(point_stabilizer(group, 0)) <= 2
         rho_small = any(
             not rho.is_discrete and max(len(b) for b in rho.blocks) <= 2
             for rho in congruences(group)

@@ -89,6 +89,8 @@ def _resolve_group(args) -> tuple[str, GenGroup, object]:
         return args.fixture, fix.group, fix
     if args.degree is None:
         raise OutOfRange("--gens needs --degree")
+    if args.degree < 0:
+        raise OutOfRange(f"--degree {args.degree} is negative")
     gens = tuple(
         parse_cycles(part.strip(), args.degree) for part in args.gens.split(",")
     )
@@ -233,7 +235,7 @@ _PASSES = {
 def _cmd_analyze(args) -> int:
     label, group, fix = _resolve_group(args)
     if group.degree < 2:
-        note = "degree 1 action: every pass is trivial; nothing to report"
+        note = f"degree {group.degree} action: every pass is trivial; nothing to report"
         return _emit(args, {"group": label, "note": note}, [f"note: {note}"])
     names = [p.strip() for p in args.passes.split(",") if p.strip()]
     for name in names:

@@ -13,13 +13,18 @@ Questions whose answers do not depend on that order (the order, membership,
 the element-cap check, the transitivity degree, and the closure test of
 the greedy generating-set scan) are answered by a stabilizer chain built
 by deterministic Schreier-Sims on the base 0, 1, ..., n-1.  Point and
-pointwise stabilizers are read off that chain's lower levels, or off
-further chains whose base starts at a stabilized point; none of them
-lists an element.  Such a chain is of a stabilizer whose order is
-already known, so it is filled to that order from seeded random
-elements (a chain's order is exact, so reaching it proves the chain
-complete), and a point that is not the least of its orbit gets the
-conjugate of its least sibling's stabilizer instead of a chain.
+pointwise stabilizers (``point_stabilizer``, ``pointwise_stabilizer``)
+are read off that chain's lower levels, or off further chains whose base
+starts at a stabilized point; none of them lists an element.  Such a
+chain is of a stabilizer whose order is already known, so it is filled
+to that order from seeded random elements (a chain's order is exact, so
+reaching it proves the chain complete), and a point that is not the
+least of its orbit gets the conjugate of its least sibling's
+stabilizer, by the orbit's BFS transversal element, instead of a chain.
+The setwise stabilizer (``setwise_stabilizer``) filters the element
+list.  Orbits on pairs, tuples, subsets and elements are walked by the
+one generator ``_item_walk``; ``orbit`` keeps its own loop, which
+records the transversal words.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
 order.  Sums that ignore order (the Burnside count of fixed subsets in
@@ -154,11 +159,6 @@ def _item_walk(start, act, generators, cap: int) -> Iterator:
                 seen.add(moved)
                 queue.append(moved)
                 yield moved
-
-
-def _item_orbit(start, act, generators, cap: int) -> list:
-    """The whole orbit _item_walk yields, as a list in BFS order."""
-    return list(_item_walk(start, act, generators, cap))
 
 
 _CACHES: list = []
@@ -523,10 +523,10 @@ class Orbit:
         return dict(self.words)[point]
 
     def transversal_element(self, point: int) -> Permutation:
-        t = identity(self.group.degree)
+        images = tuple(range(self.group.degree))
         for index in self.word(point):
-            t = compose(t, self.group.generators[index])
-        return t
+            images = _images_product(images, self.group.generators[index].images)
+        return _trusted(images)
 
 
 def _point_in_range(group: GenGroup, point: int) -> int:
@@ -571,34 +571,27 @@ def is_transitive(group: GenGroup) -> bool:
 # stabilizers
 
 
-def stabilizer(
-    group: GenGroup,
-    kind: str,
-    arg,
-    cap: int | None = None,
-) -> GenGroup:
-    """Stabilizer subgroup.
+def point_stabilizer(group: GenGroup, point: int) -> GenGroup:
+    """G_point, read off a stabilizer chain without enumerating anything;
+    it never checks the element cap."""
+    return _pointwise_stabilizer(group, (_point_in_range(group, point),))[0]
 
-    kind: "point" (arg: a point), "pointwise" (arg: iterable of points),
-    both read off a stabilizer chain without enumerating anything, or
-    "setwise" (arg: iterable of points; filters the element list).  The
-    pointwise and setwise stabilizers raise CapExceeded when |G| passes
-    the cap; the point stabilizer never checks it.
-    """
-    if kind == "point":
-        return _pointwise_stabilizer(group, (_point_in_range(group, arg),))[0]
-    if kind == "pointwise":
-        _capped_order(group, element_cap(cap))
-        wanted = tuple(sorted({_point_in_range(group, p) for p in arg}))
-        return _pointwise_stabilizer(group, wanted)[0]
-    if kind == "setwise":
-        elements = enumerate_elements(group, cap)
-        wanted = frozenset(_point_in_range(group, p) for p in arg)
-        keep = tuple(
-            g for g in elements if frozenset(g.images[p] for p in wanted) == wanted
-        )
-        return subgroup_from_elements(keep, group.degree)
-    raise ValueError(f"unknown stabilizer kind {kind!r}")
+
+def pointwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> GenGroup:
+    """G_(points), read off a stabilizer chain; CapExceeded when |G| passes
+    the cap."""
+    _capped_order(group, element_cap(cap))
+    wanted = tuple(sorted({_point_in_range(group, p) for p in points}))
+    return _pointwise_stabilizer(group, wanted)[0]
+
+
+def setwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> GenGroup:
+    """G_{points}, the elements mapping the set onto itself, filtered from
+    the element list (CapExceeded when that list passes the cap)."""
+    elements = enumerate_elements(group, cap)
+    wanted = frozenset(_point_in_range(group, p) for p in points)
+    keep = tuple(g for g in elements if frozenset(g.images[p] for p in wanted) == wanted)
+    return subgroup_from_elements(keep, group.degree)
 
 
 def _below(chain: _Chain, level: int) -> tuple[GenGroup, int]:
@@ -636,23 +629,6 @@ def _least_stabilizer(
     return _stabilizer_in(parent, size, least)
 
 
-def _to_least(group: GenGroup, point: int) -> tuple[int, tuple[int, ...]]:
-    """The least point r of the point's orbit, and the images of an
-    element of the group sending the point to r, from one walk over the
-    generators."""
-    reached = {point: tuple(range(group.degree))}
-    queue = [point]
-    for current in queue:
-        u = reached[current]
-        for g in group.generators:
-            image = g.images[current]
-            if image not in reached:
-                reached[image] = _images_product(u, g.images)
-                queue.append(image)
-    least = min(reached)
-    return least, reached[least]
-
-
 @_bounded_cache
 def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[GenGroup, int]:
     """G_(points) and its order, for a sorted tuple of distinct points.
@@ -665,12 +641,13 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
     k-1..r-1, H_r is G_(0..r), read off the group's own chain too.
     Otherwise H_r comes from a chain of H with r as its first base
     point, filled to the known order |H|, and memoized per (H, r), so
-    every p in one orbit of H shares one chain.  For p != r, a walk over
-    H's generators finds v in H with (p)v = r, and H_p is generated by
-    the conjugates v h v^-1 ("apply v, then h, then v^-1") of H_r's
-    generators h, with the same order.  Walks over the subsets of the
-    points (the Jordan scan, the search for a minimum base) get every
-    node from its memoized prefix this way.
+    every p in one orbit of H shares one chain.  For p != r, v in H with
+    (p)v = r is the transversal element of r in ``orbit(H, p)`` (its BFS
+    over H's generators, in queue order and then generator order), and
+    H_p is generated by the conjugates v h v^-1 ("apply v, then h, then
+    v^-1") of H_r's generators h, with the same order.  Walks over the
+    subsets of the points (the Jordan scan, the search for a minimum
+    base) get every node from its memoized prefix this way.
     """
     if not points:
         return group, _chain(group).order()
@@ -680,13 +657,15 @@ def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[Gen
     last = points[-1]
     if all(g.images[last] == last for g in parent.generators):
         return parent, parent_order
-    least, v = _to_least(parent, last)
+    walked = orbit(parent, last)
+    least = walked.points[0]
     prefix = len(points) - 1
     if prefix and points[-2] != prefix - 1:
         prefix = None
     stab, size = _least_stabilizer(group, parent, parent_order, prefix, least)
     if least == last:
         return stab, size
+    v = walked.transversal_element(least).images
     v_inverse = _inverse_images(v)
     generators = tuple(
         _trusted(_images_product(_images_product(v, h.images), v_inverse))
@@ -804,7 +783,7 @@ def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> in
     best = 0
     for k in range(1, kmax + 1):
         try:
-            walked = _item_orbit(tuple(range(k)), _subset_image, group.generators, cap)
+            walked = list(_item_walk(tuple(range(k)), _subset_image, group.generators, cap))
         except CapExceeded as exc:
             bound = math.comb(group.degree, k)
             raise CapExceeded(
@@ -924,7 +903,7 @@ def gspace_automorphisms(
     """
     if not is_transitive(group):
         raise NotTransitive("the action has more than one orbit")
-    stab = stabilizer(group, "point", alpha)
+    stab = point_stabilizer(group, alpha)
     normalizer = _normalizer_of_subgroup(group, stab, cap)
     table = orbit(group, alpha)
     transversal = {

@@ -31,7 +31,6 @@ from .config import element_cap
 from .errors import AxiomsFailed, CapExceeded, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
-    _item_orbit,
     _item_walk,
     _least_stabilizer,
     _point_in_range,
@@ -40,7 +39,7 @@ from .groups import (
     _tuple_image,
     orbit,
     order,
-    stabilizer,
+    pointwise_stabilizer,
     transitivity_degree,
 )
 from .perms import Permutation
@@ -109,7 +108,7 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
         raise TooSmall("a Jordan set needs at least two points")
     points = tuple(sorted(wanted))
     complement = [p for p in range(group.degree) if p not in wanted]
-    inside = stabilizer(group, "pointwise", complement, cap)
+    inside = pointwise_stabilizer(group, complement, cap)
     if set(orbit(inside, points[0]).points) != wanted:
         return None
     index = {p: i for i, p in enumerate(points)}
@@ -328,7 +327,7 @@ def _tuple_orbits(group: GenGroup, tuples: tuple[tuple[int, ...], ...]) -> int:
     while items:
         orbits += 1
         items.difference_update(
-            _item_orbit(min(items), _tuple_image, group.generators, len(items))
+            _item_walk(min(items), _tuple_image, group.generators, len(items))
         )
     return orbits
 

@@ -30,7 +30,7 @@ from .errors import (
     PointOutOfRange,
 )
 from .blocks import _UnionFind, partition_from_blocks
-from .groups import _item_orbit
+from .groups import _item_walk
 from .relations import Relation, relation
 
 
@@ -851,7 +851,7 @@ def _validate_subset(group, sigma):
 def set_translates(group, sigma):
     """Orbit of a point set under the group, as a sorted tuple of frozensets."""
     sigma = _validate_subset(group, sigma)
-    seen = _item_orbit(
+    seen = _item_walk(
         sigma,
         lambda s, g: frozenset(g.images[p] for p in s),
         group.generators,

@@ -24,7 +24,7 @@ from .groups import (
     enumerate_elements,
     is_transitive,
     order,
-    stabilizer,
+    setwise_stabilizer,
 )
 from .perms import Permutation, format_cycles, identity, inverse, parse_cycles
 
@@ -306,7 +306,7 @@ def imprimitive_embedding(
             break
 
     # bottom group: setwise stabilizer of the base block, restricted
-    setwise = stabilizer(group, "setwise", base_block, cap)
+    setwise = setwise_stabilizer(group, base_block, cap)
     bottom_generators = tuple(
         Permutation(
             tuple(position_in_base[s.images[point]] for point in base_block)

@@ -368,7 +368,7 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
     library's own."""
     from permlab.blocks import (
         AlmostRegularDecomposition,
-        _partition_from_classes,
+        partition_from_blocks,
         suborbits,
     )
     from permlab.errors import AxiomsFailed, NotTransitive
@@ -376,7 +376,7 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
         enumerate_elements,
         is_transitive,
         orbits,
-        stabilizer,
+        pointwise_stabilizer,
         subgroup_from_elements,
     )
     from permlab.perms import conjugate
@@ -403,7 +403,7 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
     elements = enumerate_elements(group, cap)
     candidates = set(elements)
     for phi in witnesses:
-        stab = stabilizer(group, "pointwise", phi, cap)
+        stab = pointwise_stabilizer(group, phi, cap)
         short_orbits = [set(o) for o in orbits(stab) if len(o) == m0]
         candidates = {
             g
@@ -416,7 +416,7 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
     if any(conjugate(x, g) not in candidates for g in group.generators for x in n_members):
         raise AxiomsFailed("N not normal")
     n_group = subgroup_from_elements(n_members, group.degree)
-    rho = _partition_from_classes(group.degree, orbits(n_group), group)
+    rho = partition_from_blocks(group.degree, orbits(n_group), group)
     if any(len(block) > m for block in rho.blocks):
         raise AxiomsFailed("rho class above m")
     block_index = {}
@@ -498,7 +498,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
     fiber of psi is the composite transversal[delta], g, and the inverse
     of the transversal element of the block g moves delta to, inverted
     afresh for every element and block."""
-    from permlab.groups import GenGroup, enumerate_elements, stabilizer
+    from permlab.groups import GenGroup, enumerate_elements, setwise_stabilizer
     from permlab.perms import compose, inverse
     from permlab.wreath import EmbeddingReport, ProductDomain, wreath
 
@@ -509,7 +509,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
     transversal: dict[int, Permutation] = {}
     for g in enumerate_elements(group, cap):
         transversal.setdefault(block_of[g.images[base_block[0]]], g)
-    setwise = stabilizer(group, "setwise", base_block, cap)
+    setwise = setwise_stabilizer(group, base_block, cap)
     bottom = GenGroup(
         len(base_block),
         tuple(
@@ -893,3 +893,21 @@ def sorted_complement_jordan_scan(group, sizes, cap: int | None):
             top = fixed[0] if fixed else n - 1
             stack.extend(s + (p,) for p in range(s[-1] + 1 if s else 0, top + 1))
     return tuple(sorted(hits, key=lambda a: (len(a), a)))
+
+
+def to_least(group, point: int) -> tuple[int, tuple[int, ...]]:
+    """The library's walk to the least point of an orbit before it read
+    the transversal off ``orbit``: the least point r of the point's orbit,
+    and the images of an element of the group sending the point to r,
+    from one walk over the generators."""
+    reached = {point: tuple(range(group.degree))}
+    queue = [point]
+    for current in queue:
+        u = reached[current]
+        for g in group.generators:
+            image = g.images[current]
+            if image not in reached:
+                reached[image] = tuple(g.images[p] for p in u)
+                queue.append(image)
+    least = min(reached)
+    return least, reached[least]

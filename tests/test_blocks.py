@@ -33,7 +33,8 @@ from permlab.groups import (
     enumerate_elements,
     group_from_cycles,
     order,
-    stabilizer,
+    point_stabilizer,
+    pointwise_stabilizer,
     symmetric_group,
 )
 from permlab.perms import identity, parse_cycles
@@ -390,10 +391,10 @@ def test_decomposition_phi_is_minimum_hitting_set():
     # no smaller point set kills the pointwise stabilizer
     for g in [d4(), c2wrc3(), symmetric_group(4)]:
         dec = almost_regular_decomposition(g)
-        assert order(stabilizer(g, "pointwise", dec.phi)) == 1
+        assert order(pointwise_stabilizer(g, dec.phi)) == 1
         for smaller in itertools.combinations(range(g.degree), len(dec.phi) - 1):
             if smaller:
-                assert order(stabilizer(g, "pointwise", smaller)) > 1
+                assert order(pointwise_stabilizer(g, smaller)) > 1
 
 
 # normal subgroup audit
@@ -439,7 +440,7 @@ def test_fixed_point_relation_is_congruence():
     for g in transitive_samples():
         classes = {}
         for alpha in range(g.degree):
-            stab = stabilizer(g, "point", alpha)
+            stab = point_stabilizer(g, alpha)
             fixed = frozenset(
                 p
                 for p in range(g.degree)

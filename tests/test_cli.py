@@ -79,6 +79,28 @@ def test_analyze_degree_one_note(capsys):
     assert "degree 1" in out
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_analyze_below_degree_two_names_the_degree(capsys, degree):
+    note = f"degree {degree} action: every pass is trivial; nothing to report"
+    rc, out, _ = run_cli(capsys, "analyze", "--gens", "()", "--degree", str(degree))
+    assert (rc, out) == (0, f"note: {note}\n")
+    rc, out, _ = run_cli(
+        capsys, "analyze", "--gens", "()", "--degree", str(degree), "--format", "json"
+    )
+    assert rc == 0
+    assert report_of(out) == {"group": "custom", "note": note}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_negative_degree_exits_2_naming_the_flag(capsys, fmt):
+    rc, out, err = run_cli(
+        capsys, "analyze", "--gens", "()", "--degree", "-1", "--format", fmt
+    )
+    assert rc == 2
+    assert out == ""
+    assert "--degree -1 is negative" in err
+
+
 def test_analyze_unknown_pass_exits_2(capsys):
     rc, _, err = run_cli(capsys, "analyze", "--fixture", "cyclic_4", "--pass", "nope")
     assert rc == 2

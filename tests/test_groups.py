@@ -23,8 +23,10 @@ from permlab.groups import (
     orbit,
     orbits,
     order,
+    point_stabilizer,
+    pointwise_stabilizer,
     separation_search,
-    stabilizer,
+    setwise_stabilizer,
     symmetric_group,
     transitivity_degree,
 )
@@ -140,38 +142,38 @@ def test_a_group_hashes_its_degree_and_generators_once():
 
 def test_point_stabilizer_example():
     s3 = symmetric_group(3)
-    stab = stabilizer(s3, "point", 0)
+    stab = point_stabilizer(s3, 0)
     assert element_set(stab) == {identity(3), parse_cycles("(2 3)", 3)}
 
 
 def test_pointwise_stabilizer_empty_is_whole_group():
     for g in sample_groups():
-        assert element_set(stabilizer(g, "pointwise", [])) == element_set(g)
+        assert element_set(pointwise_stabilizer(g, [])) == element_set(g)
 
 
 def test_setwise_stabilizer_example():
     d4 = group_from_cycles(4, "(1 2 3 4)", "(1 3)")
-    assert order(stabilizer(d4, "setwise", [0, 2])) == 4
+    assert order(setwise_stabilizer(d4, [0, 2])) == 4
 
 
 def test_schreier_stabilizer_matches_filter():
     for g in sample_groups():
         for alpha in range(min(3, g.degree)):
-            fast = element_set(stabilizer(g, "point", alpha))
+            fast = element_set(point_stabilizer(g, alpha))
             slow = oracles.stabilizer_filter(set(element_set(g)), alpha)
             assert fast == slow
 
 
 def test_pointwise_setwise_match_filter():
     d4 = group_from_cycles(4, "(1 2 3 4)", "(1 3)")
-    pw = element_set(stabilizer(d4, "pointwise", [0, 2]))
+    pw = element_set(pointwise_stabilizer(d4, [0, 2]))
     by_hand = {
         g
         for g in element_set(d4)
         if g.images[0] == 0 and g.images[2] == 2
     }
     assert pw == by_hand
-    sw = element_set(stabilizer(d4, "setwise", [0, 2]))
+    sw = element_set(setwise_stabilizer(d4, [0, 2]))
     by_hand = {
         g for g in element_set(d4) if {g.images[0], g.images[2]} == {0, 2}
     }
@@ -182,7 +184,7 @@ def test_orbit_stabilizer_theorem():
     for g in sample_groups():
         for alpha in range(g.degree):
             assert len(orbit(g, alpha).points) * order(
-                stabilizer(g, "point", alpha)
+                point_stabilizer(g, alpha)
             ) == order(g)
 
 

@@ -16,7 +16,7 @@ from permlab.groups import (
     homogeneity_degree,
     orbit,
     order,
-    stabilizer,
+    setwise_stabilizer,
     symmetric_group,
     transitivity_degree,
 )
@@ -214,7 +214,7 @@ def test_nested_maximal_side_is_a_block():
         return True
 
     for small, big in nested:
-        h = enumerate_elements(stabilizer(fix.group, "setwise", big))
+        h = enumerate_elements(setwise_stabilizer(fix.group, big))
         assert is_block(h, small) or is_block(h, big - small)
 
 

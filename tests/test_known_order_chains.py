@@ -9,6 +9,7 @@ the parent stabilizer, so its stabilizer is a conjugate.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import random
@@ -28,10 +29,11 @@ from permlab.groups import (
     _stabilizer_in,
     clear_caches,
     element_set,
+    orbit,
     order,
     symmetric_group,
 )
-from permlab.jordan import _jordan_scan
+from permlab.jordan import _jordan_scan, jordan_sets
 from permlab.perms import Permutation
 from permlab.suite import _corpus
 
@@ -159,3 +161,38 @@ def test_siblings_of_a_base_prefix_build_no_chain():
     for q in range(1, 8):
         assert _pointwise_stabilizer(s8, (0, q))[1] == 720
     assert _stabilizer_in.cache_info().misses == 0
+
+
+def _at_most_two_points(group: GenGroup):
+    return (c for m in range(3) for c in itertools.combinations(range(group.degree), m))
+
+
+# One sha256 over (S, order, generator images) of every G_(S) with |S| <= 2,
+# and over every Jordan witness group, on the corpus and on its relabeling.
+_STABILIZERS_AND_WITNESSES_SHA256 = "71cc459938c79fa8fabf3c5f211f9a21b1abd94777b547fd68508d8bd461a93b"
+
+
+def test_stabilizer_and_witness_generators_are_pinned():
+    digest = hashlib.sha256()
+    for name, group in CASES:
+        digest.update(name.encode())
+        for points in _at_most_two_points(group):
+            stab, size = _pointwise_stabilizer(group, points)
+            digest.update(repr((points, size, [g.images for g in stab.generators])).encode())
+        for witness in jordan_sets(group):
+            generators = [g.images for g in witness.witness_group.generators]
+            digest.update(repr((witness.points, witness.proper, generators)).encode())
+    assert digest.hexdigest() == _STABILIZERS_AND_WITNESSES_SHA256
+
+
+@pytest.mark.parametrize("name,group", CASES, ids=IDS)
+def test_orbit_transversal_equals_the_walk_to_the_least_point(name, group):
+    # every node H = G_(S) with |S| <= 2 and every point p that H moves
+    for points in _at_most_two_points(group):
+        stab = _pointwise_stabilizer(group, points)[0]
+        moved = {p for g in stab.generators for p in range(group.degree) if g.images[p] != p}
+        for p in sorted(moved):
+            least, images = oracles.to_least(stab, p)
+            walked = orbit(stab, p)
+            assert walked.points[0] == least, (points, p)
+            assert walked.transversal_element(least).images == images, (points, p)

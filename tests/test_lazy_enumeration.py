@@ -23,8 +23,9 @@ from permlab.groups import (
     element_set,
     enumerate_elements,
     order,
+    point_stabilizer,
+    pointwise_stabilizer,
     separation_search,
-    stabilizer,
 )
 from permlab.incidence import _element_table, _fixed_subset_totals
 from permlab.perms import compose
@@ -131,9 +132,9 @@ SMALL = [(name, group) for name, group in CORPUS if order(group) <= 200]
 def test_coset_spaces_isomorphic_equals_the_full_list_scan(name, group):
     clear_caches()
     n = group.degree
-    h = stabilizer(group, "point", 0)
-    for k in [stabilizer(group, "point", p) for p in range(n)] + [
-        stabilizer(group, "pointwise", [0, 1]),
+    h = point_stabilizer(group, 0)
+    for k in [point_stabilizer(group, p) for p in range(n)] + [
+        pointwise_stabilizer(group, [0, 1]),
         h,
     ]:
         expected = (

@@ -22,7 +22,9 @@ from permlab.groups import (
     element_set,
     enumerate_elements,
     order,
-    stabilizer,
+    point_stabilizer,
+    pointwise_stabilizer,
+    setwise_stabilizer,
     symmetric_group,
 )
 from permlab.jordan import (
@@ -56,7 +58,7 @@ def test_pointwise_stabilizer_equals_the_element_filter(name, group):
     for points in dict.fromkeys(small + complements):
         mask = sum(1 << p for p in points)
         expected = {g for g, m in fixed.items() if not mask & ~m}
-        stab = stabilizer(group, "pointwise", points)
+        stab = pointwise_stabilizer(group, points)
         assert set(enumerate_elements(stab)) == expected, points
         assert _pointwise_stabilizer(group, points)[1] == len(expected), points
 
@@ -66,7 +68,7 @@ def test_point_stabilizer_equals_the_schreier_generator_group(name, group):
     for alpha in range(group.degree):
         schreier = oracles.schreier_point_stabilizer(group.degree, group.generators, alpha)
         expected = element_set(GenGroup(group.degree, tuple(schreier)))
-        assert element_set(stabilizer(group, "point", alpha)) == expected, alpha
+        assert element_set(point_stabilizer(group, alpha)) == expected, alpha
 
 
 @pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
@@ -140,22 +142,22 @@ def test_a_known_order_stops_the_schreier_checks(monkeypatch):
 
 def test_pointwise_stabilizer_keeps_the_cap():
     s6 = symmetric_group(6)
-    assert order(stabilizer(s6, "pointwise", [0], cap=720)) == 120
+    assert order(pointwise_stabilizer(s6, [0], cap=720)) == 120
     with pytest.raises(CapExceeded, match="cap 719"):
-        stabilizer(s6, "pointwise", [0], cap=719)
+        pointwise_stabilizer(s6, [0], cap=719)
     with pytest.raises(CapExceeded, match="cap 719"):
         maximal_jordan_avoiding(s6, [0], seed=0, cap=719)
     with pytest.raises(OutOfRange):
         maximal_jordan_avoiding(s6, [0], seed=0, cap=720)
-    for kind, arg in (
-        ("point", 6),
-        ("pointwise", [1, 6]),
-        ("point", -1),
-        ("setwise", [-1]),
-        ("setwise", [0, 6]),
+    for function, arg in (
+        (point_stabilizer, 6),
+        (pointwise_stabilizer, [1, 6]),
+        (point_stabilizer, -1),
+        (setwise_stabilizer, [-1]),
+        (setwise_stabilizer, [0, 6]),
     ):
         with pytest.raises(PointOutOfRange):
-            stabilizer(s6, kind, arg)
+            function(s6, arg)
 
 
 def test_spans_and_witnesses_never_enumerate_the_group(monkeypatch):
@@ -177,5 +179,5 @@ def test_spans_and_witnesses_never_enumerate_the_group(monkeypatch):
     witness = is_jordan(s8, [2, 3, 4, 5, 6, 7])
     assert witness is not None and not witness.proper
     assert order(witness.witness_group) == 720
-    assert order(stabilizer(s8, "pointwise", [0, 1, 2])) == 120
+    assert order(pointwise_stabilizer(s8, [0, 1, 2])) == 120
     assert len(span_geometry(s8, size_cap=1).table) == 1 + 8 + 28

@@ -18,7 +18,7 @@ from permlab.config import DEFAULT_CAP
 from permlab.errors import CapExceeded
 from permlab.fixtures import fixture
 from permlab.groups import (
-    _item_orbit,
+    _item_walk,
     _subset_image,
     _tuple_image,
     cyclic_group,
@@ -43,7 +43,7 @@ def _assert_orbits_match(group, items, act, cap, key=lambda x: x):
     gens = list(group.generators)
     for expected in oracles.orbits_on(gens, items):
         start = min(expected, key=lambda x: sorted(x) if isinstance(x, frozenset) else x)
-        walked = _item_orbit(key(start), act, gens, cap)
+        walked = list(_item_walk(key(start), act, gens, cap))
         assert walked[0] == key(start)
         assert len(walked) == len(set(walked)) == len(expected)
         assert set(walked) == {key(x) for x in expected}
@@ -66,9 +66,9 @@ def test_item_orbit_matches_oracle_orbits(name, group):
 
 def test_item_orbit_allows_exactly_cap_items():
     c5 = cyclic_group(5)
-    assert len(_item_orbit((0, 1), _tuple_image, c5.generators, 5)) == 5
+    assert len(list(_item_walk((0, 1), _tuple_image, c5.generators, 5))) == 5
     with pytest.raises(CapExceeded, match="passed cap 4"):
-        _item_orbit((0, 1), _tuple_image, c5.generators, 4)
+        list(_item_walk((0, 1), _tuple_image, c5.generators, 4))
 
 
 @pytest.mark.parametrize("name,group", _corpus(), ids=[name for name, _ in _corpus()])
