@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AxiomsFailed,
     DiagonalOrbital,
     NotTransitive,
+    OutOfRange,
     PermlabError,
+    PointOutOfRange,
     TooSmall,
 )
 from .groups import (
@@ -41,17 +43,34 @@ from .perms import Permutation, compose, conjugate, identity, inverse
 
 @dataclass(frozen=True)
 class Partition:
-    """Partition of {0..degree-1}; blocks sorted by least point."""
+    """Partition of {0..degree-1}; blocks sorted by least point.
+
+    index[p] is the position in blocks of the class holding p, built once
+    when the partition is made; a point outside 0..degree-1 raises
+    PointOutOfRange, and a point in two classes or in none OutOfRange.
+    """
 
     degree: int
     blocks: tuple[tuple[int, ...], ...]
-    congruence_for: GenGroup | None = None
+    index: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = [-1] * self.degree
+        for position, block in enumerate(self.blocks):
+            for p in block:
+                if not 0 <= p < self.degree:
+                    raise PointOutOfRange(f"point {p} outside 0..{self.degree - 1}")
+                if index[p] != -1:
+                    raise OutOfRange(f"point {p} lies in two classes")
+                index[p] = position
+        if -1 in index:
+            raise OutOfRange(f"point {index.index(-1)} lies in no class")
+        object.__setattr__(self, "index", tuple(index))
 
     def block_of(self, point: int) -> int:
-        for index, block in enumerate(self.blocks):
-            if point in block:
-                return index
-        raise ValueError(f"point {point} not covered")
+        if not 0 <= point < self.degree:
+            raise PointOutOfRange(f"point {point} outside 0..{self.degree - 1}")
+        return self.index[point]
 
     def class_of(self, point: int) -> tuple[int, ...]:
         return self.blocks[self.block_of(point)]
@@ -67,49 +86,38 @@ class Partition:
     def is_universal(self) -> bool:
         return len(self.blocks) == 1
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks
 
-
-def _partition_from_parents(
-    degree: int, find, group: GenGroup | None = None
-) -> Partition:
+def _partition_from_parents(degree: int, find) -> Partition:
     classes: dict[int, list[int]] = {}
     for point in range(degree):
         classes.setdefault(find(point), []).append(point)
-    return partition_from_blocks(degree, classes.values(), group)
+    return partition_from_blocks(degree, classes.values())
 
 
-def partition_from_blocks(
-    degree: int, classes, group: GenGroup | None = None
-) -> Partition:
-    """Public constructor: canonicalize arbitrary class iterables."""
-    blocks = tuple(sorted((tuple(sorted(c)) for c in classes), key=lambda b: b[0]))
-    return Partition(degree, blocks, group)
+def partition_from_blocks(degree: int, classes) -> Partition:
+    """Public constructor: canonicalize arbitrary class iterables (an
+    empty class is dropped)."""
+    blocks = sorted((tuple(sorted(c)) for c in classes if c), key=lambda b: b[0])
+    return Partition(degree, tuple(blocks))
 
 
 def discrete_partition(group: GenGroup) -> Partition:
-    return partition_from_blocks(
-        group.degree, ([p] for p in range(group.degree)), group
-    )
+    return partition_from_blocks(group.degree, ([p] for p in range(group.degree)))
 
 
 def universal_partition(group: GenGroup) -> Partition:
-    return partition_from_blocks(group.degree, [range(group.degree)], group)
+    return partition_from_blocks(group.degree, [range(group.degree)])
 
 
 def is_congruence(partition: Partition, group: GenGroup) -> bool:
-    """True when every generator maps every block onto a block."""
-    block_index = {}
-    for index, block in enumerate(partition.blocks):
-        for point in block:
-            block_index[point] = index
-    for g in group.generators:
-        for block in partition.blocks:
-            images = {block_index[g.images[p]] for p in block}
-            if len(images) != 1:
-                return False
-    return True
+    """True when the partition is of the group's points and every
+    generator maps every block onto a block."""
+    index = partition.index
+    return partition.degree == group.degree and all(
+        len({index[g.images[p]] for p in block}) == 1
+        for g in group.generators
+        for block in partition.blocks
+    )
 
 
 class _UnionFind:
@@ -151,7 +159,7 @@ def minimal_congruence_identifying(
             xg, yg = g.images[x], g.images[y]
             if uf.union(xg, yg):
                 pending.append((xg, yg))
-    return _partition_from_parents(group.degree, uf.find, group)
+    return _partition_from_parents(group.degree, uf.find)
 
 
 def partition_join(a: Partition, b: Partition) -> Partition:
@@ -160,7 +168,7 @@ def partition_join(a: Partition, b: Partition) -> Partition:
     for block in a.blocks + b.blocks:
         for point in block[1:]:
             uf.union(block[0], point)
-    return _partition_from_parents(a.degree, uf.find, a.congruence_for)
+    return _partition_from_parents(a.degree, uf.find)
 
 
 def congruences(group: GenGroup) -> tuple[Partition, ...]:
@@ -179,19 +187,19 @@ def congruences(group: GenGroup) -> tuple[Partition, ...]:
         for beta in range(1, group.degree)
     ]
     for partition in start:
-        found[partition.key()] = partition
+        found[partition.blocks] = partition
     fresh = list(found.values())
     while fresh:
         additions = []
         for a in fresh:
             for b in list(found.values()):
                 joined = partition_join(a, b)
-                if joined.key() not in found:
-                    found[joined.key()] = joined
+                if joined.blocks not in found:
+                    found[joined.blocks] = joined
                     additions.append(joined)
         fresh = additions
     return tuple(
-        sorted(found.values(), key=lambda p: (len(p.blocks), p.key()))
+        sorted(found.values(), key=lambda p: (len(p.blocks), p.blocks))
     )
 
 
@@ -243,12 +251,6 @@ class Orbital:
     @property
     def is_diagonal(self) -> bool:
         return self.representative[0] == self.representative[1]
-
-    def out_neighbors(self, point: int) -> tuple[int, ...]:
-        return tuple(sorted(b for a, b in self.pairs if a == point))
-
-    def in_neighbors(self, point: int) -> tuple[int, ...]:
-        return tuple(sorted(a for a, b in self.pairs if b == point))
 
 
 def _pair_image(pair: tuple[int, int], g: Permutation) -> tuple[int, int]:

@@ -52,7 +52,7 @@ from .perms import format_cycles, parse_cycles
 from .relations import relation_from_json, relation_to_json
 from .suite import DEFAULT_SEED, run_battery
 from .trees import AXIOM_FAMILIES, b_from_poset, check_axioms, finite_c_model, lambda_word_model
-from .wreath import wreath
+from .wreath import fiber_partition, wreath
 
 SCHEMA = "permlab-report/1"
 
@@ -346,8 +346,8 @@ def _cmd_wreath(args) -> int:
     top = _named_group(args.top)
     product = wreath(bottom, top)
     fibers = [
-        [delta * bottom.degree + gamma + 1 for gamma in range(bottom.degree)]
-        for delta in range(top.degree)
+        [p + 1 for p in block]
+        for block in fiber_partition(bottom.degree, top.degree).blocks
     ]
     payload = {
         "bottom": {"name": args.bottom, "degree": bottom.degree},

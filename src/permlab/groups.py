@@ -15,16 +15,20 @@ the greedy generating-set scan) are answered by a stabilizer chain built
 by deterministic Schreier-Sims on the base 0, 1, ..., n-1.  Point and
 pointwise stabilizers (``point_stabilizer``, ``pointwise_stabilizer``)
 are read off that chain's lower levels, or off further chains whose base
-starts at a stabilized point; none of them lists an element.  Such a
-chain is of a stabilizer whose order is already known, so it is filled
-to that order from seeded random elements (a chain's order is exact, so
-reaching it proves the chain complete), and a point that is not the
-least of its orbit gets the conjugate of its least sibling's
-stabilizer, by the orbit's BFS transversal element, instead of a chain.
-The setwise stabilizer (``setwise_stabilizer``) filters the element
-list.  Orbits on pairs, tuples, subsets and elements are walked by the
-one generator ``_item_walk``; ``orbit`` keeps its own loop, which
-records the transversal words.
+starts at a stabilized point; none of them lists an element.  A
+stabilizer H that fixes 0..k-1 and whose order is the product of the
+chain's orbit lengths from level k is G_(0..k-1) itself, however it was
+reached, so its own stabilizers are read off the chain too, and no
+caller tracks which nodes are base prefixes.  Any other chain is of a
+stabilizer whose order is already known, so it is filled to that order
+from seeded random elements (a chain's order is exact, so reaching it
+proves the chain complete), and a point that is not the least of its
+orbit gets the conjugate of its least sibling's stabilizer, by the
+orbit's BFS transversal element, instead of a chain.  The setwise
+stabilizer (``setwise_stabilizer``) filters the element list.  Orbits
+on pairs, tuples, subsets and elements are walked by the one generator
+``_item_walk``; ``orbit`` keeps its own loop, whose dict of transversal
+words is the ``Orbit`` it returns.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
 order.  Sums that ignore order (the Burnside count of fixed subsets in
@@ -510,21 +514,23 @@ def subgroup_from_elements(
 class Orbit:
     """Orbit of a point with BFS-minimal transversal words.
 
-    words[beta] is a tuple of generator indices; applying those generators
-    left-to-right to the base point lands on beta.
+    points is the orbit, sorted.  words is the BFS dict itself, in the
+    order the walk reached the points: words[beta] is a tuple of
+    generator indices; applying those generators left-to-right to the
+    base point lands on beta.
     """
 
     group: GenGroup
     base: int
     points: tuple[int, ...]
-    words: "tuple[tuple[int, tuple[int, ...]], ...]"
+    words: dict[int, tuple[int, ...]] = field(compare=False)
 
     def word(self, point: int) -> tuple[int, ...]:
-        return dict(self.words)[point]
+        return self.words[point]
 
     def transversal_element(self, point: int) -> Permutation:
         images = tuple(range(self.group.degree))
-        for index in self.word(point):
+        for index in self.words[point]:
             images = _images_product(images, self.group.generators[index].images)
         return _trusted(images)
 
@@ -548,7 +554,7 @@ def orbit(group: GenGroup, alpha: int) -> Orbit:
             if moved not in words:
                 words[moved] = words[current] + (index,)
                 queue.append(moved)
-    return Orbit(group, alpha, tuple(sorted(words)), tuple(sorted(words.items())))
+    return Orbit(group, alpha, tuple(sorted(words)), words)
 
 
 def orbits(group: GenGroup) -> tuple[tuple[int, ...], ...]:
@@ -614,18 +620,19 @@ def _stabilizer_in(group: GenGroup, size: int, point: int) -> tuple[GenGroup, in
 
 
 def _least_stabilizer(
-    group: GenGroup, parent: GenGroup, size: int, prefix: int | None, least: int
+    group: GenGroup, parent: GenGroup, size: int, least: int
 ) -> tuple[GenGroup, int]:
     """H_least and its order, for H = parent a subgroup of group of the
-    known order `size`.  When H is the base prefix's stabilizer
-    G_(0..prefix-1) and fixes every point from prefix below least, H is
-    G_(0..least-1), so H_least is read below level least + 1 of the
-    group's own chain; otherwise it comes from a chain of H filled to
-    that order (_stabilizer_in)."""
-    if prefix is not None and all(
-        g.images[p] == p for g in parent.generators for p in range(prefix, least)
+    known order `size`.  When H fixes 0..least-1 and |H| is the product
+    of the orbit lengths of the group's own chain from level least, H is
+    all of G_(0..least-1), so H_least is read below level least + 1 of
+    that chain; otherwise it comes from a chain of H filled to that
+    order (_stabilizer_in)."""
+    chain = _chain(group)
+    if size == math.prod(chain.orbit_lengths()[least:]) and all(
+        g.images[p] == p for g in parent.generators for p in range(least)
     ):
-        return _below(_chain(group), least + 1)
+        return _below(chain, least + 1)
     return _stabilizer_in(parent, size, least)
 
 
@@ -633,36 +640,30 @@ def _least_stabilizer(
 def _pointwise_stabilizer(group: GenGroup, points: tuple[int, ...]) -> tuple[GenGroup, int]:
     """G_(points) and its order, for a sorted tuple of distinct points.
 
-    A prefix 0, 1, ..., k-1 is read off the group's own chain, below
-    level k.  Otherwise G_(p1..pk) is the stabilizer of p = pk in the
-    memoized H = G_(p1..pk-1): H itself when its generators already fix
-    p (a trivial H among them).  Else let r be the least point of p's
-    orbit under H.  When p1..pk-1 is the prefix 0..k-2 and H fixes
-    k-1..r-1, H_r is G_(0..r), read off the group's own chain too.
-    Otherwise H_r comes from a chain of H with r as its first base
-    point, filled to the known order |H|, and memoized per (H, r), so
-    every p in one orbit of H shares one chain.  For p != r, v in H with
-    (p)v = r is the transversal element of r in ``orbit(H, p)`` (its BFS
-    over H's generators, in queue order and then generator order), and
-    H_p is generated by the conjugates v h v^-1 ("apply v, then h, then
-    v^-1") of H_r's generators h, with the same order.  Walks over the
-    subsets of the points (the Jordan scan, the search for a minimum
-    base) get every node from its memoized prefix this way.
+    G_(p1..pk) is the stabilizer of p = pk in the memoized
+    H = G_(p1..pk-1): H itself when its generators already fix p (a
+    trivial H among them).  Else let r be the least point of p's orbit
+    under H; H_r comes from ``_least_stabilizer``, off the group's own
+    chain when H is G_(0..r-1), and otherwise from a chain of H with r
+    as its first base point, filled to the known order |H| and memoized
+    per (H, r), so every p in one orbit of H shares one chain.  For
+    p != r, v in H with (p)v = r is the transversal element of r in
+    ``orbit(H, p)`` (its BFS over H's generators, in queue order and
+    then generator order), and H_p is generated by the conjugates
+    v h v^-1 ("apply v, then h, then v^-1") of H_r's generators h, with
+    the same order.  Walks over the subsets of the points (the Jordan
+    scan, the search for a minimum base) get every node from its
+    memoized prefix this way.
     """
     if not points:
         return group, _chain(group).order()
-    if points[-1] == len(points) - 1:
-        return _below(_chain(group), len(points))
     parent, parent_order = _pointwise_stabilizer(group, points[:-1])
     last = points[-1]
     if all(g.images[last] == last for g in parent.generators):
         return parent, parent_order
     walked = orbit(parent, last)
     least = walked.points[0]
-    prefix = len(points) - 1
-    if prefix and points[-2] != prefix - 1:
-        prefix = None
-    stab, size = _least_stabilizer(group, parent, parent_order, prefix, least)
+    stab, size = _least_stabilizer(group, parent, parent_order, least)
     if least == last:
         return stab, size
     v = walked.transversal_element(least).images
@@ -709,9 +710,6 @@ class InducedAction:
     group: GenGroup
     items: tuple[tuple[int, ...], ...]
     kind: str
-
-    def index_of(self, item: tuple[int, ...]) -> int:
-        return self.items.index(item)
 
 
 def induced_action(

@@ -133,8 +133,10 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
     keeping the fixed points so far.  So the walk goes over the nodes
     H = G_(S) with one child per H-orbit, the stabilizer of its least
     point, and leaves out a node whose moved points were already seen or
-    are fewer than the smallest wanted size.  A node whose moved points
-    are a wanted number and one H-orbit is a hit, and the catalog is the
+    are fewer than the smallest wanted size.  The stack holds (H, |H|)
+    pairs, and each child and its order come from
+    ``groups._least_stabilizer``.  A node whose moved points are a
+    wanted number and one H-orbit is a hit, and the catalog is the
     G-orbits of the hits' sets, since g maps Jordan sets onto Jordan sets.
     """
     n = group.degree
@@ -155,10 +157,9 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
     smallest = wanted_sizes[0]
     found: set[tuple[int, ...]] = set()
     seen: set[tuple[int, ...]] = set()
-    # (H, |H|, k when H is G_(0..k-1) as the chain's prefix, else None)
-    stack: list[tuple[GenGroup, int, int | None]] = [(group, size, 0)]
+    stack: list[tuple[GenGroup, int]] = [(group, size)]
     while stack:
-        inside, size, prefix = stack.pop()
+        inside, size = stack.pop()
         moved = tuple(p for p in range(n) if any(g.images[p] != p for g in inside.generators))
         if len(moved) < smallest or moved in seen:
             continue
@@ -175,8 +176,7 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
         for r in moved:
             if r not in covered:
                 covered.update(orbit(inside, r).points)
-                child = _least_stabilizer(group, inside, size, prefix, r)
-                stack.append((*child, r + 1 if prefix is not None and r == moved[0] else None))
+                stack.append(_least_stabilizer(group, inside, size, r))
     return tuple(sorted(found, key=lambda a: (len(a), a)))
 
 

@@ -80,9 +80,6 @@ class ForthResult:
     steps: tuple
     exhausted: object  # first unplaceable source value, or None
 
-    def as_dict(self):
-        return dict(self.mapping)
-
 
 def cantor_forth(source, target):
     """Extend the partial map source -> target one enumeration step at a time.

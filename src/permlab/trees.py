@@ -471,14 +471,6 @@ def check_axioms(rel, family):
 # ---------------------------------------------------------------- builders
 
 
-def _class_ids(partition):
-    ids = [0] * partition.degree
-    for index, block in enumerate(partition.blocks):
-        for p in block:
-            ids[p] = index
-    return ids
-
-
 def c_from_equivalence_chain(chain):
     """The ternary relation of a refinement chain of equivalence relations:
     the focus point falls outside some class that contains the other two."""
@@ -488,7 +480,7 @@ def c_from_equivalence_chain(chain):
     degree = chain[0].degree
     if any(p.degree != degree for p in chain):
         raise NotAChain("partitions have mixed degrees")
-    ids = [_class_ids(p) for p in chain]
+    ids = [p.index for p in chain]
     for lower, upper in zip(ids, ids[1:]):
         coarser = {}
         for p in range(degree):

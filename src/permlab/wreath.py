@@ -280,17 +280,14 @@ def imprimitive_embedding(
     stabilizer chain, so the product itself is never enumerated; it still
     raises CapExceeded when that order passes the cap.
     """
-    if rho.degree != group.degree or not is_congruence(rho, group):
+    if not is_congruence(rho, group):
         raise NotACongruence("rho is not preserved by the group")
     if rho.is_discrete or rho.is_universal:
         raise NotACongruence("the embedding needs a proper nontrivial congruence")
     if not is_transitive(group):
         raise NotACongruence("the embedding needs a transitive group")
     blocks = rho.blocks
-    block_of = {}
-    for index, block in enumerate(blocks):
-        for point in block:
-            block_of[point] = index
+    block_of = rho.index
     base_block = blocks[0]
     position_in_base = {point: i for i, point in enumerate(base_block)}
 

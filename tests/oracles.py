@@ -416,7 +416,7 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
     if any(conjugate(x, g) not in candidates for g in group.generators for x in n_members):
         raise AxiomsFailed("N not normal")
     n_group = subgroup_from_elements(n_members, group.degree)
-    rho = partition_from_blocks(group.degree, orbits(n_group), group)
+    rho = partition_from_blocks(group.degree, orbits(n_group))
     if any(len(block) > m for block in rho.blocks):
         raise AxiomsFailed("rho class above m")
     block_index = {}

@@ -18,12 +18,19 @@ from permlab.blocks import (
     normal_subgroup_audit,
     orbital_graph,
     orbitals,
+    partition_from_blocks,
     partition_join,
     semiblocks,
     subdegree_check,
     suborbits,
 )
-from permlab.errors import DiagonalOrbital, NotTransitive, TooSmall
+from permlab.errors import (
+    DiagonalOrbital,
+    NotTransitive,
+    OutOfRange,
+    PointOutOfRange,
+    TooSmall,
+)
 from permlab.groups import (
     GenGroup,
     alternating_group,
@@ -108,6 +115,36 @@ def test_congruence_lattice_of_c6():
     rhos = congruences(cyclic_group(6))
     shapes = sorted(tuple(len(b) for b in rho.blocks) for rho in rhos)
     assert shapes == [(1, 1, 1, 1, 1, 1), (2, 2, 2), (3, 3), (6,)]
+
+
+def test_partition_indexes_its_classes():
+    rho = partition_from_blocks(6, [[4, 1], [], [5, 2, 3], [0]])
+    assert rho.blocks == ((0,), (1, 4), (2, 3, 5))
+    assert rho.index == (0, 1, 2, 2, 1, 2)
+    assert [rho.block_of(p) for p in range(6)] == list(rho.index)
+    assert rho.class_of(4) == (1, 4) and rho.same(2, 5) and not rho.same(0, 1)
+    with pytest.raises(PointOutOfRange, match="point -1 outside 0..5"):
+        rho.block_of(-1)
+
+
+@pytest.mark.parametrize(
+    "classes,error,message",
+    [
+        ([[0, 1], [2, 4]], PointOutOfRange, "point 4 outside 0..3"),
+        ([[-1, 0, 1], [2, 3]], PointOutOfRange, "point -1 outside 0..3"),
+        ([[0, 1], [1, 2]], OutOfRange, "point 1 lies in two classes"),
+        ([[0, 1, 1], [2, 3]], OutOfRange, "point 1 lies in two classes"),
+        ([[0, 1], [2]], OutOfRange, "point 3 lies in no class"),
+    ],
+    ids=["above", "negative", "overlap", "repeat-in-class", "uncovered"],
+)
+def test_partition_refuses_what_is_not_a_partition(classes, error, message):
+    with pytest.raises(error, match=message):
+        partition_from_blocks(4, classes)
+
+
+def test_a_partition_of_other_points_is_no_congruence():
+    assert not is_congruence(partition_from_blocks(2, [[0, 1]]), cyclic_group(4))
 
 
 # primitivity

@@ -290,6 +290,13 @@ def test_wreath_report(capsys):
     assert report["fibers"] == [[1, 2], [3, 4], [5, 6]]
 
 
+def test_wreath_with_an_empty_bottom_lists_no_fibers(capsys):
+    # the fibers are the fiber partition's classes, and no point leaves none
+    rc, out, _ = run_cli(capsys, "wreath", "--bottom", "symmetric_0", "--top", "cyclic_3")
+    assert rc == 0
+    assert "degree 0, order 1\nfibers: \n" in out
+
+
 def test_wreath_accepts_fixture_names(capsys):
     rc, out, _ = run_cli(
         capsys, "wreath", "--bottom", "cyclic_3", "--top", "symmetric_3", "--format", "json"

@@ -1,5 +1,6 @@
-"""The CLI's bytes against a committed snapshot, and a battery slice under
-``python -O`` against the normal run.
+"""The CLI's bytes against a committed snapshot, the whole battery's JSON
+against its pinned sha256, and a battery slice under ``python -O``
+against the normal run.
 
 ``tests/data/golden_cli.json`` holds the sha256 of stdout and the exit
 code of every case ``scripts/golden.py`` lists; regenerate it with that
@@ -12,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,8 @@ from permlab.suite import run_battery
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
 SRC = Path(permlab.__file__).parent.parent
+# sha256 of the stdout of ``permlab suite --format json`` (default seed and cap)
+SUITE_JSON_SHA256 = "f10669936c2c7ac9bae9bdf31877f691669c247319746d40b27582d790a06df0"
 
 
 def _case_id(case) -> str:
@@ -86,3 +90,22 @@ def test_battery_verdicts_survive_optimize(name):
     ]
     assert optimized == normal
     assert all(p["passed"] for p in normal)
+
+
+def test_suite_json_matches_its_pinned_sha256(monkeypatch):
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["suite", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == SUITE_JSON_SHA256
+    env = {k: v for k, v in os.environ.items() if k != "PERMLAB_CAP"}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "permlab.cli", "suite", "--format", "json"],
+        cwd=SRC,
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == SUITE_JSON_SHA256

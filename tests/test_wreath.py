@@ -280,7 +280,7 @@ def test_wreath_spec_json_round_trip():
 
 def test_embedding_d4():
     d4 = group_from_cycles(4, "(1 2 3 4)", "(1 3)")
-    rho = partition_from_blocks(4, [[0, 2], [1, 3]], d4)
+    rho = partition_from_blocks(4, [[0, 2], [1, 3]])
     phi, psi, report = imprimitive_embedding(d4, rho)
     assert report.injective and report.compatible
     assert report.group_order == 8
@@ -292,7 +292,7 @@ def test_embedding_d4():
 
 def test_embedding_is_homomorphism():
     d4 = group_from_cycles(4, "(1 2 3 4)", "(1 3)")
-    rho = partition_from_blocks(4, [[0, 2], [1, 3]], d4)
+    rho = partition_from_blocks(4, [[0, 2], [1, 3]])
     _, psi, _ = imprimitive_embedding(d4, rho)
     for g, h in itertools.product(element_set(d4), repeat=2):
         assert psi[compose(g, h)] == compose(psi[g], psi[h])
@@ -309,7 +309,7 @@ def test_embedding_wreath_is_fixed():
 
 def test_embedding_c6():
     c6 = cyclic_group(6)
-    rho = partition_from_blocks(6, [[0, 3], [1, 4], [2, 5]], c6)
+    rho = partition_from_blocks(6, [[0, 3], [1, 4], [2, 5]])
     phi, psi, report = imprimitive_embedding(c6, rho)
     assert report.injective and report.compatible
     assert report.group_order == 6
@@ -325,6 +325,8 @@ def test_embedding_rejects_bad_partitions():
         imprimitive_embedding(c6, discrete_partition(c6))
     with pytest.raises(NotACongruence):
         imprimitive_embedding(c6, universal_partition(c6))
+    with pytest.raises(NotACongruence):
+        imprimitive_embedding(c6, partition_from_blocks(3, [[0, 1, 2]]))
 
 
 def test_embedding_maps_equal_the_composed_ones_on_the_corpus():
@@ -344,9 +346,9 @@ def test_embedding_maps_equal_the_composed_ones_on_the_corpus():
 def test_embedding_compatibility_all_corpus_style_groups():
     cases = []
     d4 = group_from_cycles(4, "(1 2 3 4)", "(1 3)")
-    cases.append((d4, partition_from_blocks(4, [[0, 2], [1, 3]], d4)))
+    cases.append((d4, partition_from_blocks(4, [[0, 2], [1, 3]])))
     c4 = cyclic_group(4)
-    cases.append((c4, partition_from_blocks(4, [[0, 2], [1, 3]], c4)))
+    cases.append((c4, partition_from_blocks(4, [[0, 2], [1, 3]])))
     w = wreath(cyclic_group(3), cyclic_group(2))
     cases.append((w, fiber_partition(3, 2)))
     for group, rho in cases:
