@@ -7,9 +7,10 @@ with ``--points 1,2``), ``corpus describe --format json`` for every
 fixture, ``analyze --format text`` and ``--format dot`` for the jordan,
 suborbits and span passes on a few fixtures, ``analyze --gens`` with the
 jordan and span passes in JSON and text for two relabeled fixtures (the
-jordan pass alone for a third), the jordan pass for an intransitive group
-with fixed points, and samples of ``lw`` (rank, CSV and theta reports), ``wreath`` and ``cantor``
-in both formats.  A change that must keep the CLI's bytes runs
+jordan pass alone for four more, among them the catalogs with the most
+translates), the jordan pass for an intransitive group with fixed points,
+and samples of ``lw`` (rank, CSV and theta reports), ``wreath`` and
+``cantor`` in both formats.  A change that must keep the CLI's bytes runs
 ``tests/test_golden.py``, which replays every case.
 
     PYTHONPATH=src python3 scripts/golden.py [--out PATH]
@@ -73,6 +74,9 @@ RELABELED_FIXTURES = {
     "pg_2_3": ("jordan", "span"),
     "c2wrc2wrc2": ("jordan", "span"),
     "ag_2_3": ("jordan",),
+    "symmetric_8": ("jordan",),
+    "alternating_8": ("jordan",),
+    "dihedral_4": ("jordan",),
 }
 # groups given by --gens and --degree whose jordan pass is pinned: every
 # fixture is transitive, and these have several orbits and fixed points

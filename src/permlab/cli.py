@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .blocks import congruences, is_primitive, orbital_graph, orbitals, suborbits
 from .config import element_cap
-from .errors import CapExceeded, OutOfRange, PermlabError
+from .errors import CapExceeded, OutOfRange, PermlabError, PointOutOfRange
 from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     GenGroup,
@@ -59,6 +59,18 @@ SCHEMA = "permlab-report/1"
 
 def _points_out(points) -> list[int]:
     return [p + 1 for p in sorted(points)]
+
+
+def _point_in(flag: str, text, degree: int) -> int:
+    """The 0-based point for a 1-based point given to flag, which must be
+    an integer in 1..degree."""
+    try:
+        point = int(text)
+    except ValueError:
+        raise PointOutOfRange(f"{flag} item {text!r} is not an integer") from None
+    if not 1 <= point <= degree:
+        raise PointOutOfRange(f"{flag} {point} outside 1..{degree}")
+    return point - 1
 
 
 def _envelope(payload) -> str:
@@ -114,7 +126,7 @@ def _pass_primitivity(label, group, fix, args):
 
 
 def _pass_suborbits(label, group, fix, args):
-    base = args.base - 1
+    base = _point_in("--base", args.base, group.degree)
     sub = suborbits(group, base)
     payload = {
         "base": base + 1,
@@ -190,7 +202,7 @@ def _pass_jordan(label, group, fix, args):
             {
                 "points": _points_out(w.points),
                 "proper": w.proper,
-                "witness_order": order(w.witness_group),
+                "witness_order": w.witness_order,
             }
             for w in catalog
         ],
@@ -200,7 +212,7 @@ def _pass_jordan(label, group, fix, args):
         tag = "proper" if w.proper else "improper"
         lines.append(
             f"  {{{' '.join(str(p) for p in _points_out(w.points))}}}"
-            f" {tag}, witness order {order(w.witness_group)}"
+            f" {tag}, witness order {w.witness_order}"
         )
     return payload, lines, lambda: _inclusion_dot([frozenset(w.points) for w in catalog])
 
@@ -208,7 +220,7 @@ def _pass_jordan(label, group, fix, args):
 def _pass_span(label, group, fix, args):
     if not args.points:
         raise OutOfRange("the span pass needs --points")
-    pts = [int(p) - 1 for p in args.points.split(",")]
+    pts = [_point_in("--points", p, group.degree) for p in args.points.split(",")]
     result = span(group, pts)
     payload = {"points": [p + 1 for p in pts], "span": _points_out(result)}
     lines = [

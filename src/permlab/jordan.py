@@ -14,23 +14,27 @@ two points is a Jordan set exactly when it is one orbit of G_(S)
 and g in G maps Jordan sets onto Jordan sets, so the catalog walks the
 closed complements up to translates: from G, each node H = G_(S) gets
 one child per H-orbit, the stabilizer of the orbit's least point, and
-the sets found are expanded into their G-orbits.  Every set so found is
-then certified again by ``is_jordan``.  A decreasing fixpoint over the
-same stabilizers finds the unique maximal Jordan set avoiding a
-prescribed set of points, and spans and the closure-operator audit
-reduce to it.
+the sets found are expanded into their G-orbits, each translate B with
+an element g mapping the orbit's representative A onto it.  The catalog
+is certified once per G-orbit: ``is_jordan`` certifies A by a second
+route, and B's witness is A's conjugated by g, since G_(Omega - A)^g =
+G_(Omega - B).  A decreasing fixpoint over the same stabilizers finds
+the unique maximal Jordan set avoiding a prescribed set of points, and
+spans and the closure-operator audit reduce to it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .config import element_cap
 from .errors import AxiomsFailed, CapExceeded, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
+    _images_product,
     _item_walk,
     _least_stabilizer,
     _point_in_range,
@@ -39,10 +43,9 @@ from .groups import (
     _tuple_image,
     orbit,
     order,
-    pointwise_stabilizer,
     transitivity_degree,
 )
-from .perms import Permutation
+from .perms import Permutation, _trusted
 
 __all__ = [
     "JordanWitness",
@@ -65,11 +68,16 @@ class JordanWitness:
     the order of points and is the complement's pointwise stabilizer
     restricted to the set; it is transitive by construction.  proper is
     False when the set is forced by (k+1)-transitivity alone.
+    witness_order is the witness group's order, read off the stabilizer
+    chain that gave the complement's pointwise stabilizer: that
+    stabilizer fixes every point off the set, so restricting it to the
+    set loses nothing.
     """
 
     points: tuple[int, ...]
     witness_group: GenGroup
     proper: bool
+    witness_order: int
 
 
 def _point_set(group: GenGroup, points) -> set[int]:
@@ -100,15 +108,18 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
 
     Checks that the pointwise stabilizer of the complement has a single
     orbit on the candidate.  The witness group is that stabilizer
-    restricted to the set's points in sorted order.  Sets of fewer than
-    two points are refused: transitivity on them is empty.
+    restricted to the set's points in sorted order, and its order is the
+    stabilizer's, from the same chain.  Sets of fewer than two points are
+    refused: transitivity on them is empty.  CapExceeded when |G| passes
+    the cap.
     """
     wanted = _point_set(group, gamma)
     if len(wanted) < 2:
         raise TooSmall("a Jordan set needs at least two points")
     points = tuple(sorted(wanted))
-    complement = [p for p in range(group.degree) if p not in wanted]
-    inside = pointwise_stabilizer(group, complement, cap)
+    complement = tuple(p for p in range(group.degree) if p not in wanted)
+    order(group, cap)  # the cap check, as pointwise_stabilizer makes it
+    inside, size = _pointwise_stabilizer(group, complement)
     if set(orbit(inside, points[0]).points) != wanted:
         return None
     index = {p: i for i, p in enumerate(points)}
@@ -118,12 +129,24 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
     )
     k = len(complement)
     proper = transitivity_degree(group, k + 1, cap) < k + 1
-    return JordanWitness(points, GenGroup(len(points), restricted), proper)
+    return JordanWitness(points, GenGroup(len(points), restricted), proper, size)
 
 
-def _jordan_scan(group: GenGroup, sizes, cap: int | None):
+def _jordan_scan(group: GenGroup, sizes, cap: int | None) -> tuple[tuple[int, ...], ...]:
     """Subsets, by ascending size then lexicographically, that are one
-    orbit of the pointwise stabilizer of their complement.
+    orbit of the pointwise stabilizer of their complement: the sets of
+    ``_jordan_translates``.
+    """
+    return tuple(_jordan_translates(group, sizes, cap))
+
+
+def _jordan_translates(
+    group: GenGroup, sizes, cap: int | None
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each subset that is one orbit of the pointwise stabilizer of its
+    complement, mapped to (A, g): A the representative of its G-orbit,
+    and g the image tuple of an element with A^g = the subset.  The
+    subsets come by ascending size, then lexicographically.
 
     Such a complement S is closed: S = fix(G_(S)).  Every closed set has
     a translate on a path from fix(G) through fix(G_r1), fix(G_(r1,r2)),
@@ -136,8 +159,9 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
     are fewer than the smallest wanted size.  The stack holds (H, |H|)
     pairs, and each child and its order come from
     ``groups._least_stabilizer``.  A node whose moved points are a
-    wanted number and one H-orbit is a hit, and the catalog is the
-    G-orbits of the hits' sets, since g maps Jordan sets onto Jordan sets.
+    wanted number and one H-orbit is a hit, and its set is the
+    representative A of its G-orbit, walked by ``_set_transversal``,
+    since g maps Jordan sets onto Jordan sets.
     """
     n = group.degree
     if sizes is None:
@@ -153,9 +177,9 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
         raise CapExceeded(f"{count} candidate subsets passes the cap")
     size = order(group, cap)
     if not wanted_sizes:
-        return ()
+        return {}
     smallest = wanted_sizes[0]
-    found: set[tuple[int, ...]] = set()
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
     stack: list[tuple[GenGroup, int]] = [(group, size)]
     while stack:
@@ -169,7 +193,8 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
             and moved not in found
             and _connected_inside(inside, moved)
         ):
-            found.update(_item_walk(moved, _subset_image, group.generators, limit))
+            for translate, g in _set_transversal(group, moved, limit).items():
+                found[translate] = (moved, g)
         if len(moved) == smallest:
             continue
         covered: set[int] = set()
@@ -177,28 +202,93 @@ def _jordan_scan(group: GenGroup, sizes, cap: int | None):
             if r not in covered:
                 covered.update(orbit(inside, r).points)
                 stack.append(_least_stabilizer(group, inside, size, r))
-    return tuple(sorted(found, key=lambda a: (len(a), a)))
+    return {a: found[a] for a in sorted(found, key=lambda a: (len(a), a))}
+
+
+def _set_transversal(
+    group: GenGroup, start: tuple[int, ...], cap: int
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The G-orbit of a sorted set, each translate B mapped to the image
+    tuple of an element g with start^g = B.
+
+    A breadth-first walk over the generators in list order, as ``orbit``
+    walks points, with g the product of the generators along the path
+    that first reached B.  CapExceeded once the orbit would pass cap sets.
+    """
+    transversal = {start: tuple(range(group.degree))}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for g in group.generators:
+            moved = _subset_image(current, g)
+            if moved not in transversal:
+                if len(transversal) >= cap:
+                    raise CapExceeded(f"orbit of {start!r} passed cap {cap}")
+                transversal[moved] = _images_product(transversal[current], g.images)
+                queue.append(moved)
+    return transversal
 
 
 def jordan_sets(
     group: GenGroup, sizes=None, cap: int | None = None
 ) -> tuple[JordanWitness, ...]:
-    """All Jordan sets of the group, optionally restricted to given sizes.
+    """All Jordan sets of the group, optionally restricted to given sizes,
+    by ascending size then lexicographically.
 
     Walks the closed complements, one child per stabilizer orbit, and
-    expands the hits into their translates (see ``_jordan_scan``).  Each
-    set found then gets its witness from ``is_jordan``, a second route
-    through the complement's own pointwise stabilizer; a set it refuses
-    raises AxiomsFailed.  The subset count and the group order are
-    compared against the element cap before anything runs.
+    expands the hits into their translates (see ``_jordan_translates``).
+    Each G-orbit's representative A gets its witness from ``is_jordan``,
+    a second route through the complement's own pointwise stabilizer,
+    and that witness's order is checked against a chain of its own
+    group; a set it refuses, or an order that differs, raises
+    AxiomsFailed.  Every other set B = A^g gets A's witness relabeled
+    through g (``_translated_witness``).  The subset count and the group
+    order are compared against the element cap before anything runs.
     """
+    certified: dict[tuple[int, ...], JordanWitness] = {}
     found: list[JordanWitness] = []
-    for combo in _jordan_scan(group, sizes, cap):
-        witness = is_jordan(group, combo, cap)
-        if witness is None:
-            raise AxiomsFailed(f"scanned set {combo} has no Jordan witness")
-        found.append(witness)
+    for points, (representative, g) in _jordan_translates(group, sizes, cap).items():
+        if representative not in certified:
+            witness = is_jordan(group, representative, cap)
+            if witness is None:
+                raise AxiomsFailed(f"scanned set {representative} has no Jordan witness")
+            size = order(witness.witness_group, cap)
+            if size != witness.witness_order:
+                raise AxiomsFailed(
+                    f"witness of {representative} has order {size},"
+                    f" its complement's stabilizer {witness.witness_order}"
+                )
+            certified[representative] = witness
+        found.append(_translated_witness(certified[representative], points, g))
     return tuple(found)
+
+
+def _translated_witness(
+    witness: JordanWitness, points: tuple[int, ...], g: tuple[int, ...]
+) -> JordanWitness:
+    """The witness of points = witness.points^g, with no stabilizer built.
+
+    If h fixes every point off A = witness.points, then g^-1 h g ("apply
+    g^-1, then h, then g") fixes every point off A^g and maps a^g to
+    (a^h)^g.  In sorted positions, position i of A goes to the position
+    of its image under g, so each witness generator is relabeled through
+    that map; the order and properness carry over.  The relabeled group
+    must still have one orbit on the set, else AxiomsFailed.
+    """
+    if points == witness.points:
+        return witness
+    position = {p: i for i, p in enumerate(points)}
+    relabel = [position[g[p]] for p in witness.points]
+    generators = []
+    for h in witness.witness_group.generators:
+        images = [0] * len(points)
+        for i, j in enumerate(relabel):
+            images[j] = relabel[h.images[i]]
+        generators.append(_trusted(tuple(images)))
+    conjugate = GenGroup(len(points), tuple(generators))
+    if len(orbit(conjugate, 0).points) != len(points):
+        raise AxiomsFailed(f"translate {points} of {witness.points} is not one orbit of its witness")
+    return JordanWitness(points, conjugate, witness.proper, witness.witness_order)
 
 
 def _connected_inside(inside: GenGroup, members: tuple[int, ...]) -> bool:

@@ -154,6 +154,42 @@ def test_analyze_span_requires_points(capsys):
     assert "--points" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--pass", "suborbits", "--base", "0"), "--base 0 outside 1..7"),
+        (("--pass", "suborbits", "--base", "8"), "--base 8 outside 1..7"),
+        (("--pass", "span", "--points", "0,1"), "--points 0 outside 1..7"),
+        (("--pass", "span", "--points", "8"), "--points 8 outside 1..7"),
+        (("--pass", "span", "--points", "1,,2"), "--points item '' is not an integer"),
+        (("--pass", "span", "--points", "1,x"), "--points item 'x' is not an integer"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_point_flags_name_the_flag_and_the_one_based_range(
+    capsys, flags, message, fmt
+):
+    rc, out, err = run_cli(capsys, "analyze", "--fixture", "pg_2_2", *flags, "--format", fmt)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_jordan_reads_the_witness_orders(capsys, monkeypatch, fmt):
+    from permlab import cli
+
+    def never(*args):
+        raise AssertionError("order computed for a Jordan witness")
+
+    monkeypatch.setattr(cli, "order", never)
+    rc, out, _ = run_cli(
+        capsys, "analyze", "--fixture", "pg_2_2", "--pass", "jordan", "--format", fmt
+    )
+    assert rc == 0
+    assert "witness" in out
+
+
 def test_analyze_span_of_two_plane_points_is_a_line(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -1,6 +1,8 @@
 """Pointwise stabilizers from chains filled to a known order, and from
 conjugates of a same-orbit sibling, against the deterministic
-Schreier-Sims stabilizer they replace (``tests/oracles.py``).
+Schreier-Sims stabilizer they replace (``tests/oracles.py``), and Jordan
+witnesses conjugated from their G-orbit's representative against the
+witness ``is_jordan`` builds afresh.
 
 Every check also runs on the corpus relabeled by a fixed shuffle of the
 points, where a point is most often not the least of its orbit under
@@ -28,12 +30,15 @@ from permlab.groups import (
     _pointwise_stabilizer,
     _stabilizer_in,
     clear_caches,
+    contains,
     element_set,
+    group_from_cycles,
     orbit,
     order,
     symmetric_group,
 )
-from permlab.jordan import _jordan_scan, jordan_sets
+from permlab import jordan
+from permlab.jordan import _jordan_scan, is_jordan, jordan_sets
 from permlab.perms import Permutation
 from permlab.suite import _corpus
 
@@ -167,22 +172,100 @@ def _at_most_two_points(group: GenGroup):
     return (c for m in range(3) for c in itertools.combinations(range(group.degree), m))
 
 
-# One sha256 over (S, order, generator images) of every G_(S) with |S| <= 2,
-# and over every Jordan witness group, on the corpus and on its relabeling.
-_STABILIZERS_AND_WITNESSES_SHA256 = "71cc459938c79fa8fabf3c5f211f9a21b1abd94777b547fd68508d8bd461a93b"
+# Three sha256 digests over the corpus and its relabeling: (S, order,
+# generator images) of every G_(S) with |S| <= 2; (points, proper, order)
+# of every Jordan witness; and the generator images of every witness
+# group.  A translate's witness is conjugated from its G-orbit's
+# representative, so only the third depends on how the witness is built.
+_STABILIZERS_SHA256 = "2e414ae480a92d1bd80ff25d64984d7b3937d1f44273e2eff5f56efa8dee5ed4"
+_WITNESSES_SHA256 = "603c82530dfb4802dd8888e30b5736d6092b5cd515751b8dd750310c2ffcad42"
+_WITNESS_GENERATORS_SHA256 = "ea9e7625a157632a347e6600e0d2a96b8390c63a0dbb4b70743e093df6825af1"
 
 
-def test_stabilizer_and_witness_generators_are_pinned():
+def _named_digests(rows):
     digest = hashlib.sha256()
     for name, group in CASES:
         digest.update(name.encode())
+        for row in rows(group):
+            digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_stabilizer_generators_are_pinned():
+    def rows(group):
         for points in _at_most_two_points(group):
             stab, size = _pointwise_stabilizer(group, points)
-            digest.update(repr((points, size, [g.images for g in stab.generators])).encode())
+            yield points, size, [g.images for g in stab.generators]
+
+    assert _named_digests(rows) == _STABILIZERS_SHA256
+
+
+def test_witness_sets_and_orders_are_pinned():
+    def rows(group):
         for witness in jordan_sets(group):
-            generators = [g.images for g in witness.witness_group.generators]
-            digest.update(repr((witness.points, witness.proper, generators)).encode())
-    assert digest.hexdigest() == _STABILIZERS_AND_WITNESSES_SHA256
+            yield witness.points, witness.proper, order(witness.witness_group)
+
+    assert _named_digests(rows) == _WITNESSES_SHA256
+
+
+def test_witness_generators_are_pinned():
+    def rows(group):
+        for witness in jordan_sets(group):
+            yield [g.images for g in witness.witness_group.generators]
+
+    assert _named_digests(rows) == _WITNESS_GENERATORS_SHA256
+
+
+# an intransitive group with fixed points, so its Jordan sets lie in
+# several orbits of the group
+INTRANSITIVE = ("intransitive_9", group_from_cycles(9, "(1 2 3 4)", "(1 2)", "(5 6 7)"))
+
+
+@pytest.mark.parametrize("name,group", CASES + [INTRANSITIVE], ids=IDS + [INTRANSITIVE[0]])
+def test_catalog_witnesses_equal_fresh_witnesses(name, group):
+    for witness in jordan_sets(group):
+        fresh = is_jordan(group, witness.points)
+        assert fresh.points == witness.points
+        assert fresh.proper == witness.proper
+        mine, theirs = witness.witness_group, fresh.witness_group
+        assert witness.witness_order == order(mine) == order(theirs), witness.points
+        assert all(contains(theirs, g) for g in mine.generators), witness.points
+        assert all(contains(mine, g) for g in theirs.generators), witness.points
+
+
+# (group, G-orbits of Jordan sets, sets): one is_jordan call and one
+# witness group's order per G-orbit
+_CERTIFICATES = (
+    ("symmetric_8", 7, 247),
+    ("alternating_8", 6, 219),
+    ("symmetric_7", 6, 120),
+    ("pg_2_3", 3, 27),
+    ("pg_2_2", 3, 15),
+)
+
+
+@pytest.mark.parametrize("name,orbits,sets", _CERTIFICATES)
+def test_catalog_certifies_once_per_orbit(name, orbits, sets, monkeypatch):
+    group = fixture(name).group
+    certified = []
+    witness_orders = []
+    certify, size = jordan.is_jordan, jordan.order
+
+    def counted_certify(*args):
+        certified.append(args[1])
+        return certify(*args)
+
+    def counted_order(of, cap=None):
+        if of is not group:
+            witness_orders.append(of)
+        return size(of, cap)
+
+    monkeypatch.setattr(jordan, "is_jordan", counted_certify)
+    monkeypatch.setattr(jordan, "order", counted_order)
+    catalog = jordan_sets(group)
+    assert len(catalog) == sets
+    assert len(certified) == len(witness_orders) == orbits
+    assert len(set(certified)) == orbits
 
 
 @pytest.mark.parametrize("name,group", CASES, ids=IDS)
