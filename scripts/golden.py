@@ -9,8 +9,8 @@ suborbits and span passes on a few fixtures, ``analyze --gens`` with the
 jordan and span passes in JSON and text for two relabeled fixtures (the
 jordan pass alone for four more, among them the catalogs with the most
 translates), the jordan pass for an intransitive group with fixed points,
-and samples of ``lw`` (rank, CSV and theta reports), ``wreath`` and
-``cantor`` in both formats.  A change that must keep the CLI's bytes runs
+and samples of ``lw`` (rank, CSV and theta reports), ``wreath``,
+``relations build`` and ``cantor`` in both formats.  A change that must keep the CLI's bytes runs
 ``tests/test_golden.py``, which replays every case.
 
     PYTHONPATH=src python3 scripts/golden.py [--out PATH]
@@ -63,6 +63,12 @@ SAMPLES = (
     "cantor --source 0,1,1/2 --target 5,7,6 --format json",
     "cantor --source 0,1,1/2 --target 5,7",
     "cantor --source 0,1/3,1/2,1 --target 0,2,7,9 --format json",
+    "relations build --model chain --k 2 --s 2 --format json",
+    "relations build --model chain --k 2 --s 2 --format text",
+    "relations build --model words --values 1,3/2,2 --s 2 --format json",
+    "relations build --model words --values 1,3/2,2 --s 2 --format text",
+    # the = form, as argparse reads a bare -1/2 as an option
+    "cantor --source=-1/2,0,1 --target 3,1/3,2",
 )
 # the passes and fixtures whose text and DOT renderings are pinned too
 RENDERED_PASSES = ("jordan", "suborbits", "span")

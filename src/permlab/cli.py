@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .blocks import congruences, is_primitive, orbital_graph, orbitals, suborbits
 from .config import element_cap
-from .errors import CapExceeded, OutOfRange, PermlabError, PointOutOfRange
+from .errors import CapExceeded, MalformedSyntax, OutOfRange, PermlabError, PointOutOfRange
 from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     GenGroup,
@@ -61,16 +61,26 @@ def _points_out(points) -> list[int]:
     return [p + 1 for p in sorted(points)]
 
 
-def _point_in(flag: str, text, degree: int) -> int:
-    """The 0-based point for a 1-based point given to flag, which must be
-    an integer in 1..degree."""
-    try:
-        point = int(text)
-    except ValueError:
-        raise PointOutOfRange(f"{flag} item {text!r} is not an integer") from None
+def _point_in(flag: str, point: int, degree: int) -> int:
+    """The 0-based point for a 1-based point given to flag, in 1..degree."""
     if not 1 <= point <= degree:
         raise PointOutOfRange(f"{flag} {point} outside 1..{degree}")
     return point - 1
+
+
+def _numbers_in(flag: str, text: str, kind: type) -> list:
+    """Each comma-separated item given to flag as an int or a Fraction
+    (kind), naming the flag and the item that does not parse."""
+    numbers = []
+    for item in text.split(","):
+        try:
+            numbers.append(kind(item.strip()))
+        except ValueError:
+            noun = "an integer" if kind is int else "a rational"
+            raise MalformedSyntax(f"{flag} item {item!r} is not {noun}") from None
+        except ZeroDivisionError:
+            raise MalformedSyntax(f"{flag} item {item!r} has a zero denominator") from None
+    return numbers
 
 
 def _envelope(payload) -> str:
@@ -220,7 +230,8 @@ def _pass_jordan(label, group, fix, args):
 def _pass_span(label, group, fix, args):
     if not args.points:
         raise OutOfRange("the span pass needs --points")
-    pts = [_point_in("--points", p, group.degree) for p in args.points.split(",")]
+    numbers = _numbers_in("--points", args.points, int)
+    pts = [_point_in("--points", p, group.degree) for p in numbers]
     result = span(group, pts)
     payload = {"points": [p + 1 for p in pts], "span": _points_out(result)}
     lines = [
@@ -404,7 +415,7 @@ def _cmd_relations_build(args) -> int:
     else:
         if not args.values or args.s is None:
             raise OutOfRange("the word model needs --values and --s")
-        values = [Fraction(v.strip()) for v in args.values.split(",")]
+        values = _numbers_in("--values", args.values, Fraction)
         poset = lambda_word_model(values, args.s)
         rel = b_from_poset(poset).relation
         meta = {"model": "words", "s": args.s, "family": "B"}
@@ -456,8 +467,8 @@ def _cmd_relations_check(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
-    source = [Fraction(v.strip()) for v in args.source.split(",")]
-    target = [Fraction(v.strip()) for v in args.target.split(",")]
+    source = _numbers_in("--source", args.source, Fraction)
+    target = _numbers_in("--target", args.target, Fraction)
     result = cantor_forth(source, target)
 
     def edge(value, side):
@@ -492,8 +503,10 @@ def _cmd_cantor(args) -> int:
 
 
 def _cmd_lw(args) -> int:
+    if args.n < 0:
+        raise OutOfRange(f"--n {args.n} is negative")
     if args.theta:
-        parts = [int(v) for v in args.theta.split(",")]
+        parts = _numbers_in("--theta", args.theta, int)
         if len(parts) != 3:
             raise OutOfRange("--theta expects three integers r,s,t")
         r, s, t = parts

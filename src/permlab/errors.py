@@ -8,7 +8,7 @@ class PermlabError(Exception):
 
 
 class MalformedSyntax(PermlabError):
-    """Cycle-notation text does not match the grammar."""
+    """Input text (cycle notation, relation JSON, a number list) does not match its grammar."""
 
 
 class RepeatedPoint(PermlabError):

@@ -132,14 +132,6 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
     return JordanWitness(points, GenGroup(len(points), restricted), proper, size)
 
 
-def _jordan_scan(group: GenGroup, sizes, cap: int | None) -> tuple[tuple[int, ...], ...]:
-    """Subsets, by ascending size then lexicographically, that are one
-    orbit of the pointwise stabilizer of their complement: the sets of
-    ``_jordan_translates``.
-    """
-    return tuple(_jordan_translates(group, sizes, cap))
-
-
 def _jordan_translates(
     group: GenGroup, sizes, cap: int | None
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:

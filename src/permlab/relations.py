@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ArityMismatch, PointOutOfRange
+from .errors import ArityMismatch, MalformedSyntax, OutOfRange, PointOutOfRange
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class Relation:
     tuples: frozenset
 
     def __post_init__(self):
+        if self.size < 0:
+            raise OutOfRange(f"relation size {self.size} is negative")
         for t in self.tuples:
             if len(t) != self.arity:
                 raise ArityMismatch(
@@ -47,8 +49,28 @@ def relation_to_json(rel):
 
 
 def relation_from_json(text):
+    """The relation in a JSON object with an int arity >= 1, an int size
+    >= 0 and tuples, a list of lists of 1-based int points.  A document of
+    any other shape raises MalformedSyntax naming the field."""
     data = json.loads(text)
-    tuples = [tuple(p - 1 for p in row) for row in data["tuples"]]
+    if not isinstance(data, dict):
+        raise MalformedSyntax("a relation must be a JSON object")
+    for field in ("arity", "size", "tuples"):
+        if field not in data:
+            raise MalformedSyntax(f"relation has no {field} field")
+    for field, least in (("arity", 1), ("size", 0)):
+        value = data[field]
+        # type() and not isinstance(): JSON true and false are no sizes
+        if type(value) is not int or value < least:
+            raise MalformedSyntax(
+                f"relation {field} must be an integer >= {least}, got {json.dumps(value)}"
+            )
+    rows = data["tuples"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(type(p) is int for p in row) for row in rows
+    ):
+        raise MalformedSyntax("relation tuples must be a list of lists of integers")
+    tuples = [tuple(p - 1 for p in row) for row in rows]
     return relation(data["arity"], data["size"], tuples)
 
 

@@ -51,7 +51,7 @@ from .incidence import (
     rank,
     rank_mod_p,
 )
-from .jordan import _jordan_scan, geometry_audit, is_jordan, jordan_sets, span
+from .jordan import geometry_audit, jordan_sets, span
 from .orders import (
     LOCAL_KINDS,
     cantor_forth,
@@ -421,10 +421,6 @@ def _check_tree_relation_axioms(rng: random.Random) -> tuple[bool, str]:
     return passed, detail
 
 
-def _jordan_point_sets(group: GenGroup) -> list[frozenset[int]]:
-    return [frozenset(c) for c in _jordan_scan(group, None, None)]
-
-
 def _translate_comparability_problems(
     name: str, group: GenGroup, catalog: list[frozenset[int]]
 ) -> list[tuple]:
@@ -457,52 +453,34 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     fix = fixture("pg_2_2")
     g7 = fix.group
     omega = frozenset(range(7))
-    catalog7 = {frozenset(w.points): w for w in jordan_sets(g7)}
+    catalog7 = jordan_sets(g7)
     expected = {omega} | {omega - {p} for p in range(7)}
     expected |= {omega - frozenset(line) for line in fix.lines}
-    if set(catalog7) != expected:
+    if {frozenset(w.points) for w in catalog7} != expected:
         problems.append("plane catalog differs from subspace complements")
-    for w in catalog7.values():
-        if w.proper != (len(w.points) == 4):
-            problems.append(("properness", w.points))
+    problems.extend(("properness", w.points) for w in catalog7 if w.proper != (len(w.points) == 4))
     for a, b in itertools.combinations(range(7), 2):
         line = next(set(l) for l in fix.lines if {a, b} <= set(l))
         if set(span(g7, [a, b])) != line:
             problems.append(("span", a, b))
-    for name, size_cap in (("pg_2_2", 3), ("pg_2_3", 2), ("ag_2_2", 3), ("ag_2_3", 2)):
-        audit = geometry_audit(fixture(name).group, size_cap=size_cap)
-        if not audit.ok:
-            problems.append(("audit", name))
-    audit7 = geometry_audit(g7, size_cap=3)
-    if audit7.independent_counts != ((1, 7, 1), (2, 42, 1), (3, 168, 1), (4, 0, 0)):
+    audits = {
+        name: geometry_audit(fixture(name).group, size_cap=size_cap)
+        for name, size_cap in (("pg_2_2", 3), ("pg_2_3", 2), ("ag_2_2", 3), ("ag_2_3", 2))
+    }
+    problems.extend(("audit", name) for name, audit in audits.items() if not audit.ok)
+    if audits["pg_2_2"].independent_counts != ((1, 7, 1), (2, 42, 1), (3, 168, 1), (4, 0, 0)):
         problems.append("plane independent-tuple counts changed")
 
     comparability_pairs = 0
     families = 0
     pairs_46 = 0
     for name, group in _corpus():
-        catalog = _jordan_point_sets(group)
+        witnesses = {frozenset(w.points): w.witness_group for w in jordan_sets(group)}
+        catalog = list(witnesses)
         comparability_pairs += len(catalog) ** 2
         problems.extend(_translate_comparability_problems(name, group, catalog))
-        if len(catalog) < 1:
-            continue
         sample = catalog if len(catalog) <= 40 else rng.sample(catalog, 40)
-        witness_memo: dict[frozenset[int], GenGroup] = {}
-        degree_memo: dict[tuple[frozenset[int], int], int] = {}
-
-        def witness_of(points: frozenset[int]) -> GenGroup:
-            if points not in witness_memo:
-                witness_memo[points] = is_jordan(group, points).witness_group
-            return witness_memo[points]
-
-        def degree_of(points: frozenset[int], kmax: int) -> int:
-            key = (points, kmax)
-            if key not in degree_memo:
-                degree_memo[key] = transitivity_degree(witness_of(points), kmax)
-            return degree_memo[key]
-
-        prim = [s for s in sample if is_primitive(witness_of(s))]
-        catalog_set = set(catalog)
+        prim = [s for s in sample if is_primitive(witnesses[s])]
         if prim:
             for _ in range(10):
                 family = [prim[rng.randrange(len(prim))]]
@@ -514,30 +492,24 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
                     covered |= pick
                 families += 1
                 union = frozenset(covered)
-                if union not in catalog_set:
+                if union not in witnesses:
                     problems.append(("family union not in catalog", name, tuple(sorted(union))))
                     continue
-                if not is_primitive(witness_of(union)):
+                if not is_primitive(witnesses[union]):
                     problems.append(("family union imprimitive", name, tuple(sorted(union))))
-                k_family = min(degree_of(s, len(s)) for s in set(family))
+                k_family = min(transitivity_degree(witnesses[s], len(s)) for s in set(family))
                 k = min(k_family, len(union))
-                if degree_of(union, k) != k:
+                if transitivity_degree(witnesses[union], k) != k:
                     problems.append(("family transitivity", name, tuple(sorted(union)), k))
-        seen_pairs = 0
-        for a in prim:
-            for b in prim:
-                if seen_pairs >= 10:
-                    break
-                if not (a & b) or a <= b or b <= a:
-                    continue
-                seen_pairs += 1
-                pairs_46 += 1
-                union = a | b
-                if union not in catalog_set:
-                    problems.append(("pair union not in catalog", name, tuple(sorted(union))))
-                    continue
-                if homogeneity_degree(witness_of(union), 2) != 2:
-                    problems.append(("pair union not 2-homogeneous", name, tuple(sorted(union))))
+        incomparable = ((a, b) for a in prim for b in prim if a & b and not (a <= b or b <= a))
+        for a, b in itertools.islice(incomparable, 10):
+            pairs_46 += 1
+            union = a | b
+            if union not in witnesses:
+                problems.append(("pair union not in catalog", name, tuple(sorted(union))))
+                continue
+            if homogeneity_degree(witnesses[union], 2) != 2:
+                problems.append(("pair union not 2-homogeneous", name, tuple(sorted(union))))
     detail = (
         f"plane catalog, pair spans and 4 closure audits verified; translate "
         f"comparability over {comparability_pairs} catalog pairs, {families} "

@@ -15,7 +15,8 @@ from permlab.config import DEFAULT_CAP
 from permlab.errors import CapExceeded
 from permlab.groups import GenGroup, cyclic_group, dihedral_group, order, symmetric_group
 from permlab.incidence import _element_table, _fixed_subset_totals
-from permlab.suite import _corpus, _jordan_point_sets, _translate_comparability_problems
+from permlab.jordan import _jordan_translates
+from permlab.suite import _corpus, _translate_comparability_problems
 from permlab.wreath import wreath
 
 import oracles
@@ -104,7 +105,7 @@ def test_burnside_sum_builds_no_wide_int64_array():
 
 @pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
 def test_comparability_equals_the_frozenset_loop(name, group):
-    catalog = _jordan_point_sets(group)
+    catalog = [frozenset(a) for a in _jordan_translates(group, None, None)]
     found = _translate_comparability_problems(name, group, catalog)
     assert found == oracles.frozenset_translate_comparability(name, group, catalog)
 
@@ -115,7 +116,7 @@ def test_comparability_equals_the_frozenset_loop(name, group):
 )
 def test_comparability_reports_an_injected_pair_like_the_loop(name, injected):
     group = dict(CORPUS)[name]
-    catalog = _jordan_point_sets(group)
+    catalog = [frozenset(a) for a in _jordan_translates(group, None, None)]
     middle = len(catalog) // 2
     doctored = catalog[:middle] + [frozenset(injected)] + catalog[middle:]
     expected = oracles.frozenset_translate_comparability(name, group, doctored)

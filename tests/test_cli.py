@@ -409,6 +409,57 @@ def test_relations_build_missing_parameters_exit_2(capsys):
     assert "--s" in err
 
 
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ('{"arity": 3}', "relation has no size field"),
+        ("[1, 2]", "a relation must be a JSON object"),
+        ('{"arity": "3", "size": 2, "tuples": []}', 'relation arity must be an integer >= 1, got "3"'),
+        ('{"arity": 0, "size": 2, "tuples": []}', "relation arity must be an integer >= 1, got 0"),
+        ('{"arity": 3, "size": 2.5, "tuples": []}', "relation size must be an integer >= 0, got 2.5"),
+        ('{"arity": 3, "size": true, "tuples": []}', "relation size must be an integer >= 0, got true"),
+        ('{"arity": 3, "size": -1, "tuples": []}', "relation size must be an integer >= 0, got -1"),
+        ('{"arity": 3, "size": 2, "tuples": 5}', "relation tuples must be a list of lists of integers"),
+        ('{"arity": 3, "size": 2, "tuples": [["a", 1, 1]]}', "relation tuples must be a list of lists of integers"),
+    ],
+)
+def test_relations_check_refuses_a_malformed_relation_naming_the_field(
+    capsys, monkeypatch, document, message
+):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    rc, out, err = run_cli(capsys, "relations", "check", "--family", "C", "--input", "-")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cantor", "--source", "1/0", "--target", "1"), "--source item '1/0' has a zero denominator"),
+        (("cantor", "--source", "1", "--target", "1,x"), "--target item 'x' is not a rational"),
+        (("cantor", "--source", "1,,2", "--target", "1"), "--source item '' is not a rational"),
+        (
+            ("relations", "build", "--model", "words", "--values", "1/0", "--s", "2"),
+            "--values item '1/0' has a zero denominator",
+        ),
+        (
+            ("relations", "build", "--model", "words", "--values", "x", "--s", "2"),
+            "--values item 'x' is not a rational",
+        ),
+        (("lw", "--n", "5", "--theta", "1,x,3"), "--theta item 'x' is not an integer"),
+        (("lw", "--n", "5", "--theta", "1,1/2,3"), "--theta item '1/2' is not an integer"),
+        (("lw", "--n", "-1", "--k", "1"), "--n -1 is negative"),
+        (("lw", "--n", "-1", "--theta", "0,0,0"), "--n -1 is negative"),
+    ],
+)
+def test_numeric_list_flags_name_the_flag_and_the_item(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # cantor
 
 

@@ -25,7 +25,7 @@ from permlab.groups import (
     is_transitive,
     symmetric_group,
 )
-from permlab.jordan import _jordan_scan, jordan_sets
+from permlab.jordan import _jordan_translates, jordan_sets
 from permlab.perms import Permutation, compose
 from permlab.suite import _corpus
 
@@ -41,10 +41,10 @@ TRANSITIVE.append(("trivial_1", GenGroup(1, ())))
 def test_scan_equals_the_support_table_scan(name, group):
     n = group.degree
     expected = oracles.support_jordan_scan(n, group.generators)
-    assert tuple(_jordan_scan(group, None, None)) == expected
+    assert tuple(_jordan_translates(group, None, None)) == expected
     for m in range(2, n + 1):
         single = tuple(c for c in expected if len(c) == m)
-        assert tuple(_jordan_scan(group, [m], None)) == single, m
+        assert tuple(_jordan_translates(group, [m], None)) == single, m
 
 
 @st.composite
@@ -63,7 +63,7 @@ def _groups_and_sizes(draw):
 def test_scan_equals_the_support_table_scan_on_drawn_groups(case):
     group, sizes = case
     expected = oracles.support_jordan_scan(group.degree, group.generators, sizes)
-    assert tuple(_jordan_scan(group, sizes, None)) == expected
+    assert tuple(_jordan_translates(group, sizes, None)) == expected
 
 
 def test_no_wanted_size_gives_no_jordan_set():
@@ -111,10 +111,10 @@ RELABELED = [
 def test_walk_equals_the_sorted_complement_scan(name, group):
     n = group.degree
     expected = oracles.sorted_complement_jordan_scan(group, None, None)
-    assert tuple(_jordan_scan(group, None, None)) == expected
+    assert tuple(_jordan_translates(group, None, None)) == expected
     for m in range(2, n + 1):
         single = tuple(c for c in expected if len(c) == m)
-        assert tuple(_jordan_scan(group, [m], None)) == single, m
+        assert tuple(_jordan_translates(group, [m], None)) == single, m
 
 
 @st.composite
@@ -142,7 +142,7 @@ def _intransitive_groups_and_sizes(draw):
 def test_walk_equals_the_sorted_complement_scan_on_intransitive_groups(case):
     group, sizes = case
     expected = oracles.sorted_complement_jordan_scan(group, sizes, None)
-    assert tuple(_jordan_scan(group, sizes, None)) == expected
+    assert tuple(_jordan_translates(group, sizes, None)) == expected
 
 
 def _walk_work(group, monkeypatch):
@@ -168,7 +168,7 @@ def _walk_work(group, monkeypatch):
     monkeypatch.setattr(jordan, "_connected_inside", counted_test)
     monkeypatch.setattr(jordan, "_least_stabilizer", counted_child)
     clear_caches()
-    list(_jordan_scan(group, None, None))
+    tuple(_jordan_translates(group, None, None))
     return tested, set(reached), _stabilizer_in.cache_info().misses
 
 

@@ -37,8 +37,8 @@ from permlab.groups import (
     order,
     symmetric_group,
 )
-from permlab import jordan
-from permlab.jordan import _jordan_scan, is_jordan, jordan_sets
+from permlab import jordan, suite
+from permlab.jordan import _jordan_translates, is_jordan, jordan_sets
 from permlab.perms import Permutation
 from permlab.suite import _corpus
 
@@ -80,7 +80,7 @@ def test_stabilizers_equal_the_schreier_sims_stabilizers(name, group):
 @pytest.mark.parametrize("name,group", CASES[len(CORPUS) :], ids=IDS[len(CORPUS) :])
 def test_scan_of_a_relabeled_group_equals_the_support_table_scan(name, group):
     expected = oracles.support_jordan_scan(group.degree, group.generators)
-    assert tuple(_jordan_scan(group, None, None)) == expected
+    assert tuple(_jordan_translates(group, None, None)) == expected
 
 
 def test_a_fill_whose_elements_all_sift_ends_with_the_schreier_checks(monkeypatch):
@@ -266,6 +266,26 @@ def test_catalog_certifies_once_per_orbit(name, orbits, sets, monkeypatch):
     assert len(catalog) == sets
     assert len(certified) == len(witness_orders) == orbits
     assert len(set(certified)) == orbits
+
+
+def test_battery_jordan_property_certifies_once_per_orbit(monkeypatch):
+    # every name bound to the counted functions, in jordan and in suite
+    calls = {"is_jordan": 0, "geometry_audit": 0}
+    for name in calls:
+        func = getattr(jordan, name)
+
+        def counted(*args, _name=name, _func=func, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        for module in (jordan, suite):
+            if getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counted)
+    (result,) = suite.run_battery(7, name_filter="jordan-span")
+    assert result.passed, result.detail
+    # one call per G-orbit of each corpus group, and one audit per plane
+    assert calls == {"is_jordan": 115, "geometry_audit": 4}
+    assert not hasattr(suite, "is_jordan")
 
 
 @pytest.mark.parametrize("name,group", CASES, ids=IDS)

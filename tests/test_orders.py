@@ -394,3 +394,8 @@ def test_relation_json_round_trip():
 def test_relation_json_is_one_based():
     rel = relation(2, 3, [(0, 1)])
     assert '"tuples": [[1, 2]]' in relation_to_json(rel)
+
+
+def test_relation_refuses_a_negative_size():
+    with pytest.raises(OutOfRange, match="relation size -1 is negative"):
+        relation(2, -1, [])

@@ -28,7 +28,7 @@ from permlab.groups import (
     symmetric_group,
 )
 from permlab.jordan import (
-    _jordan_scan,
+    _jordan_translates,
     is_jordan,
     maximal_jordan_avoiding,
     span,
@@ -53,7 +53,8 @@ def test_pointwise_stabilizer_equals_the_element_filter(name, group):
     fixed = _fixed_masks(enumerate_elements(group))
     small = [c for m in range(4) for c in itertools.combinations(range(n), m)]
     complements = [
-        tuple(p for p in range(n) if p not in combo) for combo in _jordan_scan(group, None, None)
+        tuple(p for p in range(n) if p not in combo)
+        for combo in tuple(_jordan_translates(group, None, None))
     ]
     for points in dict.fromkeys(small + complements):
         mask = sum(1 << p for p in points)
