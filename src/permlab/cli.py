@@ -9,6 +9,16 @@ where a pass has a natural graph form.  Points, cycles and lines are
 Exit codes: 0 for success (verdict failures included), 2 for invalid
 input, 3 when the work would exceed the element cap (raise it with the
 PERMLAB_CAP environment variable).
+
+Every call runs in a fresh process, so import time is part of each answer.
+At module level this imports only what ``analyze --gens`` and ``lw`` run:
+groups, blocks, jordan, incidence, perms, config and errors.  The other
+verbs import their modules when they run: fixtures for ``analyze
+--fixture`` and ``corpus``; fixtures and wreath for ``wreath``; suite for
+``suite``; trees and relations for ``relations``; orders for ``cantor``.
+incidence, and numpy with it, stays eager: ``lw`` needs it, and a
+deferred import would move numpy's load, about half of what is left of
+the import, into the verb's first call.
 """
 
 from __future__ import annotations
@@ -22,9 +32,8 @@ from pathlib import Path
 
 from . import __version__
 from .blocks import congruences, is_primitive, orbital_graph, orbitals, suborbits
-from .config import element_cap
+from .config import AXIOM_FAMILIES, DEFAULT_SEED, element_cap
 from .errors import CapExceeded, MalformedSyntax, OutOfRange, PermlabError, PointOutOfRange
-from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     GenGroup,
     alternating_group,
@@ -47,12 +56,7 @@ from .incidence import (
     theta_exploration,
 )
 from .jordan import jordan_sets, span
-from .orders import cantor_forth
 from .perms import format_cycles, parse_cycles
-from .relations import relation_from_json, relation_to_json
-from .suite import DEFAULT_SEED, run_battery
-from .trees import AXIOM_FAMILIES, b_from_poset, check_axioms, finite_c_model, lambda_word_model
-from .wreath import fiber_partition, wreath
 
 SCHEMA = "permlab-report/1"
 
@@ -107,6 +111,8 @@ def _emit(args, payload, text_lines) -> int:
 
 def _resolve_group(args) -> tuple[str, GenGroup, object]:
     if args.fixture:
+        from .fixtures import fixture
+
         fix = fixture(args.fixture)
         return args.fixture, fix.group, fix
     if args.degree is None:
@@ -284,6 +290,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_corpus_list(args) -> int:
+    from .fixtures import FIXTURE_NAMES, fixture
+
     rows = []
     lines = []
     for name in FIXTURE_NAMES:
@@ -294,6 +302,8 @@ def _cmd_corpus_list(args) -> int:
 
 
 def _cmd_corpus_describe(args) -> int:
+    from .fixtures import fixture
+
     fix = fixture(args.name)
     group = fix.group
     payload = {
@@ -321,6 +331,8 @@ def _cmd_corpus_describe(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import run_battery
+
     results = run_battery(seed=args.seed, name_filter=args.filter)
     if not results:
         print(
@@ -353,6 +365,8 @@ _FAMILIES = {
 
 
 def _named_group(name: str) -> GenGroup:
+    from .fixtures import FIXTURE_NAMES, fixture
+
     if name in FIXTURE_NAMES:
         return fixture(name).group
     family, _, tail = name.rpartition("_")
@@ -365,6 +379,8 @@ def _named_group(name: str) -> GenGroup:
 
 
 def _cmd_wreath(args) -> int:
+    from .wreath import fiber_partition, wreath
+
     bottom = _named_group(args.bottom)
     top = _named_group(args.top)
     product = wreath(bottom, top)
@@ -406,6 +422,9 @@ def _witness_out(witness):
 
 
 def _cmd_relations_build(args) -> int:
+    from .relations import relation_to_object
+    from .trees import b_from_poset, finite_c_model, lambda_word_model
+
     if args.model == "chain":
         if args.k is None or args.s is None:
             raise OutOfRange("the chain model needs --k and --s")
@@ -421,7 +440,7 @@ def _cmd_relations_build(args) -> int:
         meta = {"model": "words", "s": args.s, "family": "B"}
     payload = dict(meta)
     payload["size"] = rel.size
-    payload["relation"] = json.loads(relation_to_json(rel))
+    payload["relation"] = relation_to_object(rel)
     lines = [
         f"{meta['model']} model: {rel.size} points, arity {rel.arity},"
         f" {len(rel.tuples)} tuples (family {meta['family']})"
@@ -430,6 +449,9 @@ def _cmd_relations_build(args) -> int:
 
 
 def _cmd_relations_check(args) -> int:
+    from .relations import relation_from_object
+    from .trees import check_axioms
+
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -439,7 +461,7 @@ def _cmd_relations_check(args) -> int:
         data = data["report"]
     if isinstance(data, dict) and "relation" in data:
         data = data["relation"]
-    rel = relation_from_json(json.dumps(data))
+    rel = relation_from_object(data)
     report = check_axioms(rel, args.family)
     payload = {
         "family": args.family,
@@ -467,6 +489,8 @@ def _cmd_relations_check(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
+    from .orders import cantor_forth
+
     source = _numbers_in("--source", args.source, Fraction)
     target = _numbers_in("--target", args.target, Fraction)
     result = cantor_forth(source, target)

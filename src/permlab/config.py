@@ -17,6 +17,13 @@ DEFAULT_CAP = 200_000
 # 2348 in _pointwise_stabilizer, 366 in _stabilizer_in and 458 in _chain.
 CACHE_ENTRIES = 8192
 
+# The battery's default seed (suite) and the axiom families check_axioms
+# audits (trees).  The CLI parser offers both, and it is built before any
+# verb runs, so they live here: the parser reads them without importing
+# suite or trees, which only the suite and relations verbs need.
+DEFAULT_SEED = 20260818
+AXIOM_FAMILIES = ("semilinear", "C", "B", "D")
+
 
 def element_cap(override: int | None = None) -> int:
     """Resolve the enumeration cap: explicit override > env var > default.

@@ -43,16 +43,21 @@ def relation(arity, size, tuples):
     return Relation(arity, size, frozenset(tuple(t) for t in tuples))
 
 
-def relation_to_json(rel):
+def relation_to_object(rel):
+    """The relation as a JSON-ready object: arity, size and the sorted
+    tuples as lists of 1-based points."""
     rows = [[p + 1 for p in t] for t in rel.sorted_tuples()]
-    return json.dumps({"arity": rel.arity, "size": rel.size, "tuples": rows})
+    return {"arity": rel.arity, "size": rel.size, "tuples": rows}
 
 
-def relation_from_json(text):
-    """The relation in a JSON object with an int arity >= 1, an int size
-    >= 0 and tuples, a list of lists of 1-based int points.  A document of
-    any other shape raises MalformedSyntax naming the field."""
-    data = json.loads(text)
+def relation_to_json(rel):
+    return json.dumps(relation_to_object(rel))
+
+
+def relation_from_object(data):
+    """The relation in a decoded JSON object with an int arity >= 1, an int
+    size >= 0 and tuples, a list of lists of 1-based int points.  A value
+    of any other shape raises MalformedSyntax naming the field."""
     if not isinstance(data, dict):
         raise MalformedSyntax("a relation must be a JSON object")
     for field in ("arity", "size", "tuples"):
@@ -72,6 +77,11 @@ def relation_from_json(text):
         raise MalformedSyntax("relation tuples must be a list of lists of integers")
     tuples = [tuple(p - 1 for p in row) for row in rows]
     return relation(data["arity"], data["size"], tuples)
+
+
+def relation_from_json(text):
+    """The relation in a JSON text, as relation_from_object reads it."""
+    return relation_from_object(json.loads(text))
 
 
 def relabel_relation(rel, images):
@@ -105,7 +115,9 @@ def restrict_relation(rel, points):
 __all__ = [
     "Relation",
     "relation",
+    "relation_to_object",
     "relation_to_json",
+    "relation_from_object",
     "relation_from_json",
     "relabel_relation",
     "is_invariant",

@@ -26,6 +26,7 @@ from .blocks import (
     congruences,
     is_primitive,
 )
+from .config import DEFAULT_SEED
 from .fixtures import FIXTURE_NAMES, fixture
 from .groups import (
     CosetCoverInstance,
@@ -66,8 +67,6 @@ from .perms import Permutation, compose, identity, involution_factorization, sup
 from .relations import relation
 from .trees import check_axioms, finite_c_model, set_translates
 from .wreath import imprimitive_embedding, wreath
-
-DEFAULT_SEED = 20260818
 
 
 @dataclass(frozen=True)
@@ -475,7 +474,9 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     families = 0
     pairs_46 = 0
     for name, group in _corpus():
-        witnesses = {frozenset(w.points): w.witness_group for w in jordan_sets(group)}
+        # the plane is a corpus group: its catalog is the one checked above
+        found = catalog7 if group == g7 else jordan_sets(group)
+        witnesses = {frozenset(w.points): w.witness_group for w in found}
         catalog = list(witnesses)
         comparability_pairs += len(catalog) ** 2
         problems.extend(_translate_comparability_problems(name, group, catalog))

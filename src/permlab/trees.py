@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import element_cap
+from .config import AXIOM_FAMILIES, element_cap
 from .errors import (
     ArityMismatch,
     AxiomsFailed,
@@ -189,8 +189,6 @@ class AxiomReport:
                 return c
         raise KeyError(name)
 
-
-AXIOM_FAMILIES = ("semilinear", "C", "B", "D")
 
 _FAMILY_ARITY = {"semilinear": 2, "C": 3, "B": 3, "D": 4}
 

@@ -2,6 +2,7 @@
 automorphisms, derived ternary/quaternary relations, local checks."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ from permlab.relations import (
     relabel_relation,
     relation,
     relation_from_json,
+    relation_from_object,
     relation_to_json,
+    relation_to_object,
 )
 
 F = Fraction
@@ -389,6 +392,14 @@ def test_relation_json_round_trip():
     rel = derive_relation(linear_order_relation(4), "separation")
     again = relation_from_json(relation_to_json(rel))
     assert again == rel
+
+
+def test_relation_object_round_trip_matches_the_json_text():
+    rel = derive_relation(linear_order_relation(4), "separation")
+    data = relation_to_object(rel)
+    assert json.dumps(data) == relation_to_json(rel)
+    assert relation_from_object(data) == rel
+    assert relation_from_object(json.loads(relation_to_json(rel))) == rel
 
 
 def test_relation_json_is_one_based():
