@@ -9,8 +9,12 @@ suborbits and span passes on a few fixtures, ``analyze --gens`` with the
 jordan and span passes in JSON and text for two relabeled fixtures (the
 jordan pass alone for four more, among them the catalogs with the most
 translates), the jordan pass for an intransitive group with fixed points,
-and samples of ``lw`` (rank, CSV and theta reports), ``wreath``,
-``relations build`` and ``cantor`` in both formats.  A change that must keep the CLI's bytes runs
+samples of ``lw`` (rank, CSV and theta reports), ``wreath``,
+``relations build`` and ``cantor`` in both formats, and ``relations
+check`` in both formats on the relation files in ``tests/data/relations``
+(two per axiom family, one of each failing several axioms, so the
+witnesses are printed).  Paths are relative to the repository root,
+where every case runs.  A change that must keep the CLI's bytes runs
 ``tests/test_golden.py``, which replays every case.
 
     PYTHONPATH=src python3 scripts/golden.py [--out PATH]
@@ -30,7 +34,8 @@ from permlab import cli
 from permlab.fixtures import FIXTURE_NAMES, fixture
 from permlab.perms import Permutation, format_cycles
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_cli.json"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "data" / "golden_cli.json"
 PASSES = tuple(cli._PASSES)
 SAMPLES = (
     "lw --n 5 --k 2 --format json",
@@ -87,6 +92,17 @@ RELABELED_FIXTURES = {
 # groups given by --gens and --degree whose jordan pass is pinned: every
 # fixture is transitive, and these have several orbits and fixed points
 GENERATED_GROUPS = (("(1 2 3 4),(1 2),(5 6 7)", 9),)
+# relation files under tests/data/relations audited by relations check
+CHECKED_RELATIONS = (
+    ("semilinear_words", "semilinear"),
+    ("semilinear_broken", "semilinear"),
+    ("c_chain_k2_s3", "C"),
+    ("c_separation_cut", "C"),
+    ("b_words", "B"),
+    ("b_broken", "B"),
+    ("d_blocks", "D"),
+    ("d_separation", "D"),
+)
 
 
 def _analyze(name: str, pass_name: str, fmt: str) -> list[str]:
@@ -128,6 +144,10 @@ def cases() -> list[list[str]]:
     for gens, degree in GENERATED_GROUPS:
         argv = ["analyze", "--gens", gens, "--degree", str(degree), "--pass", "jordan"]
         out += [argv + ["--format", fmt] for fmt in ("json", "text")]
+    for name, family in CHECKED_RELATIONS:
+        path = f"tests/data/relations/{name}.json"
+        argv = ["relations", "check", "--family", family, "--input", path]
+        out += [argv + ["--format", fmt] for fmt in ("json", "text")]
     return out
 
 
@@ -144,6 +164,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=OUT)
     args = parser.parse_args()
     os.environ.pop("PERMLAB_CAP", None)
+    os.chdir(ROOT)
     rows = [json.dumps(run(argv), sort_keys=True) for argv in cases()]
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text('{"cases": [\n' + ",\n".join(rows) + "\n]}\n")

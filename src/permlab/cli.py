@@ -7,8 +7,9 @@ where a pass has a natural graph form.  Points, cycles and lines are
 1-based in all input and output.
 
 Exit codes: 0 for success (verdict failures included), 2 for invalid
-input, 3 when the work would exceed the element cap (raise it with the
-PERMLAB_CAP environment variable).
+input or a file that cannot be read, 3 when the work would exceed the
+element cap (raise it with the PERMLAB_CAP environment variable).  Any
+other exception is permlab's own fault and ends in a traceback.
 
 Every call runs in a fresh process, so import time is part of each answer.
 At module level this imports only what ``analyze --gens`` and ``lw`` run:
@@ -449,14 +450,15 @@ def _cmd_relations_build(args) -> int:
 
 
 def _cmd_relations_check(args) -> int:
-    from .relations import relation_from_object
+    from .relations import json_document, relation_from_object
     from .trees import check_axioms
 
     if args.input == "-":
-        text = sys.stdin.read()
+        # the bytes of a real stdin; a text stream has no buffer
+        raw = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        text = Path(args.input).read_text()
-    data = json.loads(text)
+        raw = Path(args.input).read_bytes()
+    data = json_document(raw)
     if isinstance(data, dict) and "report" in data:
         data = data["report"]
     if isinstance(data, dict) and "relation" in data:
@@ -681,10 +683,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PermlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (PermlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,9 +79,24 @@ def relation_from_object(data):
     return relation(data["arity"], data["size"], tuples)
 
 
+def json_document(raw):
+    """The value of a JSON document given as text or as UTF-8 bytes; bytes
+    that are not UTF-8 and text that is not JSON raise MalformedSyntax."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except UnicodeDecodeError as exc:
+        raise MalformedSyntax(
+            f"relation input is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise MalformedSyntax(
+            f"relation input is not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from None
+
+
 def relation_from_json(text):
     """The relation in a JSON text, as relation_from_object reads it."""
-    return relation_from_object(json.loads(text))
+    return relation_from_object(json_document(text))
 
 
 def relabel_relation(rel, images):
@@ -118,6 +133,7 @@ __all__ = [
     "relation_to_object",
     "relation_to_json",
     "relation_from_object",
+    "json_document",
     "relation_from_json",
     "relabel_relation",
     "is_invariant",

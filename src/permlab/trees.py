@@ -7,9 +7,17 @@ quotient turning a C-relation into a semilinear order, cross-derivations
 between the structure kinds, and invariant-subset classification for a
 group action.
 
+Each family's axioms are data: an axiom is a name and the counterexamples
+it yields, least first, and one evaluator keeps the first as the witness.
 Existential axioms that can only hold on infinite domains (denseness
 and its relatives) are evaluated and reported alongside the core list,
 never mixed into the pass/fail verdict.
+
+The element cap bounds the loops here as it bounds group enumeration:
+the audit, the equivalence-chain builder, the word model's order matrix
+and betweenness measure how many candidates their widest loop visits
+before it starts, and raise CapExceeded naming a PERMLAB_CAP that would
+suffice.
 """
 
 from __future__ import annotations
@@ -190,280 +198,132 @@ class AxiomReport:
         raise KeyError(name)
 
 
-_FAMILY_ARITY = {"semilinear": 2, "C": 3, "B": 3, "D": 4}
+def _tuples(n, k):
+    return itertools.product(range(n), repeat=k)
 
 
-def _semilinear_checks(rel):
-    n = rel.size
-    has = rel.tuples.__contains__
-    core = []
+def _check_scan(count, what, cap=None):
+    """Raise CapExceeded, naming the cap that would suffice, when a loop
+    is about to visit more candidates than the element cap allows."""
+    cap = element_cap(cap)
+    if count > cap:
+        raise CapExceeded(
+            f"{what} visits {count} candidates, past cap {cap}; PERMLAB_CAP={count} would suffice"
+        )
 
-    witness = next(((a,) for a in range(n) if not has((a, a))), None)
-    core.append(AxiomCheck("reflexive", witness is None, witness))
 
-    witness = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and has((a, b)) and has((b, a))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("antisymmetric", witness is None, witness))
+def _last_two_swapped(n, has, m):
+    return ((a, b, c) for a, b, c in m if not has((a, c, b)))
 
-    witness = next(
-        (
-            (a, b, c)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if has((a, b)) and has((b, c)) and not has((a, c))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("transitive", witness is None, witness))
 
-    witness = next(
-        (
-            (a, b, c)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if has((a, b)) and has((a, c)) and not (has((b, c)) or has((c, b)))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("upper-linear", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if not any(has((a, c)) and has((b, c)) for c in range(n))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("upper-directed", witness is None, witness))
-
+def _dense(n, has, m):
     def strictly(a, b):
         return a != b and has((a, b))
 
-    witness = None
-    for a, b in itertools.product(range(n), repeat=2):
-        if strictly(a, b) and not any(
-            strictly(a, c) and strictly(c, b) for c in range(n)
-        ):
-            witness = (a, b)
-            break
-    if witness is None:
-        witness = next(
-            ((a,) for a in range(n) if not any(strictly(a, c) for c in range(n))),
-            None,
-        )
-    reported = [AxiomCheck("dense", witness is None, witness)]
-    return core, reported
-
-
-def _c_checks(rel):
-    n = rel.size
-    has = rel.tuples.__contains__
-    members = sorted(rel.tuples)
-    core = []
-
-    witness = next(((a, b, c) for a, b, c in members if not has((a, c, b))), None)
-    core.append(AxiomCheck("C1", witness is None, witness))
-
-    witness = next(((a, b, c) for a, b, c in members if has((b, a, c))), None)
-    core.append(AxiomCheck("C2", witness is None, witness))
-
-    witness = None
-    for a, b, c in members:
-        for d in range(n):
-            if not (has((a, c, d)) or has((d, b, c))):
-                witness = (a, b, c, d)
-                break
-        if witness:
-            break
-    core.append(AxiomCheck("C3", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and not has((a, b, b))
-        ),
-        None,
+    return itertools.chain(
+        ((a, b) for a, b in _tuples(n, 2)
+         if strictly(a, b) and not any(strictly(a, c) and strictly(c, b) for c in range(n))),
+        ((a,) for a in range(n) if not any(strictly(a, c) for c in range(n))),
     )
-    core.append(AxiomCheck("C4", witness is None, witness))
-
-    witness = next(
-        (
-            (b, c)
-            for b in range(n)
-            for c in range(n)
-            if not any(has((a, b, c)) for a in range(n))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("C5", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b and not any(d != b and has((a, b, d)) for d in range(n))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("C6", witness is None, witness))
-
-    witness = None
-    for a, b, c in members:
-        if not any(has((a, b, d)) and has((d, b, c)) for d in range(n)):
-            witness = (a, b, c)
-            break
-    reported = [AxiomCheck("C7", witness is None, witness)]
-    return core, reported
 
 
-def _b_checks(rel):
-    n = rel.size
-    has = rel.tuples.__contains__
-    members = sorted(rel.tuples)
-    core = []
-
-    witness = next(((a, b, c) for a, b, c in members if not has((a, c, b))), None)
-    core.append(AxiomCheck("B1", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b, c)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if (has((a, b, c)) and has((b, a, c))) != (a == b)
-        ),
-        None,
-    )
-    core.append(AxiomCheck("B2", witness is None, witness))
-
-    witness = None
-    for a, b, c in members:
-        for d in range(n):
-            if not (has((a, b, d)) or has((a, c, d))):
-                witness = (a, b, c, d)
-                break
-        if witness:
-            break
-    core.append(AxiomCheck("B3", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b, c, d)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            for d in range(n)
-            if has((a, c, d)) and has((b, a, c)) and not has((b, c, d))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("B4", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b, c, d)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            for d in range(n)
-            if has((a, c, d))
-            and has((b, c, d))
-            and not (has((a, b, c)) or has((b, a, c)))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("B5", witness is None, witness))
-
-    witness = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if has((a, b, c)):
-            continue
-        if not any(
-            d != a and has((d, a, b)) and has((d, a, c)) for d in range(n)
-        ):
-            witness = (a, b, c)
-            break
-    reported = [AxiomCheck("B6", witness is None, witness)]
-    return core, reported
-
-
-def _d_checks(rel):
-    n = rel.size
-    has = rel.tuples.__contains__
-    members = sorted(rel.tuples)
-    core = []
-
-    witness = next(
-        (
-            (a, b, c, d)
-            for a, b, c, d in members
-            if not (has((b, a, c, d)) and has((a, b, d, c)) and has((c, d, a, b)))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("D1", witness is None, witness))
-
-    witness = next(((a, b, c, d) for a, b, c, d in members if has((a, c, b, d))), None)
-    core.append(AxiomCheck("D2", witness is None, witness))
-
-    witness = None
-    for a, b, c, d in members:
-        for e in range(n):
-            if not (has((a, e, c, d)) or has((a, b, c, e))):
-                witness = (a, b, c, d, e)
-                break
-        if witness:
-            break
-    core.append(AxiomCheck("D3", witness is None, witness))
-
-    witness = next(
-        (
-            (a, b, c)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if len({a, b, c}) == 3
-            and not any(e != c and has((a, b, c, e)) for e in range(n))
-        ),
-        None,
-    )
-    core.append(AxiomCheck("D4", witness is None, witness))
-    return core, []
+# family: (arity, k, core axioms, reported-only axioms).  An axiom is its
+# name and a function of (n, has, m), the domain size, membership and the
+# sorted tuples, that yields its counterexamples least first; no loop
+# visits more than max(len(m) * n, n**k) candidates.
+_AXIOMS = {
+    "semilinear": (2, 3, (
+        ("reflexive", lambda n, has, m: ((a,) for a in range(n) if not has((a, a)))),
+        ("antisymmetric", lambda n, has, m: (
+            (a, b) for a, b in _tuples(n, 2) if a != b and has((a, b)) and has((b, a)))),
+        ("transitive", lambda n, has, m: (
+            (a, b, c) for a, b, c in _tuples(n, 3)
+            if has((a, b)) and has((b, c)) and not has((a, c)))),
+        ("upper-linear", lambda n, has, m: (
+            (a, b, c) for a, b, c in _tuples(n, 3)
+            if has((a, b)) and has((a, c)) and not (has((b, c)) or has((c, b))))),
+        ("upper-directed", lambda n, has, m: (
+            (a, b) for a, b in _tuples(n, 2)
+            if not any(has((a, c)) and has((b, c)) for c in range(n)))),
+    ), (
+        ("dense", _dense),
+    )),
+    "C": (3, 3, (
+        ("C1", _last_two_swapped),
+        ("C2", lambda n, has, m: ((a, b, c) for a, b, c in m if has((b, a, c)))),
+        ("C3", lambda n, has, m: (
+            (a, b, c, d) for a, b, c in m for d in range(n)
+            if not (has((a, c, d)) or has((d, b, c))))),
+        ("C4", lambda n, has, m: (
+            (a, b) for a, b in _tuples(n, 2) if a != b and not has((a, b, b)))),
+        ("C5", lambda n, has, m: (
+            (b, c) for b, c in _tuples(n, 2) if not any(has((a, b, c)) for a in range(n)))),
+        ("C6", lambda n, has, m: (
+            (a, b) for a, b in _tuples(n, 2)
+            if a != b and not any(d != b and has((a, b, d)) for d in range(n)))),
+    ), (
+        ("C7", lambda n, has, m: (
+            (a, b, c) for a, b, c in m
+            if not any(has((a, b, d)) and has((d, b, c)) for d in range(n)))),
+    )),
+    "B": (3, 4, (
+        ("B1", _last_two_swapped),
+        ("B2", lambda n, has, m: (
+            (a, b, c) for a, b, c in _tuples(n, 3)
+            if (has((a, b, c)) and has((b, a, c))) != (a == b))),
+        ("B3", lambda n, has, m: (
+            (a, b, c, d) for a, b, c in m for d in range(n)
+            if not (has((a, b, d)) or has((a, c, d))))),
+        ("B4", lambda n, has, m: (
+            (a, b, c, d) for a, b, c, d in _tuples(n, 4)
+            if has((a, c, d)) and has((b, a, c)) and not has((b, c, d)))),
+        ("B5", lambda n, has, m: (
+            (a, b, c, d) for a, b, c, d in _tuples(n, 4)
+            if has((a, c, d)) and has((b, c, d)) and not (has((a, b, c)) or has((b, a, c))))),
+    ), (
+        ("B6", lambda n, has, m: (
+            (a, b, c) for a, b, c in _tuples(n, 3)
+            if not has((a, b, c))
+            and not any(d != a and has((d, a, b)) and has((d, a, c)) for d in range(n)))),
+    )),
+    "D": (4, 4, (
+        ("D1", lambda n, has, m: (
+            (a, b, c, d) for a, b, c, d in m
+            if not (has((b, a, c, d)) and has((a, b, d, c)) and has((c, d, a, b))))),
+        ("D2", lambda n, has, m: ((a, b, c, d) for a, b, c, d in m if has((a, c, b, d)))),
+        ("D3", lambda n, has, m: (
+            (a, b, c, d, e) for a, b, c, d in m for e in range(n)
+            if not (has((a, e, c, d)) or has((a, b, c, e))))),
+        ("D4", lambda n, has, m: (
+            (a, b, c) for a, b, c in _tuples(n, 3)
+            if len({a, b, c}) == 3 and not any(e != c and has((a, b, c, e)) for e in range(n)))),
+    ), ()),
+}
 
 
 def check_axioms(rel, family):
     """Exhaustively evaluate the axiom list of the given family, returning
     every core axiom with its least counterexample and the infinite-scale
-    axioms as a separate reported list."""
-    if family not in AXIOM_FAMILIES:
+    axioms as a separate reported list.  Raises CapExceeded before any
+    axiom runs when the widest loop would pass the element cap."""
+    if family not in _AXIOMS:
         raise OutOfRange(f"unknown axiom family {family!r}")
-    want = _FAMILY_ARITY[family]
-    if rel.arity != want:
-        raise ArityMismatch(f"family {family} expects arity {want}, got {rel.arity}")
-    if family == "semilinear":
-        core, reported = _semilinear_checks(rel)
-    elif family == "C":
-        core, reported = _c_checks(rel)
-    elif family == "B":
-        core, reported = _b_checks(rel)
-    else:
-        core, reported = _d_checks(rel)
-    return AxiomReport(family, tuple(core), tuple(reported))
+    arity, k, core, reported = _AXIOMS[family]
+    if rel.arity != arity:
+        raise ArityMismatch(f"family {family} expects arity {arity}, got {rel.arity}")
+    n = rel.size
+    _check_scan(max(len(rel.tuples) * n, n**k), f"the {family} axiom audit on {n} points")
+    has = rel.tuples.__contains__
+    members = sorted(rel.tuples)
+
+    def audit(axioms):
+        checks = []
+        for name, counterexamples in axioms:
+            witness = next(counterexamples(n, has, members), None)
+            checks.append(AxiomCheck(name, witness is None, witness))
+        return tuple(checks)
+
+    return AxiomReport(family, audit(core), audit(reported))
 
 
 # ---------------------------------------------------------------- builders
@@ -471,7 +331,9 @@ def check_axioms(rel, family):
 
 def c_from_equivalence_chain(chain):
     """The ternary relation of a refinement chain of equivalence relations:
-    the focus point falls outside some class that contains the other two."""
+    the focus point falls outside some class that contains the other two.
+    Raises CapExceeded before the loop when the degree**3 triples it
+    visits pass the element cap."""
     chain = tuple(chain)
     if not chain:
         raise NotAChain("empty chain")
@@ -488,6 +350,7 @@ def c_from_equivalence_chain(chain):
                     raise NotAChain("later partitions must coarsen earlier ones")
             else:
                 coarser[key] = upper[p]
+    _check_scan(degree**3, f"a C-relation on {degree} points")
     tuples = []
     for a, b, c in itertools.product(range(degree), repeat=3):
         if any(row[b] == row[c] != row[a] for row in ids):
@@ -536,8 +399,7 @@ def lambda_word_model(rationals, s, cap=None):
     count = 0
     for t in range(1, m + 1):
         count += math.comb(m, t) * (s - 1) ** (t - 1)
-    if count > element_cap(cap):
-        raise CapExceeded(f"{count} words passes the cap")
+    _check_scan(count * count, f"the order matrix of {count} words", cap)
     words = []
     for t in range(1, m + 1):
         for qs in itertools.combinations(sorted(rationals, reverse=True), t):
@@ -750,8 +612,11 @@ class DerivedStructure:
 
 def b_from_poset(poset):
     """Betweenness of a semilinear order: on a path, at the join, or at a
-    comparable point hanging beside an incomparable one."""
+    comparable point hanging beside an incomparable one.  Raises
+    CapExceeded before the loop when its n**4 steps, which the B audit
+    repeats, pass the element cap."""
     n = len(poset)
+    _check_scan(n**4, f"betweenness on a {n}-point order")
     m = poset.leq
     tuples = []
     for a, b, c in itertools.product(range(n), repeat=3):

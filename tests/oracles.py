@@ -14,6 +14,7 @@ from collections import deque
 from fractions import Fraction
 
 from permlab.perms import Permutation
+from permlab.trees import AxiomCheck
 
 
 def sym(n: int) -> list[Permutation]:
@@ -911,3 +912,269 @@ def to_least(group, point: int) -> tuple[int, tuple[int, ...]]:
                 queue.append(image)
     least = min(reached)
     return least, reached[least]
+
+
+# The per-family axiom checkers that trees.check_axioms replaced with its
+# axiom table, kept as written: one hand-made loop per axiom, returning
+# the core and the reported AxiomCheck lists.
+
+
+def semilinear_checks(rel):
+    n = rel.size
+    has = rel.tuples.__contains__
+    core = []
+
+    witness = next(((a,) for a in range(n) if not has((a, a))), None)
+    core.append(AxiomCheck("reflexive", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b and has((a, b)) and has((b, a))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("antisymmetric", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if has((a, b)) and has((b, c)) and not has((a, c))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("transitive", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if has((a, b)) and has((a, c)) and not (has((b, c)) or has((c, b)))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("upper-linear", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if not any(has((a, c)) and has((b, c)) for c in range(n))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("upper-directed", witness is None, witness))
+
+    def strictly(a, b):
+        return a != b and has((a, b))
+
+    witness = None
+    for a, b in itertools.product(range(n), repeat=2):
+        if strictly(a, b) and not any(
+            strictly(a, c) and strictly(c, b) for c in range(n)
+        ):
+            witness = (a, b)
+            break
+    if witness is None:
+        witness = next(
+            ((a,) for a in range(n) if not any(strictly(a, c) for c in range(n))),
+            None,
+        )
+    reported = [AxiomCheck("dense", witness is None, witness)]
+    return core, reported
+
+
+def c_checks(rel):
+    n = rel.size
+    has = rel.tuples.__contains__
+    members = sorted(rel.tuples)
+    core = []
+
+    witness = next(((a, b, c) for a, b, c in members if not has((a, c, b))), None)
+    core.append(AxiomCheck("C1", witness is None, witness))
+
+    witness = next(((a, b, c) for a, b, c in members if has((b, a, c))), None)
+    core.append(AxiomCheck("C2", witness is None, witness))
+
+    witness = None
+    for a, b, c in members:
+        for d in range(n):
+            if not (has((a, c, d)) or has((d, b, c))):
+                witness = (a, b, c, d)
+                break
+        if witness:
+            break
+    core.append(AxiomCheck("C3", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b and not has((a, b, b))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("C4", witness is None, witness))
+
+    witness = next(
+        (
+            (b, c)
+            for b in range(n)
+            for c in range(n)
+            if not any(has((a, b, c)) for a in range(n))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("C5", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b and not any(d != b and has((a, b, d)) for d in range(n))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("C6", witness is None, witness))
+
+    witness = None
+    for a, b, c in members:
+        if not any(has((a, b, d)) and has((d, b, c)) for d in range(n)):
+            witness = (a, b, c)
+            break
+    reported = [AxiomCheck("C7", witness is None, witness)]
+    return core, reported
+
+
+def b_checks(rel):
+    n = rel.size
+    has = rel.tuples.__contains__
+    members = sorted(rel.tuples)
+    core = []
+
+    witness = next(((a, b, c) for a, b, c in members if not has((a, c, b))), None)
+    core.append(AxiomCheck("B1", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if (has((a, b, c)) and has((b, a, c))) != (a == b)
+        ),
+        None,
+    )
+    core.append(AxiomCheck("B2", witness is None, witness))
+
+    witness = None
+    for a, b, c in members:
+        for d in range(n):
+            if not (has((a, b, d)) or has((a, c, d))):
+                witness = (a, b, c, d)
+                break
+        if witness:
+            break
+    core.append(AxiomCheck("B3", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c, d)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            for d in range(n)
+            if has((a, c, d)) and has((b, a, c)) and not has((b, c, d))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("B4", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c, d)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            for d in range(n)
+            if has((a, c, d))
+            and has((b, c, d))
+            and not (has((a, b, c)) or has((b, a, c)))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("B5", witness is None, witness))
+
+    witness = None
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if has((a, b, c)):
+            continue
+        if not any(
+            d != a and has((d, a, b)) and has((d, a, c)) for d in range(n)
+        ):
+            witness = (a, b, c)
+            break
+    reported = [AxiomCheck("B6", witness is None, witness)]
+    return core, reported
+
+
+def d_checks(rel):
+    n = rel.size
+    has = rel.tuples.__contains__
+    members = sorted(rel.tuples)
+    core = []
+
+    witness = next(
+        (
+            (a, b, c, d)
+            for a, b, c, d in members
+            if not (has((b, a, c, d)) and has((a, b, d, c)) and has((c, d, a, b)))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("D1", witness is None, witness))
+
+    witness = next(((a, b, c, d) for a, b, c, d in members if has((a, c, b, d))), None)
+    core.append(AxiomCheck("D2", witness is None, witness))
+
+    witness = None
+    for a, b, c, d in members:
+        for e in range(n):
+            if not (has((a, e, c, d)) or has((a, b, c, e))):
+                witness = (a, b, c, d, e)
+                break
+        if witness:
+            break
+    core.append(AxiomCheck("D3", witness is None, witness))
+
+    witness = next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if len({a, b, c}) == 3
+            and not any(e != c and has((a, b, c, e)) for e in range(n))
+        ),
+        None,
+    )
+    core.append(AxiomCheck("D4", witness is None, witness))
+    return core, []
+
+
+PER_FAMILY_CHECKS = {
+    "semilinear": semilinear_checks,
+    "C": c_checks,
+    "B": b_checks,
+    "D": d_checks,
+}

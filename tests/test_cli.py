@@ -433,6 +433,61 @@ def test_relations_check_refuses_a_malformed_relation_naming_the_field(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (
+            b'{"arity": 3, "size": 2,',
+            "relation input is not JSON:"
+            " Expecting property name enclosed in double quotes at line 1 column 24",
+        ),
+        (b"chain model", "relation input is not JSON: Expecting value at line 1 column 1"),
+        (
+            b'{"arity": 3, "size": 2, "tuples": []}\xff',
+            "relation input is not UTF-8 text: invalid start byte at byte 37",
+        ),
+        (b"\xfe\xff", "relation input is not UTF-8 text: invalid start byte at byte 0"),
+    ],
+    ids=["cut-short", "not-json", "stray-byte", "not-utf8"],
+)
+def test_relations_check_refuses_undecodable_input(
+    capsys, monkeypatch, tmp_path, via, raw, message
+):
+    if via == "file":
+        path = tmp_path / "relation.json"
+        path.write_bytes(raw)
+        source = str(path)
+    else:
+        # a real stdin hands over bytes through its buffer
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        source = "-"
+    rc, out, err = run_cli(capsys, "relations", "check", "--family", "C", "--input", source)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_relations_check_of_a_missing_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    rc, out, err = run_cli(capsys, "relations", "check", "--family", "C", "--input", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_an_internal_value_error_is_not_an_exit_2(monkeypatch):
+    from permlab import trees
+
+    def broken(rel, family):
+        raise ValueError("a bug inside permlab")
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"arity": 3, "size": 1, "tuples": []}'))
+    monkeypatch.setattr(trees, "check_axioms", broken)
+    with pytest.raises(ValueError, match="a bug inside permlab"):
+        main(["relations", "check", "--family", "C", "--input", "-"])
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -606,6 +661,58 @@ def test_lw_k_out_of_range_exits_2_before_the_cap(capsys, monkeypatch, k):
     assert rc == 2
     assert out == ""
     assert err == f"error: k={k} outside 1..40\n"
+
+
+def test_chain_model_past_the_cap_exits_3_before_its_triple_loop(capsys, monkeypatch):
+    # 2**8 = 256 functions fit the cap, but the C-relation visits 256**3 triples
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    rc, out, err = run_cli(capsys, "relations", "build", "--model", "chain", "--k", "8", "--s", "2")
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: a C-relation on 256 points visits 16777216 candidates, past cap 200000;"
+        " PERMLAB_CAP=16777216 would suffice\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        # 121 words: the order matrix fits, betweenness and its B audit take 121**4 steps
+        (
+            "1,2,3,4,5",
+            "betweenness on a 121-point order visits 214358881 candidates, past cap 200000;"
+            " PERMLAB_CAP=214358881 would suffice",
+        ),
+        # 9841 words fit the cap, but their order matrix has 9841**2 cells
+        (
+            "1,2,3,4,5,6,7,8,9",
+            "the order matrix of 9841 words visits 96845281 candidates, past cap 200000;"
+            " PERMLAB_CAP=96845281 would suffice",
+        ),
+    ],
+    ids=["betweenness", "order-matrix"],
+)
+def test_word_model_past_the_cap_exits_3_before_its_loops(capsys, monkeypatch, values, message):
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    argv = ("relations", "build", "--model", "words", "--values", values, "--s", "3")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+def test_axiom_audit_past_the_cap_exits_3_before_any_axiom(capsys, monkeypatch, tmp_path):
+    # the identity on 3000 points: the transitive axiom scans 3000**3 triples
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    path = tmp_path / "identity.json"
+    rows = [[p, p] for p in range(1, 3001)]
+    path.write_text(json.dumps({"arity": 2, "size": 3000, "tuples": rows}))
+    argv = ("relations", "check", "--family", "semilinear", "--input", str(path))
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: the semilinear axiom audit on 3000 points visits 27000000000 candidates,"
+        " past cap 200000; PERMLAB_CAP=27000000000 would suffice\n"
+    )
 
 
 def test_version_flag():

@@ -4,7 +4,8 @@ against the normal run.
 
 ``tests/data/golden_cli.json`` holds the sha256 of stdout and the exit
 code of every case ``scripts/golden.py`` lists; regenerate it with that
-script only when an output is meant to change.
+script only when an output is meant to change.  Every case runs in the
+repository root, as the relation files it names are relative to it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from permlab.suite import run_battery
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())["cases"]
 SRC = Path(permlab.__file__).parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 # sha256 of the stdout of ``permlab suite --format json`` (default seed and cap)
 SUITE_JSON_SHA256 = "f10669936c2c7ac9bae9bdf31877f691669c247319746d40b27582d790a06df0"
 
@@ -57,6 +59,7 @@ def _case_ids(cases) -> list[str]:
 @pytest.mark.parametrize("case", GOLDEN, ids=_case_ids(GOLDEN))
 def test_cli_output_matches_the_golden_snapshot(case, monkeypatch):
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.chdir(ROOT)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(list(case["argv"]))

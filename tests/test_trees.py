@@ -125,6 +125,27 @@ def test_checker_validates_input():
         check_axioms(binary, "chain")
 
 
+def test_the_audit_cap_counts_its_widest_loop(monkeypatch):
+    # the battery's largest chain model: 27 points and 4914 tuples, so the
+    # C3 and C7 loops visit 4914 * 27 = 132678 candidates, more than 27**3
+    rel = finite_c_model(3, 3).relation
+    monkeypatch.setenv("PERMLAB_CAP", "132677")
+    with pytest.raises(CapExceeded, match="PERMLAB_CAP=132678 would suffice"):
+        check_axioms(rel, "C")
+    monkeypatch.setenv("PERMLAB_CAP", "132678")
+    assert check_axioms(rel, "C").passed == ("C1", "C2", "C3", "C4")
+
+
+def test_betweenness_cap_counts_the_b_audit(monkeypatch):
+    # 7 words: betweenness and the B axioms B4 to B6 visit 7**4 = 2401 candidates
+    poset = lambda_word_model([0, 1, 2], 2)
+    monkeypatch.setenv("PERMLAB_CAP", "2400")
+    with pytest.raises(CapExceeded, match="PERMLAB_CAP=2401 would suffice"):
+        b_from_poset(poset)
+    monkeypatch.setenv("PERMLAB_CAP", "2401")
+    assert b_from_poset(poset).report.ok
+
+
 def test_semilinear_checks_on_tree_order():
     report = check_axioms(V_ORDER, "semilinear")
     assert report.ok
