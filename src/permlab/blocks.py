@@ -15,6 +15,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
+from .config import check_cap
 from .errors import (
     AxiomsFailed,
     DiagonalOrbital,
@@ -413,12 +414,15 @@ def semiblocks(
 
     Such a set is invariant under the point stabilizer, hence a union of
     suborbits containing the trivial one; the scan runs over exactly those
-    unions.
+    unions, each against every element, and raises CapExceeded before it
+    starts when that count passes the element cap.
     """
     if not is_transitive(group):
         raise NotTransitive("semiblocks are tracked for transitive actions")
     table = suborbits(group, alpha)
     others = [s for s in table.sets if alpha not in s]
+    count = (1 << len(others)) * order(group, cap)
+    check_cap(count, f"the semiblock scan on {group.degree} points visits {count} candidates", cap)
     elements = enumerate_elements(group, cap)
     found = []
     for take in range(1 << len(others)):

@@ -2,14 +2,17 @@
 
 Enumeration caps keep brute-force closures honest: any walk that would grow
 past the cap raises CapExceeded instead of thrashing.  The default can be
-overridden with the PERMLAB_CAP environment variable or per call.
+overridden with the PERMLAB_CAP environment variable or per call.  A loop
+whose size is known before it starts is measured by check_cap, so every
+such refusal reads "<what>, past cap <cap>; PERMLAB_CAP=<count> would
+suffice".
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import BadSetting
+from .errors import BadSetting, CapExceeded
 
 DEFAULT_CAP = 200_000
 
@@ -42,3 +45,13 @@ def element_cap(override: int | None = None) -> int:
     if cap is None or cap < 1:
         raise BadSetting(f"PERMLAB_CAP must be an integer of at least 1, got {env!r}")
     return cap
+
+
+def check_cap(count: int, what: str, cap: int | None = None) -> int:
+    """Resolve the cap as element_cap does and return it; raise CapExceeded
+    first when count, the size of the loop or table that what describes,
+    is past it, naming count as the PERMLAB_CAP that would suffice."""
+    limit = element_cap(cap)
+    if count > limit:
+        raise CapExceeded(f"{what}, past cap {limit}; PERMLAB_CAP={count} would suffice")
+    return limit

@@ -26,9 +26,9 @@ proves the chain complete), and a point that is not the least of its
 orbit gets the conjugate of its least sibling's stabilizer, by the
 orbit's BFS transversal element, instead of a chain.  The setwise
 stabilizer (``setwise_stabilizer``) filters the element list.  Orbits
-on pairs, tuples, subsets and elements are walked by the one generator
-``_item_walk``; ``orbit`` keeps its own loop, whose dict of transversal
-words is the ``Orbit`` it returns.
+on pairs, tuples, subsets, point sets and elements are walked by the one
+generator ``_item_walk``; ``orbit`` keeps its own loop, whose dict of
+transversal words is the ``Orbit`` it returns.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
 order.  Sums that ignore order (the Burnside count of fixed subsets in
@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .config import CACHE_ENTRIES, element_cap
+from .config import CACHE_ENTRIES, check_cap, element_cap
 from .errors import (
     AxiomsFailed,
     CapExceeded,
@@ -149,6 +149,10 @@ def _item_walk(start, act, generators, cap: int) -> Iterator:
     shortest word first, ties broken by generator position.  Raises
     CapExceeded once the orbit would pass cap items.  Each item is yielded
     as soon as it is found, so a caller that stops early walks no further.
+    act is called once per item and generator in that order, so an act
+    that records what it sees (the Jordan walk's transversal) keeps the
+    first path to each item.  This is the one walk that stops in flight;
+    a loop whose size is known before it starts is measured by check_cap.
     """
     seen = {start}
     queue = deque([start])
@@ -362,19 +366,17 @@ def _chain(group: GenGroup) -> _Chain:
     return chain
 
 
-def _cap_exceeded(degree: int, generators: int, size: int, cap: int) -> CapExceeded:
+def _check_order(degree: int, generators: int, size: int, cap: int | None) -> None:
+    """check_cap on the order of a group of this degree and generator count."""
     plural = "" if generators == 1 else "s"
-    return CapExceeded(
-        f"group of degree {degree} with {generators} generator{plural} has order"
-        f" {size}, past cap {cap}; PERMLAB_CAP={size} would suffice"
-    )
+    what = f"group of degree {degree} with {generators} generator{plural} has order {size}"
+    check_cap(size, what, cap)
 
 
-def _capped_order(group: GenGroup, cap: int) -> int:
-    """|G| from the stabilizer chain; CapExceeded when it passes cap."""
+def _capped_order(group: GenGroup, cap: int | None = None) -> int:
+    """|G| from the stabilizer chain; CapExceeded when it passes the cap."""
     size = _chain(group).order()
-    if size > cap:
-        raise _cap_exceeded(group.degree, len(group.generators), size, cap)
+    _check_order(group.degree, len(group.generators), size, cap)
     return size
 
 
@@ -458,12 +460,12 @@ def element_set(group: GenGroup, cap: int | None = None) -> frozenset[Permutatio
 
 def order(group: GenGroup, cap: int | None = None) -> int:
     """|G| from the stabilizer chain; CapExceeded when it passes the cap."""
-    return _capped_order(group, element_cap(cap))
+    return _capped_order(group, cap)
 
 
 def contains(group: GenGroup, f: Permutation, cap: int | None = None) -> bool:
     """Membership by sifting; CapExceeded when |G| passes the cap."""
-    _capped_order(group, element_cap(cap))
+    _capped_order(group, cap)
     return f.degree == group.degree and _chain(group).sift(f.images)[1] == group.degree
 
 
@@ -494,8 +496,7 @@ def _reduce_generators(
             continue
         generators.append(candidate)
         size = chain.order()
-        if size > target:
-            raise _cap_exceeded(degree, len(generators), size, target)
+        _check_order(degree, len(generators), size, target)
         if size == target:
             break
     return tuple(generators)
@@ -586,7 +587,7 @@ def point_stabilizer(group: GenGroup, point: int) -> GenGroup:
 def pointwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> GenGroup:
     """G_(points), read off a stabilizer chain; CapExceeded when |G| passes
     the cap."""
-    _capped_order(group, element_cap(cap))
+    _capped_order(group, cap)
     wanted = tuple(sorted({_point_in_range(group, p) for p in points}))
     return _pointwise_stabilizer(group, wanted)[0]
 
@@ -727,8 +728,7 @@ def induced_action(
         raise ValueError(f"unknown induced action kind {kind!r}")
     count, act = _INDUCED[kind]
     size = count(group.degree, k)
-    if size > element_cap(cap):
-        raise CapExceeded(f"derived domain of size {size} passes the cap")
+    check_cap(size, f"derived domain of size {size}", cap)
     if kind == "tuples":
         items = tuple(itertools.permutations(range(group.degree), k))
     else:
@@ -751,17 +751,12 @@ def transitivity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> i
     """
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
-    cap = element_cap(cap)
     lengths = _chain(group).orbit_lengths()
     best = 0
     size = 1
     for k in range(1, kmax + 1):
         size *= lengths[k - 1]
-        if size > cap:
-            raise CapExceeded(
-                f"orbit of {tuple(range(k))} has {size} tuples, past cap {cap};"
-                f" PERMLAB_CAP={size} would suffice"
-            )
+        check_cap(size, f"orbit of {tuple(range(k))} has {size} tuples", cap)
         if size != math.perm(group.degree, k):
             break
         best = k

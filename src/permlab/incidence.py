@@ -49,8 +49,8 @@ from fractions import Fraction
 
 import numpy
 
-from .config import element_cap
-from .errors import AxiomsFailed, CapExceeded, OutOfRange
+from .config import check_cap
+from .errors import AxiomsFailed, OutOfRange
 from .groups import (
     GenGroup,
     _bounded_cache,
@@ -90,16 +90,11 @@ _DENOMINATOR = operator.attrgetter("denominator")
 
 def _check_cells(n_rows: int, n_cols: int, cap: int | None = None) -> None:
     """Raise CapExceeded before a dense n_rows x n_cols allocation past the
-    cell budget of the cap (the active one by default), naming the cap
-    that would admit it."""
+    cell budget of the cap (the active one by default): each unit of the
+    cap admits CELLS_PER_CAP cells."""
     cells = n_rows * n_cols
-    limit = element_cap(cap)
-    if cells > CELLS_PER_CAP * limit:
-        raise CapExceeded(
-            f"{cells} cells in a dense {n_rows}x{n_cols} matrix, past"
-            f" {CELLS_PER_CAP} per unit of cap {limit};"
-            f" PERMLAB_CAP={-(-cells // CELLS_PER_CAP)} would suffice"
-        )
+    what = f"{cells} cells in a dense {n_rows}x{n_cols} matrix at {CELLS_PER_CAP} per unit of cap"
+    check_cap(-(-cells // CELLS_PER_CAP), what, cap)
 
 
 def _dense_rows(ones: tuple[tuple[int, ...], ...], n_cols: int) -> tuple[tuple[int, ...], ...]:
@@ -176,25 +171,14 @@ class ExactMatrix:
         return "\n".join(",".join(str(x) for x in row) for row in self.entries)
 
 
-def _check_levels(n: int, levels, cap: int | None = None) -> None:
-    """Raise CapExceeded, naming the cap that would suffice, when one of
-    these subset levels of n points holds more subsets than the cap."""
-    widest = max(math.comb(n, m) for m in levels)
-    limit = element_cap(cap)
-    if widest > limit:
-        raise CapExceeded(
-            f"{widest} subsets on one level of {n} points, past cap {limit};"
-            f" PERMLAB_CAP={widest} would suffice"
-        )
-
-
 def _inclusion_shape(n: int, k: int) -> tuple[int, int]:
     """C(n, k) x C(n, k-1), the shape of build_r_matrix(n, k), after its
     range check on k and the check of the larger level against the cap."""
     if not 1 <= k <= n:
         raise OutOfRange(f"k={k} outside 1..{n}")
-    _check_levels(n, (k, k - 1))
-    return math.comb(n, k), math.comb(n, k - 1)
+    shape = math.comb(n, k), math.comb(n, k - 1)
+    check_cap(max(shape), f"{max(shape)} subsets on one level of {n} points")
+    return shape
 
 
 def build_r_matrix(n: int, k: int) -> ExactMatrix:
@@ -508,7 +492,7 @@ def _cycle_types(table: numpy.ndarray) -> dict[tuple[int, ...], int]:
     return types
 
 
-def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int) -> list[int]:
+def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int | None) -> list[int]:
     """Fixed k-subsets summed over the whole group, for k = 0..kmax.
 
     |G| from the stabilizer chain is checked against the cap first, and
@@ -542,8 +526,7 @@ def _subset_orbit_count(group: GenGroup, k: int, cap: int | None = None) -> int:
     """
     n = group.degree
     size = math.comb(n, k)
-    if size > element_cap(cap):
-        raise CapExceeded(f"derived domain of size {size} passes the cap")
+    check_cap(size, f"derived domain of size {size}", cap)
     subsets = numpy.array(_subsets_colex(n, k), dtype=numpy.intp)
     # C(x, i + 1) where point x may sit at place i, n - k + i at the most:
     # each term is at most the last subset's rank, below C(n, k)
@@ -588,7 +571,7 @@ def orbit_count_inequality(
     if not 0 <= kmax <= n:
         raise OutOfRange(f"kmax={kmax} outside 0..{n}")
     size = order(group, cap)
-    totals = _fixed_subset_totals(group, kmax, element_cap(cap))
+    totals = _fixed_subset_totals(group, kmax, cap)
     counts = [1]
     for k in range(1, kmax + 1):
         count = _subset_orbit_count(group, k, cap)
@@ -650,7 +633,8 @@ def theta_exploration(
     """
     if not 0 <= r <= s <= t <= n:
         raise OutOfRange(f"levels ({r},{s},{t}) not increasing within 0..{n}")
-    _check_levels(n, (r, s, t), cap)
+    widest = max(math.comb(n, m) for m in (r, s, t))
+    check_cap(widest, f"{widest} subsets on one level of {n} points", cap)
     _check_sign_cells(n, [(r, s), (s, t), (r, t)], cap)
     members = {m: _members(n, _subsets_colex(n, m)) for m in {r, s, t}}
     theta_rt = _signs(members[t], members[r])

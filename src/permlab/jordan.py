@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .config import element_cap
-from .errors import AxiomsFailed, CapExceeded, OutOfRange, TooSmall
+from .config import check_cap
+from .errors import AxiomsFailed, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
     _images_product,
@@ -152,7 +151,7 @@ def _jordan_translates(
     pairs, and each child and its order come from
     ``groups._least_stabilizer``.  A node whose moved points are a
     wanted number and one H-orbit is a hit, and its set is the
-    representative A of its G-orbit, walked by ``_set_transversal``,
+    representative A of its G-orbit, walked by ``groups._item_walk``,
     since g maps Jordan sets onto Jordan sets.
     """
     n = group.degree
@@ -163,10 +162,8 @@ def _jordan_translates(
         for m in wanted_sizes:
             if not 2 <= m <= n:
                 raise OutOfRange(f"size {m} outside 2..{n}")
-    limit = element_cap(cap)
     count = sum(math.comb(n, m) for m in wanted_sizes)
-    if count > limit:
-        raise CapExceeded(f"{count} candidate subsets passes the cap")
+    limit = check_cap(count, f"{count} candidate subsets", cap)
     size = order(group, cap)
     if not wanted_sizes:
         return {}
@@ -185,8 +182,18 @@ def _jordan_translates(
             and moved not in found
             and _connected_inside(inside, moved)
         ):
-            for translate, g in _set_transversal(group, moved, limit).items():
-                found[translate] = (moved, g)
+            # the walk's act records, the first time a translate is reached,
+            # the product g along that path, so moved^g is the translate
+            transversal = {moved: tuple(range(n))}
+
+            def act(current, g):
+                image = _subset_image(current, g)
+                if image not in transversal:
+                    transversal[image] = _images_product(transversal[current], g.images)
+                return image
+
+            for translate in _item_walk(moved, act, group.generators, limit):
+                found[translate] = (moved, transversal[translate])
         if len(moved) == smallest:
             continue
         covered: set[int] = set()
@@ -195,30 +202,6 @@ def _jordan_translates(
                 covered.update(orbit(inside, r).points)
                 stack.append(_least_stabilizer(group, inside, size, r))
     return {a: found[a] for a in sorted(found, key=lambda a: (len(a), a))}
-
-
-def _set_transversal(
-    group: GenGroup, start: tuple[int, ...], cap: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The G-orbit of a sorted set, each translate B mapped to the image
-    tuple of an element g with start^g = B.
-
-    A breadth-first walk over the generators in list order, as ``orbit``
-    walks points, with g the product of the generators along the path
-    that first reached B.  CapExceeded once the orbit would pass cap sets.
-    """
-    transversal = {start: tuple(range(group.degree))}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for g in group.generators:
-            moved = _subset_image(current, g)
-            if moved not in transversal:
-                if len(transversal) >= cap:
-                    raise CapExceeded(f"orbit of {start!r} passed cap {cap}")
-                transversal[moved] = _images_product(transversal[current], g.images)
-                queue.append(moved)
-    return transversal
 
 
 def jordan_sets(
@@ -355,8 +338,7 @@ def span_geometry(
     if size_cap < 0:
         raise OutOfRange("size_cap must be nonnegative")
     count = sum(math.comb(n, m) for m in range(min(size_cap + 1, n) + 1))
-    if count > element_cap(cap):
-        raise CapExceeded(f"{count} table rows passes the cap")
+    check_cap(count, f"{count} table rows", cap)
     rows = []
     for m in range(min(size_cap + 1, n) + 1):
         for combo in itertools.combinations(range(n), m):

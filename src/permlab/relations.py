@@ -115,18 +115,6 @@ def is_invariant(rel, perm):
     return relabel_relation(rel, perm.images).tuples == rel.tuples
 
 
-def restrict_relation(rel, points):
-    """Restriction to a point subset, relabeled to {0..len(points)-1} in point order."""
-    points = sorted(points)
-    index = {p: i for i, p in enumerate(points)}
-    kept = [
-        tuple(index[p] for p in t)
-        for t in rel.tuples
-        if all(p in index for p in t)
-    ]
-    return relation(rel.arity, len(points), kept)
-
-
 __all__ = [
     "Relation",
     "relation",
@@ -137,5 +125,4 @@ __all__ = [
     "relation_from_json",
     "relabel_relation",
     "is_invariant",
-    "restrict_relation",
 ]

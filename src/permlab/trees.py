@@ -14,10 +14,11 @@ and its relatives) are evaluated and reported alongside the core list,
 never mixed into the pass/fail verdict.
 
 The element cap bounds the loops here as it bounds group enumeration:
-the audit, the equivalence-chain builder, the word model's order matrix
-and betweenness measure how many candidates their widest loop visits
-before it starts, and raise CapExceeded naming a PERMLAB_CAP that would
-suffice.
+the audit, the equivalence-chain builder, the word model's order matrix,
+betweenness, the pair quotient and the builders from a set's translates
+measure how many candidates their widest loop visits before it starts,
+and config.check_cap raises CapExceeded naming a PERMLAB_CAP that would
+suffice.  The translates themselves are walked under the element cap.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import AXIOM_FAMILIES, element_cap
+from .config import AXIOM_FAMILIES, check_cap, element_cap
 from .errors import (
     ArityMismatch,
     AxiomsFailed,
-    CapExceeded,
     NotAChain,
     NotAscending,
     OutOfRange,
@@ -202,16 +202,6 @@ def _tuples(n, k):
     return itertools.product(range(n), repeat=k)
 
 
-def _check_scan(count, what, cap=None):
-    """Raise CapExceeded, naming the cap that would suffice, when a loop
-    is about to visit more candidates than the element cap allows."""
-    cap = element_cap(cap)
-    if count > cap:
-        raise CapExceeded(
-            f"{what} visits {count} candidates, past cap {cap}; PERMLAB_CAP={count} would suffice"
-        )
-
-
 def _last_two_swapped(n, has, m):
     return ((a, b, c) for a, b, c in m if not has((a, c, b)))
 
@@ -312,7 +302,8 @@ def check_axioms(rel, family):
     if rel.arity != arity:
         raise ArityMismatch(f"family {family} expects arity {arity}, got {rel.arity}")
     n = rel.size
-    _check_scan(max(len(rel.tuples) * n, n**k), f"the {family} axiom audit on {n} points")
+    count = max(len(rel.tuples) * n, n**k)
+    check_cap(count, f"the {family} axiom audit on {n} points visits {count} candidates")
     has = rel.tuples.__contains__
     members = sorted(rel.tuples)
 
@@ -350,7 +341,7 @@ def c_from_equivalence_chain(chain):
                     raise NotAChain("later partitions must coarsen earlier ones")
             else:
                 coarser[key] = upper[p]
-    _check_scan(degree**3, f"a C-relation on {degree} points")
+    check_cap(degree**3, f"a C-relation on {degree} points visits {degree**3} candidates")
     tuples = []
     for a, b, c in itertools.product(range(degree), repeat=3):
         if any(row[b] == row[c] != row[a] for row in ids):
@@ -371,8 +362,7 @@ def finite_c_model(k, s, cap=None):
     if k < 1 or s < 2:
         raise OutOfRange("need k >= 1 positions and an alphabet of size s >= 2")
     count = s ** k
-    if count > element_cap(cap):
-        raise CapExceeded(f"{count} functions passes the cap")
+    check_cap(count, f"{count} functions", cap)
     functions = tuple(itertools.product(range(s), repeat=k))
     chain = []
     for level in range(k + 1):
@@ -399,7 +389,7 @@ def lambda_word_model(rationals, s, cap=None):
     count = 0
     for t in range(1, m + 1):
         count += math.comb(m, t) * (s - 1) ** (t - 1)
-    _check_scan(count * count, f"the order matrix of {count} words", cap)
+    check_cap(count**2, f"the order matrix of {count} words visits {count**2} candidates", cap)
     words = []
     for t in range(1, m + 1):
         for qs in itertools.combinations(sorted(rationals, reverse=True), t):
@@ -533,12 +523,16 @@ def semilinear_from_c(rel):
     Requires C1-C4; the fine classes are checked to refine the coarse
     ones around every point, and the node map is computed with an
     injectivity flag (not asserted: on small models sibling points can
-    share their chain of pair classes)."""
+    share their chain of pair classes).  Raises CapExceeded before any
+    loop when the C(n, 2)**3 steps of the domination's transitivity
+    check pass the element cap."""
+    n = rel.size
+    count = math.comb(n, 2) ** 3
+    check_cap(count, f"the pair quotient of a C-relation on {n} points visits {count} candidates")
     base = check_axioms(rel, "C")
     bad = [name for name, _ in base.failed if name in ("C1", "C2", "C3", "C4")]
     if bad:
         raise AxiomsFailed(f"pair quotient needs C1-C4; failing: {', '.join(bad)}")
-    n = rel.size
     has = rel.tuples.__contains__
     for alpha in range(n):
         r_classes = r_alpha_classes(rel, alpha)
@@ -616,7 +610,7 @@ def b_from_poset(poset):
     CapExceeded before the loop when its n**4 steps, which the B audit
     repeats, pass the element cap."""
     n = len(poset)
-    _check_scan(n**4, f"betweenness on a {n}-point order")
+    check_cap(n**4, f"betweenness on a {n}-point order visits {n**4} candidates")
     m = poset.leq
     tuples = []
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -678,10 +672,13 @@ def maximal_chains(poset):
 
 def c_from_chains(poset):
     """Points are the maximal chains; the focus point branches away from
-    the other two strictly earlier than they part from each other."""
+    the other two strictly earlier than they part from each other.  Raises
+    CapExceeded before the loop when its n**3 triples of chains pass the
+    element cap, as the C audit that follows would."""
     chains = maximal_chains(poset)
     sets = [frozenset(c) for c in chains]
     n = len(chains)
+    check_cap(n**3, f"a C-relation on {n} chains visits {n**3} candidates")
     tuples = []
     for a, b, c in itertools.product(range(n), repeat=3):
         meet_ab = sets[a] & sets[b]
@@ -704,20 +701,33 @@ def _validate_subset(group, sigma):
 
 
 def set_translates(group, sigma):
-    """Orbit of a point set under the group, as a sorted tuple of frozensets."""
+    """Orbit of a point set under the group, as a sorted tuple of frozensets.
+    The walk raises CapExceeded once it passes the element cap."""
     sigma = _validate_subset(group, sigma)
     seen = _item_walk(
         sigma,
         lambda s, g: frozenset(g.images[p] for p in s),
         group.generators,
-        math.comb(group.degree, len(sigma)),
+        element_cap(),
     )
     return tuple(sorted(seen, key=sorted))
 
 
+def _family_translates(group, sigma, kind, k):
+    """The translates of sigma for a builder whose loop visits n**k
+    points times the translates; CapExceeded before that loop when its
+    count passes the element cap."""
+    translates = set_translates(group, sigma)
+    n = group.degree
+    count = n**k * len(translates)
+    what = f"a {kind} from {len(translates)} translates on {n} points visits {count} candidates"
+    check_cap(count, what)
+    return translates
+
+
 def preorder_from_family(group, sigma):
     """alpha lies below beta when every translate holding beta holds alpha."""
-    translates = set_translates(group, sigma)
+    translates = _family_translates(group, sigma, "preorder", 2)
     n = group.degree
     pairs = [
         (a, b)
@@ -729,7 +739,7 @@ def preorder_from_family(group, sigma):
 
 
 def c_from_family(group, sigma):
-    translates = set_translates(group, sigma)
+    translates = _family_translates(group, sigma, "C-relation", 3)
     n = group.degree
     tuples = [
         (a, b, c)
@@ -741,7 +751,7 @@ def c_from_family(group, sigma):
 
 
 def b_from_family(group, sigma):
-    translates = set_translates(group, sigma)
+    translates = _family_translates(group, sigma, "B-relation", 3)
     n = group.degree
     tuples = [
         (a, b, c)

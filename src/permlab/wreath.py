@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 
 from .blocks import Partition, is_congruence, partition_from_blocks
-from .config import element_cap
-from .errors import CapExceeded, NotACongruence, NotAMorphism
+from .config import check_cap
+from .errors import NotACongruence, NotAMorphism
 from .groups import (
     GenGroup,
     enumerate_elements,
@@ -105,8 +105,7 @@ def wreath_variation1(
             if pi[t_delta.images[delta]] != t_phi.images[pi[delta]]:
                 raise NotAMorphism("pi does not commute with the top action")
     domain = ProductDomain((a.degree, b_on_delta.degree))
-    if domain.total > element_cap(cap):
-        raise CapExceeded(f"product domain of size {domain.total} passes the cap")
+    check_cap(domain.total, f"product domain of size {domain.total}", cap)
     generators: list[Permutation] = []
     for phi in range(b_on_phi.degree):
         for s in a.generators:
@@ -187,8 +186,7 @@ def generalized_wreath(
     if len(components) != poset.size:
         raise ValueError("one component per poset element")
     domain = ProductDomain(tuple(c.degree for c in components))
-    if domain.total > element_cap(cap):
-        raise CapExceeded(f"product domain of size {domain.total} passes the cap")
+    check_cap(domain.total, f"product domain of size {domain.total}", cap)
     generators: list[Permutation] = []
     for i, component in enumerate(components):
         above = poset.strictly_above(i)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from permlab import blocks
 from permlab.blocks import (
     AlmostRegularDecomposition,
     Orbital,
@@ -25,6 +26,7 @@ from permlab.blocks import (
     suborbits,
 )
 from permlab.errors import (
+    CapExceeded,
     DiagonalOrbital,
     NotTransitive,
     OutOfRange,
@@ -347,6 +349,28 @@ def test_semiblocks_s4():
 def test_semiblocks_match_full_subset_scan():
     for g in [cyclic_group(4), cyclic_group(6), d4(), symmetric_group(4)]:
         assert set(semiblocks(g, 0)) == brute_force_semiblocks(g, 0)
+
+
+def test_semiblocks_cap_counts_unions_times_elements():
+    # C6 has 6 suborbits, so 2**5 unions hold 0, each checked against 6 elements
+    with pytest.raises(CapExceeded) as info:
+        semiblocks(cyclic_group(6), 0, cap=191)
+    assert str(info.value) == (
+        "the semiblock scan on 6 points visits 192 candidates, past cap 191;"
+        " PERMLAB_CAP=192 would suffice"
+    )
+    assert semiblocks(cyclic_group(6), 0, cap=192) == ((0,), (0, 3), (0, 2, 4), tuple(range(6)))
+
+
+def test_semiblocks_past_the_cap_list_no_element(monkeypatch):
+    # C22: 2**21 unions times 22 elements, where the scan used to run unbounded
+    def never(*args):
+        raise AssertionError("elements listed past the cap")
+
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.setattr(blocks, "enumerate_elements", never)
+    with pytest.raises(CapExceeded, match="PERMLAB_CAP=46137344 would suffice"):
+        is_strongly_primitive(cyclic_group(22))
 
 
 def test_semiblocks_closed_under_intersection():

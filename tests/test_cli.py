@@ -601,8 +601,8 @@ def test_lw_past_the_cell_budget_exits_3_before_allocating(capsys, monkeypatch, 
     assert rc == 3
     assert out == ""
     assert err == (
-        "error: 31031617760 cells in a dense 184756x167960 matrix, past 64 per"
-        " unit of cap 200000; PERMLAB_CAP=484869028 would suffice\n"
+        "error: 31031617760 cells in a dense 184756x167960 matrix at 64 per unit of cap,"
+        " past cap 200000; PERMLAB_CAP=484869028 would suffice\n"
     )
 
 
@@ -620,8 +620,8 @@ def test_lw_theta_past_the_cell_budget_exits_3_before_allocating(capsys, monkeyp
     assert rc == 3
     assert out == ""
     assert err == (
-        "error: 25000000 cells in a dense 5000x5000 matrix, past 64 per"
-        " unit of cap 200000; PERMLAB_CAP=390625 would suffice\n"
+        "error: 25000000 cells in a dense 5000x5000 matrix at 64 per unit of cap,"
+        " past cap 200000; PERMLAB_CAP=390625 would suffice\n"
     )
 
 

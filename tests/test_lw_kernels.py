@@ -196,10 +196,11 @@ def test_subset_orbit_count_checks_the_level_against_the_cap(monkeypatch):
         raise AssertionError("subsets listed past the cap")
 
     # |C8| = 8 passes the cap, and so do the levels below C(8, 4) = 70
+    too_wide = "derived domain of size 70, past cap 69; PERMLAB_CAP=70 would suffice"
     group = fixture("cyclic_8").group
     assert orbit_count_inequality(group, 3, cap=69) == (1, 1, 4, 7)
-    with pytest.raises(CapExceeded, match="derived domain of size 70 passes the cap"):
+    with pytest.raises(CapExceeded, match=too_wide):
         orbit_count_inequality(group, 4, cap=69)
     monkeypatch.setattr(incidence, "_subsets_colex", never)
-    with pytest.raises(CapExceeded, match="derived domain of size 70 passes the cap"):
+    with pytest.raises(CapExceeded, match=too_wide):
         incidence._subset_orbit_count(group, 4, cap=69)

@@ -14,7 +14,7 @@ import pytest
 import permlab
 from permlab import groups
 from permlab.blocks import _pair_image
-from permlab.config import DEFAULT_CAP
+from permlab.config import DEFAULT_CAP, check_cap
 from permlab.errors import CapExceeded
 from permlab.fixtures import fixture
 from permlab.groups import (
@@ -108,6 +108,53 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} asserts at lines {lines}"
+
+
+def _cap_error_sites(tree):
+    """(function, line) for each CapExceeded(...) built in a module."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "CapExceeded" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            sites.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return sites
+
+
+def test_cap_errors_are_built_only_by_check_cap_and_the_walk():
+    # a count known before its loop goes through config.check_cap, so every
+    # such refusal has one form; only the walk that stops in flight, and
+    # the homogeneity degree that adds its C(n, k) bound to it, build their own
+    allowed = {
+        ("config", "check_cap"),
+        ("groups", "_item_walk"),
+        ("groups", "homogeneity_degree"),
+    }
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for where, line in _cap_error_sites(tree):
+            found.setdefault((path.stem, where), []).append(line)
+    stray = {site: lines for site, lines in found.items() if site not in allowed}
+    assert not stray, f"CapExceeded built outside check_cap: {stray}"
+    assert set(found) == allowed
+
+
+def test_check_cap_names_the_cap_that_would_suffice(monkeypatch):
+    monkeypatch.setenv("PERMLAB_CAP", "9")
+    assert check_cap(9, "nine things") == 9
+    assert check_cap(10, "ten things", cap=10) == 10
+    with pytest.raises(CapExceeded) as info:
+        check_cap(10, "ten things")
+    assert str(info.value) == "ten things, past cap 9; PERMLAB_CAP=10 would suffice"
 
 
 def test_poset_shape_check_survives_optimize():

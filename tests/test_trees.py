@@ -146,6 +146,40 @@ def test_betweenness_cap_counts_the_b_audit(monkeypatch):
     assert b_from_poset(poset).report.ok
 
 
+def test_pair_quotient_cap_counts_its_transitivity_loop(monkeypatch):
+    # 4 points: C(4, 2) = 6 pairs, and the transitivity check visits 6**3
+    rel = finite_c_model(2, 2).relation
+    monkeypatch.setenv("PERMLAB_CAP", "215")
+    with pytest.raises(CapExceeded) as info:
+        semilinear_from_c(rel)
+    assert str(info.value) == (
+        "the pair quotient of a C-relation on 4 points visits 216 candidates,"
+        " past cap 215; PERMLAB_CAP=216 would suffice"
+    )
+    monkeypatch.setenv("PERMLAB_CAP", "216")
+    assert semilinear_from_c(rel).report.ok
+
+
+def test_pair_quotient_of_the_battery_chain_model_is_refused_at_once(monkeypatch):
+    # 27 points: 351**3 steps, where the loop used to run for seconds
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    with pytest.raises(CapExceeded, match="PERMLAB_CAP=43243551 would suffice"):
+        semilinear_from_c(finite_c_model(3, 3).relation)
+
+
+def test_chains_c_relation_counts_its_triples(monkeypatch):
+    # the word model on [0, 1] has 2 maximal chains, so 2**3 triples
+    poset = lambda_word_model([0, 1], 2)
+    monkeypatch.setenv("PERMLAB_CAP", "7")
+    with pytest.raises(CapExceeded) as info:
+        c_from_chains(poset)
+    assert str(info.value) == (
+        "a C-relation on 2 chains visits 8 candidates, past cap 7; PERMLAB_CAP=8 would suffice"
+    )
+    monkeypatch.setenv("PERMLAB_CAP", "8")
+    assert len(c_from_chains(poset).detail) == 2
+
+
 def test_semilinear_checks_on_tree_order():
     report = check_axioms(V_ORDER, "semilinear")
     assert report.ok
@@ -490,6 +524,38 @@ def test_block_translates():
     )
     with pytest.raises(PointOutOfRange):
         set_translates(cyclic_group(4), [0, 7])
+
+
+def test_set_translates_walk_under_the_element_cap(monkeypatch):
+    # the 3-subsets of 6 points are one orbit of S6, of C(6, 3) = 20 sets
+    monkeypatch.setenv("PERMLAB_CAP", "19")
+    with pytest.raises(CapExceeded, match="passed cap 19"):
+        set_translates(symmetric_group(6), range(3))
+    monkeypatch.setenv("PERMLAB_CAP", "20")
+    assert len(set_translates(symmetric_group(6), range(3))) == 20
+
+
+@pytest.mark.parametrize(
+    "build,kind,count",
+    [
+        # S5 moves {0, 1} onto its 10 translates; n**2 or n**3 points each
+        (preorder_from_family, "preorder", 250),
+        (c_from_family, "C-relation", 1250),
+        (b_from_family, "B-relation", 1250),
+    ],
+    ids=["preorder", "C", "B"],
+)
+def test_family_builders_count_points_times_translates(monkeypatch, build, kind, count):
+    group = symmetric_group(5)
+    monkeypatch.setenv("PERMLAB_CAP", str(count - 1))
+    with pytest.raises(CapExceeded) as info:
+        build(group, [0, 1])
+    assert str(info.value) == (
+        f"a {kind} from 10 translates on 5 points visits {count} candidates,"
+        f" past cap {count - 1}; PERMLAB_CAP={count} would suffice"
+    )
+    monkeypatch.setenv("PERMLAB_CAP", str(count))
+    build(group, [0, 1])
 
 
 def test_block_family_preorder_is_block_equivalence():
