@@ -16,7 +16,7 @@ from .groups import (
     symmetric_group,
 )
 from .perms import parse_cycles
-from .wreath import wreath
+from .wreath import wreath_tower
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ def _geometry_fixture(name, notes):
 
 
 def _wreath_fixture(name, degrees):
-    group = cyclic_group(degrees[0])
-    for d in degrees[1:]:
-        group = wreath(group, cyclic_group(d))
+    group = wreath_tower(tuple(cyclic_group(d) for d in degrees))
     blocks = " in ".join(str(d) for d in degrees)
     return Fixture(name, group, f"iterated wreath of cyclic groups ({blocks})")
 

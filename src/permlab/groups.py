@@ -25,10 +25,10 @@ from seeded random elements (a chain's order is exact, so reaching it
 proves the chain complete), and a point that is not the least of its
 orbit gets the conjugate of its least sibling's stabilizer, by the
 orbit's BFS transversal element, instead of a chain.  The setwise
-stabilizer (``setwise_stabilizer``) filters the element list.  Orbits
-on pairs, tuples, subsets, point sets and elements are walked by the one
-generator ``_item_walk``; ``orbit`` keeps its own loop, whose dict of
-transversal words is the ``Orbit`` it returns.
+stabilizer is read off a chain filled with the Schreier generators of
+the set's orbit.  Orbits on points, pairs, tuples, subsets, point sets
+and elements are walked by the one generator ``_item_walk``, which can
+record the first word reaching each item, the ``Orbit``'s transversal.
 The chain is cross-checked against enumeration whenever both exist: an
 enumerated group must have exactly as many elements as the chain's
 order.  Sums that ignore order (the Burnside count of fixed subsets in
@@ -142,29 +142,30 @@ def alternating_group(degree: int) -> GenGroup:
 # element enumeration
 
 
-def _item_walk(start, act, generators, cap: int) -> Iterator:
+def _item_walk(start, act, generators, cap: int, words: dict | None = None) -> Iterator:
     """Orbit of start under item -> act(item, g), yielded in BFS order.
 
     Generators are tried in list order for each item, so items come
     shortest word first, ties broken by generator position.  Raises
     CapExceeded once the orbit would pass cap items.  Each item is yielded
     as soon as it is found, so a caller that stops early walks no further.
-    act is called once per item and generator in that order, so an act
-    that records what it sees (the Jordan walk's transversal) keeps the
-    first path to each item.  This is the one walk that stops in flight;
-    a loop whose size is known before it starts is measured by check_cap.
+    A dict passed as words is filled, in the order items are found, with
+    the first word reaching each: the generator positions whose product
+    (``_word_images``) takes start there.  This is the one walk that
+    stops in flight; a count known before a loop goes to check_cap.
     """
-    seen = {start}
+    seen = {} if words is None else words
+    seen[start] = ()
     queue = deque([start])
     yield start
     while queue:
         item = queue.popleft()
-        for g in generators:
+        for position, g in enumerate(generators):
             moved = act(item, g)
             if moved not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"orbit of {start!r} passed cap {cap}")
-                seen.add(moved)
+                seen[moved] = () if words is None else seen[item] + (position,)
                 queue.append(moved)
                 yield moved
 
@@ -192,6 +193,14 @@ def clear_caches() -> None:
 def _images_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Image tuple of "apply a, then b"."""
     return tuple(map(b.__getitem__, a))
+
+
+def _word_images(group: GenGroup, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the product of the generators a word names, in order."""
+    images = tuple(range(group.degree))
+    for index in word:
+        images = _images_product(images, group.generators[index].images)
+    return images
 
 
 # The product-replacement walk starts from this seed in every chain, so a
@@ -530,10 +539,7 @@ class Orbit:
         return self.words[point]
 
     def transversal_element(self, point: int) -> Permutation:
-        images = tuple(range(self.group.degree))
-        for index in self.words[point]:
-            images = _images_product(images, self.group.generators[index].images)
-        return _trusted(images)
+        return _trusted(_word_images(self.group, self.words[point]))
 
 
 def _point_in_range(group: GenGroup, point: int) -> int:
@@ -542,20 +548,17 @@ def _point_in_range(group: GenGroup, point: int) -> int:
     return point
 
 
+def _point_image(point: int, g: Permutation) -> int:
+    return g.images[point]
+
+
 @_bounded_cache
 def orbit(group: GenGroup, alpha: int) -> Orbit:
-    """BFS orbit of alpha under the generators, with minimal words."""
-    _point_in_range(group, alpha)
-    words: dict[int, tuple[int, ...]] = {alpha: ()}
-    queue = deque([alpha])
-    while queue:
-        current = queue.popleft()
-        for index, g in enumerate(group.generators):
-            moved = g.images[current]
-            if moved not in words:
-                words[moved] = words[current] + (index,)
-                queue.append(moved)
-    return Orbit(group, alpha, tuple(sorted(words)), words)
+    """BFS orbit of alpha, with the first word reaching each point."""
+    words: dict[int, tuple[int, ...]] = {}
+    start = _point_in_range(group, alpha)
+    walk = _item_walk(start, _point_image, group.generators, group.degree, words)
+    return Orbit(group, alpha, tuple(sorted(walk)), words)
 
 
 def orbits(group: GenGroup) -> tuple[tuple[int, ...], ...]:
@@ -593,12 +596,23 @@ def pointwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> Gen
 
 
 def setwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> GenGroup:
-    """G_{points}, the elements mapping the set onto itself, filtered from
-    the element list (CapExceeded when that list passes the cap)."""
-    elements = enumerate_elements(group, cap)
-    wanted = frozenset(_point_in_range(group, p) for p in points)
-    keep = tuple(g for g in elements if frozenset(g.images[p] for p in wanted) == wanted)
-    return subgroup_from_elements(keep, group.degree)
+    """G_{points}, read off a chain; CapExceeded when |G| passes the cap.
+
+    Each translate C of the set gets u_C from its first word.  The
+    Schreier generators u_C g u_{C^g}^-1 (Seress 2003, 4.1) fill a chain
+    up to |G| / |orbit|, and the group below its level 0 is returned.
+    """
+    size = _capped_order(group, cap)
+    wanted = tuple(sorted({_point_in_range(group, p) for p in points}))
+    words: dict[tuple[int, ...], tuple[int, ...]] = {}
+    walk = _item_walk(wanted, _subset_image, group.generators, size, words)
+    transversal = {item: _word_images(group, words[item]) for item in walk}
+    chain = _Chain(group.degree, target=size // len(words))
+    for item, u in transversal.items():
+        for g in group.generators:
+            back = _inverse_images(transversal[_subset_image(item, g)])
+            chain.extend(_images_product(_images_product(u, g.images), back))
+    return _below(chain, 0)[0]
 
 
 def _below(chain: _Chain, level: int) -> tuple[GenGroup, int]:

@@ -33,13 +33,13 @@ from .config import check_cap
 from .errors import AxiomsFailed, OutOfRange, TooSmall
 from .groups import (
     GenGroup,
-    _images_product,
     _item_walk,
     _least_stabilizer,
     _point_in_range,
     _pointwise_stabilizer,
     _subset_image,
     _tuple_image,
+    _word_images,
     orbit,
     order,
     transitivity_degree,
@@ -152,7 +152,8 @@ def _jordan_translates(
     ``groups._least_stabilizer``.  A node whose moved points are a
     wanted number and one H-orbit is a hit, and its set is the
     representative A of its G-orbit, walked by ``groups._item_walk``,
-    since g maps Jordan sets onto Jordan sets.
+    since g maps Jordan sets onto Jordan sets; each translate's g is the
+    product along the first word that reaches it.
     """
     n = group.degree
     if sizes is None:
@@ -182,18 +183,9 @@ def _jordan_translates(
             and moved not in found
             and _connected_inside(inside, moved)
         ):
-            # the walk's act records, the first time a translate is reached,
-            # the product g along that path, so moved^g is the translate
-            transversal = {moved: tuple(range(n))}
-
-            def act(current, g):
-                image = _subset_image(current, g)
-                if image not in transversal:
-                    transversal[image] = _images_product(transversal[current], g.images)
-                return image
-
-            for translate in _item_walk(moved, act, group.generators, limit):
-                found[translate] = (moved, transversal[translate])
+            words: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for translate in _item_walk(moved, _subset_image, group.generators, limit, words):
+                found[translate] = (moved, _word_images(group, words[translate]))
         if len(moved) == smallest:
             continue
         covered: set[int] = set()

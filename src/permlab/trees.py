@@ -38,7 +38,7 @@ from .errors import (
     PointOutOfRange,
 )
 from .blocks import _UnionFind, partition_from_blocks
-from .groups import _item_walk
+from .groups import _item_walk, _subset_image
 from .relations import Relation, relation
 
 
@@ -704,13 +704,8 @@ def set_translates(group, sigma):
     """Orbit of a point set under the group, as a sorted tuple of frozensets.
     The walk raises CapExceeded once it passes the element cap."""
     sigma = _validate_subset(group, sigma)
-    seen = _item_walk(
-        sigma,
-        lambda s, g: frozenset(g.images[p] for p in s),
-        group.generators,
-        element_cap(),
-    )
-    return tuple(sorted(seen, key=sorted))
+    walk = _item_walk(tuple(sorted(sigma)), _subset_image, group.generators, element_cap())
+    return tuple(sorted(map(frozenset, walk), key=sorted))
 
 
 def _family_translates(group, sigma, kind, k):
@@ -764,6 +759,10 @@ def b_from_family(group, sigma):
 
 def d_from_family(group, sigma):
     translates = set_translates(group, sigma)
+    size = len(translates[0])
+    count = len(translates) ** 2 * size**4
+    what = f"a D-relation from {len(translates)} translates of {size} points"
+    check_cap(count, f"{what} visits {count} candidates")
     n = group.degree
     tuples = set()
     for t1, t2 in itertools.permutations(translates, 2):

@@ -267,6 +267,37 @@ def schreier_point_stabilizer(degree: int, generators, alpha: int) -> list[Permu
     return out
 
 
+def queue_orbit_words(group, alpha: int) -> dict[int, tuple[int, ...]]:
+    """The library's ``orbit`` loop before it ran on the shared item walk:
+    each point of the orbit mapped to its first word of generator
+    positions, in the order the queue reached it."""
+    words = {alpha: ()}
+    queue = deque([alpha])
+    while queue:
+        current = queue.popleft()
+        for index, g in enumerate(group.generators):
+            moved = g.images[current]
+            if moved not in words:
+                words[moved] = words[current] + (index,)
+                queue.append(moved)
+    return words
+
+
+def filtered_setwise_stabilizer(group, points, cap: int | None = None):
+    """The library's setwise stabilizer before it was read off a chain:
+    the elements mapping the set onto itself, filtered from the element
+    list, and the greedy generating set of what is kept."""
+    from permlab.groups import enumerate_elements, subgroup_from_elements
+
+    wanted = frozenset(points)
+    keep = tuple(
+        g
+        for g in enumerate_elements(group, cap)
+        if frozenset(g.images[p] for p in wanted) == wanted
+    )
+    return subgroup_from_elements(keep, group.degree)
+
+
 def support_edges(elements) -> list[tuple[int, set[tuple[int, int]]]]:
     """(support mask, movement pairs) per distinct support of a non-identity
     element."""
@@ -489,8 +520,9 @@ def per_element_burnside_totals(elements, kmax: int) -> list[int]:
 def enumerated_embedding_report(group, rho, cap: int | None = None):
     """imprimitive_embedding's report before the wreath order came off a
     stabilizer chain: psi is built on the whole element list and the
-    wreath product is enumerated for its order.  The group, wreath and
-    stabilizer helpers are the library's own."""
+    wreath product is enumerated for its order.  The group and wreath
+    helpers are the library's own, and the setwise stabilizer is
+    ``filtered_setwise_stabilizer``."""
     return enumerated_embedding(group, rho, cap)[2]
 
 
@@ -499,7 +531,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
     fiber of psi is the composite transversal[delta], g, and the inverse
     of the transversal element of the block g moves delta to, inverted
     afresh for every element and block."""
-    from permlab.groups import GenGroup, enumerate_elements, setwise_stabilizer
+    from permlab.groups import GenGroup, enumerate_elements
     from permlab.perms import compose, inverse
     from permlab.wreath import EmbeddingReport, ProductDomain, wreath
 
@@ -510,7 +542,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
     transversal: dict[int, Permutation] = {}
     for g in enumerate_elements(group, cap):
         transversal.setdefault(block_of[g.images[base_block[0]]], g)
-    setwise = setwise_stabilizer(group, base_block, cap)
+    setwise = filtered_setwise_stabilizer(group, base_block, cap)
     bottom = GenGroup(
         len(base_block),
         tuple(

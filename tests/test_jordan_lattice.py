@@ -228,10 +228,10 @@ def test_decomposition_equals_the_element_list_decomposition(name, group):
 def test_catalog_and_decomposition_never_enumerate_the_group(monkeypatch):
     walk = groups._item_walk
 
-    def no_element_walk(start, act, generators, cap):
+    def no_element_walk(start, act, generators, cap, words=None):
         if act is compose:
             raise AssertionError("the group's elements were enumerated")
-        return walk(start, act, generators, cap)
+        return walk(start, act, generators, cap, words)
 
     s8 = fixture("symmetric_8").group
     plane = fixture("pg_2_3").group

@@ -4,6 +4,9 @@ Schreier-Sims stabilizer they replace (``tests/oracles.py``), and Jordan
 witnesses conjugated from their G-orbit's representative against the
 witness ``is_jordan`` builds afresh.
 
+The orbit words the shared item walk records are checked against the
+queue loop ``orbit`` ran before.
+
 Every check also runs on the corpus relabeled by a fixed shuffle of the
 points, where a point is most often not the least of its orbit under
 the parent stabilizer, so its stabilizer is a conjugate.
@@ -389,3 +392,14 @@ def test_orbit_transversal_equals_the_walk_to_the_least_point(name, group):
             walked = orbit(stab, p)
             assert walked.points[0] == least, (points, p)
             assert walked.transversal_element(least).images == images, (points, p)
+
+
+@pytest.mark.parametrize("name,group", CASES, ids=IDS)
+def test_orbit_words_equal_the_queue_loop(name, group):
+    # the words and their order, for every point under G and every G_(S), |S| <= 2
+    for points in _at_most_two_points(group):
+        stab = _pointwise_stabilizer(group, points)[0]
+        for p in range(group.degree):
+            expected = oracles.queue_orbit_words(stab, p)
+            assert list(orbit(stab, p).words.items()) == list(expected.items()), (points, p)
+

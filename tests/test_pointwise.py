@@ -1,17 +1,19 @@
-"""Pointwise and point stabilizers read off a stabilizer chain, and the
-Jordan fixpoint built on them, against the element-list filter, the
-Schreier-generator stabilizer and the support-table fixpoint they replace
-(``tests/oracles.py``)."""
+"""Pointwise, point and setwise stabilizers read off a stabilizer chain,
+and the Jordan fixpoint built on them, against the element-list filter,
+the Schreier-generator stabilizer and the support-table fixpoint they
+replace (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab import groups
+from permlab.blocks import congruences
 from permlab.errors import CapExceeded, OutOfRange, PointOutOfRange
 from permlab.fixtures import fixture
 from permlab.groups import (
@@ -164,16 +166,22 @@ def test_pointwise_stabilizer_keeps_the_cap():
 def test_spans_and_witnesses_never_enumerate_the_group(monkeypatch):
     walk = groups._item_walk
 
-    def no_element_walk(start, act, generators, cap):
+    def no_element_walk(start, act, generators, cap, words=None):
         if act is compose:
             raise AssertionError("the group's elements were enumerated")
-        return walk(start, act, generators, cap)
+        return walk(start, act, generators, cap, words)
+
+    def never(*args):
+        raise AssertionError("a subgroup was built from an element list")
 
     s8 = fixture("symmetric_8").group
     clear_caches()
     monkeypatch.setattr(groups, "_item_walk", no_element_walk)
+    monkeypatch.setattr(groups, "subgroup_from_elements", never)
     with pytest.raises(AssertionError):
         enumerate_elements(s8)
+    assert order(setwise_stabilizer(s8, [0, 1, 2])) == 6 * 120
+    assert order(setwise_stabilizer(s8, range(8))) == 40320
     assert span(s8, [0, 1]) == (0, 1)
     assert maximal_jordan_avoiding(s8, [0, 1]) == ((2, 3, 4, 5, 6, 7),)
     assert maximal_jordan_avoiding(s8, [0], seed=5) == (1, 2, 3, 4, 5, 6, 7)
@@ -182,3 +190,43 @@ def test_spans_and_witnesses_never_enumerate_the_group(monkeypatch):
     assert order(witness.witness_group) == 720
     assert order(pointwise_stabilizer(s8, [0, 1, 2])) == 120
     assert len(span_geometry(s8, size_cap=1).table) == 1 + 8 + 28
+
+
+@pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
+def test_setwise_stabilizer_of_every_block_equals_the_element_filter(name, group):
+    for rho in congruences(group):
+        if rho.is_discrete or rho.is_universal:
+            continue
+        for block in rho.blocks:
+            expected = element_set(oracles.filtered_setwise_stabilizer(group, block))
+            assert element_set(setwise_stabilizer(group, block)) == expected, block
+
+
+@pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
+def test_setwise_stabilizer_of_random_subsets_equals_the_element_filter(name, group):
+    rng = random.Random(name)
+    n = group.degree
+    subsets = [(), tuple(range(n))]
+    subsets += [tuple(rng.sample(range(n), rng.randrange(1, n))) for _ in range(6)]
+    for points in subsets:
+        expected = element_set(oracles.filtered_setwise_stabilizer(group, points))
+        assert element_set(setwise_stabilizer(group, points)) == expected, points
+
+
+def test_setwise_stabilizer_of_a_set_no_rotation_keeps():
+    c7 = fixture("cyclic_7").group
+    stab = setwise_stabilizer(c7, [0, 1, 3])
+    assert stab.generators == ()
+    assert element_set(stab) == element_set(oracles.filtered_setwise_stabilizer(c7, [0, 1, 3]))
+
+
+def test_setwise_stabilizer_checks_the_order_against_the_cap():
+    s6 = symmetric_group(6)
+    assert order(setwise_stabilizer(s6, [0, 1], cap=720)) == 48
+    with pytest.raises(CapExceeded) as info:
+        setwise_stabilizer(s6, [0, 1], cap=719)
+    assert str(info.value) == (
+        "group of degree 6 with 2 generators has order 720, past cap 719;"
+        " PERMLAB_CAP=720 would suffice"
+    )
+

@@ -110,14 +110,15 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} asserts at lines {lines}"
 
 
-def _cap_error_sites(tree):
-    """(function, line) for each CapExceeded(...) built in a module."""
+def _call_sites(tree, name):
+    """(function, line) for each call in a module to a function, class or
+    method of that name."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Call) and "CapExceeded" in (
+        if isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None),
             getattr(node.func, "attr", None),
         ):
@@ -141,11 +142,28 @@ def test_cap_errors_are_built_only_by_check_cap_and_the_walk():
     found = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for where, line in _cap_error_sites(tree):
+        for where, line in _call_sites(tree, "CapExceeded"):
             found.setdefault((path.stem, where), []).append(line)
     stray = {site: lines for site, lines in found.items() if site not in allowed}
     assert not stray, f"CapExceeded built outside check_cap: {stray}"
     assert set(found) == allowed
+
+
+def test_the_item_walk_is_the_only_orbit_walk():
+    # every orbit walk goes through groups._item_walk; the three other
+    # queues merge point pairs, measure graph distances and grow overgroups
+    allowed = {
+        "groups._item_walk",
+        "blocks.minimal_congruence_identifying",
+        "blocks.orbital_graph",
+        "blocks._overgroups_of_point_stabilizer",
+    }
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update(f"{path.stem}.{where}" for where, _ in _call_sites(tree, "popleft"))
+    assert not found - allowed, f"popleft outside the allowed walks: {sorted(found - allowed)}"
+    assert found == allowed
 
 
 def test_check_cap_names_the_cap_that_would_suffice(monkeypatch):

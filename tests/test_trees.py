@@ -517,6 +517,35 @@ def test_block_family_carries_tree_end_relation():
 # ----------------------------------------------------------- set families
 
 
+def test_d_from_family_counts_ordered_pairs_of_translates(monkeypatch):
+    # S5 moves {0, 1} onto 10 translates: 10**2 * 2**4 = 1600 candidates
+    group = symmetric_group(5)
+    monkeypatch.setenv("PERMLAB_CAP", "1599")
+    with pytest.raises(CapExceeded) as info:
+        d_from_family(group, [0, 1])
+    assert str(info.value) == (
+        "a D-relation from 10 translates of 2 points visits 1600 candidates,"
+        " past cap 1599; PERMLAB_CAP=1600 would suffice"
+    )
+    monkeypatch.setenv("PERMLAB_CAP", "1600")
+    assert d_from_family(group, [0, 1]).relation.arity == 4
+
+
+def test_d_from_family_is_refused_before_any_tuple(monkeypatch):
+    # 364 translates of 3 points, where the loop used to run for a second
+    def never(*args):
+        raise AssertionError("tuples built before the cap check")
+
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.setattr(itertools, "permutations", never)
+    with pytest.raises(CapExceeded) as info:
+        d_from_family(symmetric_group(14), range(3))
+    assert str(info.value) == (
+        "a D-relation from 364 translates of 3 points visits 10732176 candidates,"
+        " past cap 200000; PERMLAB_CAP=10732176 would suffice"
+    )
+
+
 def test_block_translates():
     assert set_translates(cyclic_group(4), [0, 2]) == (
         frozenset({0, 2}),
