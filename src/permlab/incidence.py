@@ -24,13 +24,17 @@ of its nonzero entries, and the modular one updates only the columns
 where the pivot row is nonzero.  Inclusion matrices stay sparse while
 they are eliminated.
 
-Both eliminations take a sparse 0/1 matrix's rows bottom-up; the rank
-does not depend on row order.  In colex order the inclusion matrix is
-[[A, 0], [I, B]]: the k-subsets without the last point come first, and
-each k-subset T + {n-1} meets the column of T in an identity block.
-Bottom-up, every column of the identity block meets its unit row first,
-so a pivot puts only A * B into the rows above, where the top-down order
-filled them almost dense.
+In colex order the inclusion matrix is [[A, 0], [I, B]]: the k-subsets
+without the last point come first, and each k-subset T + {n-1} meets the
+column of T in an identity block of size m = C(n-1, k-1).  The modular
+route recognises that form in the stored columns and eliminates the
+identity block in one step: the rank is m + rank(A * B) over any field,
+so only A * B is made an array and pivoted.  The exact route takes a
+sparse 0/1 matrix's rows bottom-up, since the rank does not depend on
+row order: every column of the identity block then meets its unit row
+first, so a pivot puts only A * B into the rows above, where the
+top-down order filled them almost dense.  A sparse matrix without the
+form goes to the modular kernel whole, its rows bottom-up too.
 
 The sign matrices are int64 arrays: the intersection sizes are one
 product of 0/1 point-membership rows, the composite of two sign maps is
@@ -42,6 +46,7 @@ cells per unit of the element cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -108,6 +113,27 @@ def _dense_rows(ones: tuple[tuple[int, ...], ...], n_cols: int) -> tuple[tuple[i
     return tuple(dense)
 
 
+def _check_ones(ones: tuple[tuple[int, ...], ...], n_cols: int) -> None:
+    """Raise ValueError naming the first stored row that is not strictly
+    increasing ints in 0..n_cols-1, or not as long as row 0.  A valid
+    matrix is checked a stored column at a time, not row by row."""
+    width = len(ones[0]) if ones else 0
+    columns = list(zip(*ones))
+    if (
+        set(map(len, ones)) <= {width}
+        and set(map(type, itertools.chain(*columns))) <= {int}
+        and (width == 0 or (0 <= min(columns[0]) and max(columns[-1]) < n_cols))
+        and all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:]))
+    ):
+        return
+    for i, row in enumerate(ones):
+        if len(row) != width:
+            raise ValueError(f"ones row {i} holds {len(row)} ones, row 0 {width}")
+        # -1 < row[0] < ... < row[-1] < n_cols
+        if set(map(type, row)) - {int} or not all(map(operator.lt, (-1, *row), (*row, n_cols))):
+            raise ValueError(f"ones row {i} is not strictly increasing ints in 0..{n_cols - 1}")
+
+
 class ExactMatrix:
     """Exact matrix whose rows and columns are labeled by subsets.
 
@@ -115,8 +141,9 @@ class ExactMatrix:
     The builders store int entries; Fraction entries are accepted too, and
     every operation stays exact on them.  ExactMatrix(rows, cols, ones=...)
     is a 0/1 matrix stored sparse: for each row, the increasing columns
-    that hold a 1, as many in every row.  The rank kernels read those columns directly, and its
-    entries are derived on first read, after the cell budget is checked.
+    that hold a 1, as many in every row; any other rows raise ValueError.
+    The rank kernels read those columns directly, and its entries are
+    derived on first read, after the cell budget is checked.
     """
 
     __slots__ = ("rows", "cols", "ones", "_entries")
@@ -140,6 +167,8 @@ class ExactMatrix:
         for row in entries or ():
             if len(row) != len(cols):
                 raise ValueError("column count mismatch")
+        if ones is not None:
+            _check_ones(ones, len(cols))
 
     @property
     def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -348,6 +377,53 @@ def _int64_entries(entries) -> bool:
     )
 
 
+def _unit_block(ones: numpy.ndarray) -> int:
+    """m when the stored columns, one row of increasing columns each, form
+    [[A, 0], [I, B]] with I the identity on the last m rows, else 0.
+
+    The last m rows hold their first one in columns 0..m-1, in order, and
+    all their others at column m or later; the rows above hold ones only
+    left of m.  The last row's first one fixes m.
+    """
+    n_rows, weight = ones.shape
+    if weight == 0:
+        return 0
+    m = int(ones[-1, 0]) + 1
+    if m > n_rows:
+        return 0
+    above, unit = ones[: n_rows - m], ones[n_rows - m :]
+    if (above[:, -1] >= m).any() or (unit[:, 0] != numpy.arange(m)).any():
+        return 0
+    return 0 if (unit[:, 1:] < m).any() else m
+
+
+def _eliminate_mod_p(a: numpy.ndarray, p: int) -> int:
+    """Rank mod p of an int64 array, which the elimination overwrites."""
+    n_rows, n_cols = a.shape
+    found = 0
+    for col in range(n_cols):
+        if found == n_rows:
+            break
+        column = a[found:, col]
+        column %= p
+        hits = numpy.flatnonzero(column)
+        if hits.size == 0:
+            continue
+        pivot = found + int(hits[0])
+        if pivot != found:
+            # the row moved out of found is zero in this column
+            held = a[found, col:].copy()
+            a[found, col:] = a[pivot, col:]
+            a[pivot, col:] = held
+        top = a[found, col:] % p * pow(int(column[0]), -1, p) % p
+        live = hits[1:] + found
+        if live.size:
+            support = numpy.flatnonzero(top)
+            a[live[:, None], support + col] -= column[hits[1:], None] * top[support]
+        found += 1
+    return found
+
+
 def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     """Rank of the reduction mod p; a lower bound for the rational rank.
 
@@ -358,14 +434,19 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     that bound keeps the trial division short.
 
     The rows x cols int64 array is checked against the cell budget
-    (CELLS_PER_CAP per unit of the element cap) before it is allocated,
-    and CapExceeded is raised past it.  A sparse 0/1 matrix fills it with
-    one assignment from its stored columns, its rows in reverse order, so
-    that an inclusion matrix meets its unit rows first (see the module
-    docstring).  Int entries that fit in int64 go into the array as they
-    are and are reduced there; any other matrix (a Fraction, a bool, or
-    an int out of int64's range) is scaled to integers row by row and
-    reduced entry by entry first, and is never made an array before that.
+    (CELLS_PER_CAP per unit of the element cap) before anything is
+    allocated, and CapExceeded is raised past it.  A sparse 0/1 matrix in
+    the block form [[A, 0], [I, B]] of an inclusion matrix (see the module
+    docstring) has rank m + rank(A * B) over any field, m the size of I:
+    subtracting A times the unit rows from the rows above is unimodular.
+    Only A * B is then made an array, summed from B's rows one stored
+    column of A at a time, reduced, and eliminated with its rows
+    bottom-up.  Any other sparse matrix fills the full array with one
+    assignment from its stored columns, its rows in reverse order.  Int
+    entries that fit in int64 go into the array as they are and are
+    reduced there; any other matrix (a Fraction, a bool, or an int out of
+    int64's range) is scaled to integers row by row and reduced entry by
+    entry first, and is never made an array before that.
 
     One nonzero search per column finds the pivot and the live rows: the
     column's other hits, since a row swapped out of the pivot's place is
@@ -388,8 +469,18 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
         )
     _check_cells(n_rows, n_cols)
     if matrix.ones is not None:
+        ones = numpy.array(matrix.ones, dtype=numpy.intp)
+        m = _unit_block(ones)
+        if m:
+            b = numpy.zeros((m, n_cols - m), dtype=numpy.int64)
+            b[numpy.arange(m)[:, None], ones[n_rows - m :, 1:] - m] = 1
+            a = numpy.zeros((n_rows - m, n_cols - m), dtype=numpy.int64)
+            for facet in ones[: n_rows - m][::-1].T:  # A's rows bottom-up
+                a += b[facet]
+            a %= p
+            return m + _eliminate_mod_p(a, p)
         a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
-        a[numpy.arange(n_rows - 1, -1, -1)[:, None], matrix.ones] = 1
+        a[numpy.arange(n_rows)[:, None], ones[::-1]] = 1
     elif _int64_entries(matrix.entries):
         a = numpy.array(matrix.entries, dtype=numpy.int64)
         a %= p
@@ -397,28 +488,7 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
         a = numpy.array(
             [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
         )
-    found = 0
-    for col in range(n_cols):
-        column = a[found:, col]
-        column %= p
-        hits = numpy.flatnonzero(column)
-        if hits.size == 0:
-            continue
-        pivot = found + int(hits[0])
-        if pivot != found:
-            # the row moved out of found is zero in this column
-            held = a[found, col:].copy()
-            a[found, col:] = a[pivot, col:]
-            a[pivot, col:] = held
-        top = a[found, col:] % p * pow(int(column[0]), -1, p) % p
-        live = hits[1:] + found
-        if live.size:
-            support = numpy.flatnonzero(top)
-            a[live[:, None], support + col] -= column[hits[1:], None] * top[support]
-        found += 1
-        if found == n_rows:
-            break
-    return found
+    return _eliminate_mod_p(a, p)
 
 
 def _fixed_subset_counts(lengths: tuple[int, ...], kmax: int) -> list[int]:

@@ -734,6 +734,48 @@ def column_support_rank_mod_p(matrix, p: int = 1_000_003) -> int:
     return found
 
 
+def bottom_up_rank_mod_p(matrix, p: int = 1_000_003) -> int:
+    """incidence.rank_mod_p on a sparse 0/1 matrix before it eliminated the
+    unit block of [[A, 0], [I, B]] in one step: the stored columns fill the
+    whole int64 array, rows in reverse order, and every column is searched
+    for a pivot.  The primality check and the cell budget are left out."""
+    import numpy
+
+    from permlab.errors import OutOfRange
+
+    n_rows, n_cols = matrix.shape
+    if n_rows == 0 or n_cols == 0:
+        return 0
+    if min(n_rows, n_cols) * (p - 1) ** 2 + p >= 2**63:
+        raise OutOfRange(
+            f"p={p} overflows int64 elimination on a {n_rows}x{n_cols} matrix"
+        )
+    a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
+    a[numpy.arange(n_rows - 1, -1, -1)[:, None], matrix.ones] = 1
+    found = 0
+    for col in range(n_cols):
+        column = a[found:, col]
+        column %= p
+        hits = numpy.flatnonzero(column)
+        if hits.size == 0:
+            continue
+        pivot = found + int(hits[0])
+        if pivot != found:
+            # the row moved out of found is zero in this column
+            held = a[found, col:].copy()
+            a[found, col:] = a[pivot, col:]
+            a[pivot, col:] = held
+        top = a[found, col:] % p * pow(int(column[0]), -1, p) % p
+        live = hits[1:] + found
+        if live.size:
+            support = numpy.flatnonzero(top)
+            a[live[:, None], support + col] -= column[hits[1:], None] * top[support]
+        found += 1
+        if found == n_rows:
+            break
+    return found
+
+
 def tuple_theta_matrix(n: int, r: int, s: int):
     """incidence.build_theta_matrix before it was built as an array: entry
     (S, R) is -1 when the bitmasks of the colex s-subset S and r-subset R
