@@ -654,7 +654,7 @@ def _normal_closure(
         grown = False
         for g in group.generators:
             for s in sub.generators:
-                moved = compose(compose(inverse(g), s), g)
+                moved = conjugate(s, g)
                 if moved not in members:
                     generators.append(moved)
                     grown = True

@@ -69,8 +69,8 @@ from .perms import (
     _inverse_images,
     _trusted,
     compose,
+    conjugate,
     identity,
-    inverse,
     parse_cycles,
 )
 
@@ -889,11 +889,9 @@ def _normalizer_of_subgroup(
     group: GenGroup, sub: GenGroup, cap: int | None = None
 ) -> tuple[Permutation, ...]:
     members = element_set(sub, cap)
-    generators = sub.generators if sub.generators else (identity(group.degree),)
     out = []
     for g in enumerate_elements(group, cap):
-        gi = inverse(g)
-        if all(compose(compose(gi, s), g) in members for s in generators):
+        if all(conjugate(s, g) in members for s in sub.generators):
             out.append(g)
     return tuple(out)
 
@@ -949,9 +947,7 @@ def coset_spaces_isomorphic(
     k_members = element_set(k, cap)
     if len(h_members) != len(k_members):
         return None
-    h_generators = h.generators if h.generators else (identity(group.degree),)
     for x in _bfs_prefix(group, element_cap(cap)):
-        xi = inverse(x)
-        if all(compose(compose(xi, s), x) in k_members for s in h_generators):
+        if all(conjugate(s, x) in k_members for s in h.generators):
             return x
     return None

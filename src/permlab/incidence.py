@@ -15,10 +15,10 @@ cheap full-rank certificate for the bigger matrices.  The inclusion
 matrix is stored sparse, as the k columns that hold a 1 in each row, and
 both eliminations read those columns directly; its dense entries are
 derived only when they are read (entry, matmul, CSV).  Every other
-matrix holds its entries as a tuple of rows.  The modular route reads
-int entries that fit a machine word straight into an int64 array; any
-other matrix (Fraction or bool entries, or ints past int64) is first
-scaled to integers row by row.  The modulus must be a prime.  Both
+matrix holds its entries as a tuple of rows of ints, and nothing else: a
+bool, a float, a Fraction or a numpy integer is refused when the matrix
+is made.  The modular route reduces each entry mod p into an int64
+array, so ints of any size go in.  The modulus must be a prime.  Both
 eliminations touch only nonzeros: the exact one holds each row as a dict
 of its nonzero entries, and the modular one updates only the columns
 where the pivot row is nonzero.  Inclusion matrices stay sparse while
@@ -89,10 +89,6 @@ EXACT_RANK_LIMIT = 130
 # is 12.8 M cells; the widest inclusion matrix on 12 points is 924 x 792.
 CELLS_PER_CAP = 64
 
-_NUMERATOR = operator.attrgetter("numerator")
-_DENOMINATOR = operator.attrgetter("denominator")
-
-
 def _check_cells(n_rows: int, n_cols: int, cap: int | None = None) -> None:
     """Raise CapExceeded before a dense n_rows x n_cols allocation past the
     cell budget of the cap (the active one by default): each unit of the
@@ -137,9 +133,10 @@ def _check_ones(ones: tuple[tuple[int, ...], ...], n_cols: int) -> None:
 class ExactMatrix:
     """Exact matrix whose rows and columns are labeled by subsets.
 
-    ExactMatrix(rows, cols, entries) holds its entries as a tuple of rows.
-    The builders store int entries; Fraction entries are accepted too, and
-    every operation stays exact on them.  ExactMatrix(rows, cols, ones=...)
+    ExactMatrix(rows, cols, entries) holds its entries as a tuple of rows,
+    each entry of type int exactly; any other entry (a bool, a float, a
+    Fraction, a numpy integer) raises ValueError naming its row, as
+    _check_ones does for stored columns.  ExactMatrix(rows, cols, ones=...)
     is a 0/1 matrix stored sparse: for each row, the increasing columns
     that hold a 1, as many in every row; any other rows raise ValueError.
     The rank kernels read those columns directly, and its entries are
@@ -152,7 +149,7 @@ class ExactMatrix:
         self,
         rows: tuple[tuple[int, ...], ...],
         cols: tuple[tuple[int, ...], ...],
-        entries: tuple[tuple[int | Fraction, ...], ...] | None = None,
+        entries: tuple[tuple[int, ...], ...] | None = None,
         *,
         ones: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
@@ -164,14 +161,17 @@ class ExactMatrix:
         self._entries = entries
         if len(ones if entries is None else entries) != len(rows):
             raise ValueError("row count mismatch")
-        for row in entries or ():
+        for i, row in enumerate(entries or ()):
             if len(row) != len(cols):
                 raise ValueError("column count mismatch")
+            if set(map(type, row)) - {int}:
+                odd = next(type(x).__name__ for x in row if type(x) is not int)
+                raise ValueError(f"entries row {i} holds an entry of type {odd}, not int")
         if ones is not None:
             _check_ones(ones, len(cols))
 
     @property
-    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
+    def entries(self) -> tuple[tuple[int, ...], ...]:
         if self._entries is None:
             _check_cells(*self.shape)
             self._entries = _dense_rows(self.ones, len(self.cols))
@@ -181,7 +181,7 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def entry(self, row_label, col_label) -> int | Fraction:
+    def entry(self, row_label, col_label) -> int:
         i = self.rows.index(tuple(sorted(row_label)))
         j = self.cols.index(tuple(sorted(col_label)))
         return self.entries[i][j]
@@ -300,35 +300,23 @@ def subset_permutation_matrix(g: Permutation, k: int) -> ExactMatrix:
     return ExactMatrix(labels, labels, tuple(tuple(row) for row in entries))
 
 
-def _integer_rows(matrix: ExactMatrix) -> list[list[int]]:
-    """Rows scaled by the lcm of their denominators; the rank is unchanged."""
-    rows = []
-    for row in matrix.entries:
-        scale = math.lcm(*map(_DENOMINATOR, row))
-        if scale == 1:
-            rows.append(list(map(_NUMERATOR, row)))
-        else:
-            rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return rows
-
-
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank by fraction-free (Bareiss) elimination over the integers.
 
     After a pivot every row below it becomes lead * row - factor * top,
     divided by the previous pivot; that division is exact because each
     entry is then a minor of the input.  Each row is held sparse, as a
-    dict from column to nonzero int, taken straight from the stored
-    columns of a sparse 0/1 matrix, read bottom-up so that an inclusion
-    matrix meets its unit rows first (see the module docstring); only
-    nonzeros are touched: a row with factor 0 is rescaled over its own
+    dict from column to nonzero int, taken from the int entries as they
+    are, or straight from the stored columns of a sparse 0/1 matrix, read
+    bottom-up so that an inclusion matrix meets its unit rows first (see
+    the module docstring); only nonzeros are touched: a row with factor 0 is rescaled over its own
     nonzeros, and left alone when the pivot equals the previous one, and
     any other row is recomputed over the columns where it or the pivot
     row is nonzero, dropping the entries that cancel.  Columns left of
     the pivot are already zero below it, so they hold no entries.
     """
     if matrix.ones is None:
-        work = [{j: x for j, x in enumerate(row) if x} for row in _integer_rows(matrix)]
+        work = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
     else:
         work = [dict.fromkeys(row, 1) for row in reversed(matrix.ones)]
     n_rows, n_cols = matrix.shape
@@ -367,14 +355,6 @@ def _is_prime(p: int) -> bool:
     """Trial division by every d with d * d <= p: a thousand divisions for
     the default modulus, so the answer is kept."""
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
-def _int64_entries(entries) -> bool:
-    """Every entry an int (not a bool) within int64's range."""
-    return all(
-        set(map(type, row)) <= {int} and -(2**63) <= min(row) and max(row) < 2**63
-        for row in entries
-    )
 
 
 def _unit_block(ones: numpy.ndarray) -> int:
@@ -442,11 +422,10 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     Only A * B is then made an array, summed from B's rows one stored
     column of A at a time, reduced, and eliminated with its rows
     bottom-up.  Any other sparse matrix fills the full array with one
-    assignment from its stored columns, its rows in reverse order.  Int
-    entries that fit in int64 go into the array as they are and are
-    reduced there; any other matrix (a Fraction, a bool, or an int out of
-    int64's range) is scaled to integers row by row and reduced entry by
-    entry first, and is never made an array before that.
+    assignment from its stored columns, its rows in reverse order.  A
+    matrix of entries is reduced mod p entry by entry, as Python ints,
+    before it is made an array: every residue fits int64, however large
+    the int.
 
     One nonzero search per column finds the pivot and the live rows: the
     column's other hits, since a row swapped out of the pivot's place is
@@ -481,13 +460,8 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
             return m + _eliminate_mod_p(a, p)
         a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
         a[numpy.arange(n_rows)[:, None], ones[::-1]] = 1
-    elif _int64_entries(matrix.entries):
-        a = numpy.array(matrix.entries, dtype=numpy.int64)
-        a %= p
     else:
-        a = numpy.array(
-            [[x % p for x in row] for row in _integer_rows(matrix)], dtype=numpy.int64
-        )
+        a = numpy.array([[x % p for x in row] for row in matrix.entries], dtype=numpy.int64)
     return _eliminate_mod_p(a, p)
 
 

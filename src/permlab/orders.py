@@ -84,10 +84,10 @@ class ForthResult:
 def cantor_forth(source, target):
     """Extend the partial map source -> target one enumeration step at a time.
 
-    The first source value goes to the first target value unconditionally.
-    Each later value lands in the open interval its already-mapped
-    neighbours carve out, taking the least-index target strictly inside
-    the image interval.  Running out of targets for an interval halts the
+    Each value lands in the open interval its already-mapped neighbours
+    carve out, taking the least-index unused target strictly inside the
+    image interval; the first value meets no bound, so it takes the first
+    target.  Running out of targets for an interval halts the
     construction with that source value reported, not raised.
     """
     source = rational_enumeration(source)
@@ -99,17 +99,6 @@ def cantor_forth(source, target):
     used = set()
     exhausted = None
     for lam in source:
-        if not mapping:
-            if not len(target):
-                exhausted = lam
-                break
-            q = target.values[0]
-            mapping.append((lam, q))
-            steps.append(ForthStep(lam, None, None, q, 0))
-            mapped.append(lam)
-            images.append(q)
-            used.add(q)
-            continue
         r = bisect_left(mapped, lam)
         lo = images[r - 1] if r > 0 else None
         hi = images[r] if r < len(images) else None

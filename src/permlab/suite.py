@@ -66,7 +66,7 @@ from .orders import (
 from .perms import Permutation, compose, identity, involution_factorization, support_fix_degree
 from .relations import relation
 from .trees import check_axioms, finite_c_model, set_translates
-from .wreath import imprimitive_embedding, wreath
+from .wreath import antichain_poset, generalized_wreath, imprimitive_embedding, wreath
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ def _check_separation_witnesses(rng: random.Random) -> tuple[bool, str]:
     sharp_failures = []
     for c in (2, 3):
         for d in (2, 3):
-            group = _cyclic_product(c, d)
+            # the direct product of two cycles on c*d points, point = x + c*y
+            group = generalized_wreath(antichain_poset(2), (cyclic_group(c), cyclic_group(d)))
             row = set(range(c))
             column = {c * y for y in range(d)}
             if separation_search(group, row, column) is not None:
@@ -131,17 +132,6 @@ def _check_separation_witnesses(rng: random.Random) -> tuple[bool, str]:
         f"correctly inseparable: {not sharp_failures}"
     )
     return passed, detail
-
-
-def _cyclic_product(c: int, d: int) -> GenGroup:
-    """Regular product of two cycles on c*d points, point = x + c*y."""
-    images_x = [0] * (c * d)
-    images_y = [0] * (c * d)
-    for y in range(d):
-        for x in range(c):
-            images_x[x + c * y] = (x + 1) % c + c * y
-            images_y[x + c * y] = x + c * ((y + 1) % d)
-    return GenGroup(c * d, (Permutation(tuple(images_x)), Permutation(tuple(images_y))))
 
 
 def _check_coset_covers(rng: random.Random) -> tuple[bool, str]:

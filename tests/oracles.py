@@ -1252,3 +1252,56 @@ PER_FAMILY_CHECKS = {
     "B": b_checks,
     "D": d_checks,
 }
+
+
+def first_value_cantor_forth(source, target):
+    """orders.cantor_forth before its first value took the general step: the
+    first source value went to the first target value, or was reported
+    exhausted when there was none, in a branch of its own."""
+    from bisect import bisect_left
+
+    from permlab.orders import ForthResult, ForthStep, rational_enumeration
+
+    source = rational_enumeration(source)
+    target = rational_enumeration(target)
+    mapping = []
+    steps = []
+    mapped = []
+    images = []
+    used = set()
+    exhausted = None
+    for lam in source:
+        if not mapping:
+            if not len(target):
+                exhausted = lam
+                break
+            q = target.values[0]
+            mapping.append((lam, q))
+            steps.append(ForthStep(lam, None, None, q, 0))
+            mapped.append(lam)
+            images.append(q)
+            used.add(q)
+            continue
+        r = bisect_left(mapped, lam)
+        lo = images[r - 1] if r > 0 else None
+        hi = images[r] if r < len(images) else None
+        chosen = None
+        for idx, q in enumerate(target.values):
+            if q in used:
+                continue
+            if lo is not None and not lo < q:
+                continue
+            if hi is not None and not q < hi:
+                continue
+            chosen = (idx, q)
+            break
+        if chosen is None:
+            exhausted = lam
+            break
+        idx, q = chosen
+        mapping.append((lam, q))
+        steps.append(ForthStep(lam, lo, hi, q, idx))
+        mapped.insert(r, lam)
+        images.insert(r, q)
+        used.add(q)
+    return ForthResult(tuple(mapping), tuple(steps), exhausted)

@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,7 +71,7 @@ def test_square_case_has_full_rank():
 
 def test_zero_matrix_rank():
     labels = ((0,), (1,))
-    zero = ExactMatrix(labels, labels, ((Fraction(0),) * 2,) * 2)
+    zero = ExactMatrix(labels, labels, ((0,) * 2,) * 2)
     assert rank(zero) == 0
     assert rank_mod_p(zero) == 0
 
@@ -103,10 +105,8 @@ def test_mod_p_certifies_injectivity_at_ten():
 def test_csv_export():
     m = build_r_matrix(3, 2)
     assert m.to_csv() == "1,1,0\n1,0,1\n0,1,1"
-    half = ExactMatrix(
-        ((0,),), ((0,),), ((Fraction(1, 2),),)
-    )
-    assert half.to_csv() == "1/2"
+    signed = ExactMatrix(((0,), (1,)), ((0,), (1,)), ((-3, 0), (2**70, 1)))
+    assert signed.to_csv() == f"-3,0\n{2**70},1"
 
 
 @given(st.integers(min_value=1, max_value=7).flatmap(
@@ -229,6 +229,26 @@ def _labeled(entries) -> ExactMatrix:
     )
 
 
+# every entry not of type int exactly, with the row it sits in
+NON_INT_ENTRIES = [
+    ("float", 1.0, "float"),
+    ("str", "1", "str"),
+    ("fraction", Fraction(1, 2), "Fraction"),
+    ("bool", True, "bool"),
+    ("numpy-int64", numpy.int64(1), "int64"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,name", [c[1:] for c in NON_INT_ENTRIES], ids=[c[0] for c in NON_INT_ENTRIES]
+)
+def test_non_int_entries_are_refused_naming_the_row(entry, name):
+    labels = ((0,), (1,), (2,))
+    with pytest.raises(ValueError) as info:
+        ExactMatrix(labels, labels[:2], ((1, 2), (3, entry), (entry, 4)))
+    assert str(info.value) == f"entries row 1 holds an entry of type {name}, not int"
+
+
 def test_builders_store_int_entries():
     matrices = [build_r_matrix(6, 3), build_theta_matrix(5, 2, 3)]
     matrices.append(subset_permutation_matrix(dihedral_group(5).generators[0], 2))
@@ -284,9 +304,10 @@ def test_ranks_match_oracle_on_integer_matrices(entries):
 
 
 @given(_low_rank_matrices(), st.booleans(), st.data())
-def test_ranks_match_oracle_on_fraction_matrices(entries, per_entry, data):
+def test_fraction_matrices_are_refused_and_rank_once_scaled(entries, per_entry, data):
     # one denominator per row keeps the product's low rank; one per entry
-    # gives a matrix of unrelated rank
+    # gives a matrix of unrelated rank.  Fractions are refused, even
+    # integral ones; each row scaled to ints keeps the rational rank.
     denominators = st.integers(min_value=1, max_value=5)
     fractions = []
     for row in entries:
@@ -294,5 +315,7 @@ def test_ranks_match_oracle_on_fraction_matrices(entries, per_entry, data):
         fractions.append(
             [Fraction(x, data.draw(denominators) if per_entry else d) for x in row]
         )
-    m = _labeled(fractions)
+    with pytest.raises(ValueError, match="^entries row 0 holds an entry of type Fraction, not int$"):
+        _labeled(fractions)
+    m = _labeled(oracles._integer_rows(SimpleNamespace(entries=fractions)))
     assert rank(m) == rank_mod_p(m) == oracles.rational_rank(fractions)

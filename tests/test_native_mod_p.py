@@ -1,16 +1,17 @@
 """The int64 route of rank_mod_p and the memoised theta ranks against the
 code they replace, kept in ``tests/oracles.py``.
 
-rank_mod_p now reads a matrix of machine-word ints straight into an int64
-array; every other matrix still goes through the row scaling and the
-per-entry reduction.  theta_exploration takes its ranks from a cache keyed
-on (n, r, s).  Both must give exactly what the old code gave.
+rank_mod_p reduces each int entry mod p and reads the residues into one
+int64 array; a matrix of any other entries is refused when it is made.
+theta_exploration takes its ranks from a cache keyed on (n, r, s).  Both
+must give exactly what the old code gave.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy
 import pytest
@@ -85,24 +86,26 @@ def test_wide_int_matrices_equal_the_converting_route(entries, p):
 
 
 @given(_int_matrices(6), st.data(), PRIMES)
-def test_fraction_matrices_equal_the_converting_route(entries, data, p):
+def test_fraction_matrices_are_refused_and_equal_the_converting_route_once_scaled(
+    entries, data, p
+):
     fractions = [
         [Fraction(x, data.draw(st.integers(min_value=1, max_value=5))) for x in row]
         for row in entries
     ]
-    m = _labeled(fractions)
-    assert rank_mod_p(m, p) == oracles.converting_rank_mod_p(m, p)
+    with pytest.raises(ValueError, match="^entries row 0 holds an entry of type Fraction, not int$"):
+        _labeled(fractions)
+    unlabeled = SimpleNamespace(entries=fractions, shape=(len(fractions), len(fractions[0])))
+    scaled = _labeled(oracles._integer_rows(unlabeled))
+    assert rank_mod_p(scaled, p) == oracles.converting_rank_mod_p(unlabeled, p)
 
 
-# the dtype numpy infers for each: the ints it makes int64 are exactly
-# those the range check lets skip the scaling
+# the dtype numpy infers for each: ints on both sides of int64's range
 EDGE_MATRICES = [
     ("two-to-the-63", [[1, 2**63], [3, 4]], numpy.float64),
     ("two-to-the-64", [[2**64, 1], [1, 1]], numpy.object_),
     ("minus-two-to-the-63", [[-(2**63), 1], [1, 1]], numpy.int64),
-    ("bools", [[True, False], [True, True], [False, True]], numpy.bool_),
     ("minus-one", [[-1, 1], [1, -1]], numpy.int64),
-    ("one-fraction", [[1, Fraction(1, 2)], [2, 1]], numpy.object_),
 ]
 
 
@@ -117,12 +120,9 @@ def test_edge_entries_equal_the_converting_route(entries, dtype):
     assert rank_mod_p(m) == rank(m) == oracles.rational_rank(entries)
 
 
-# the arrays rank_mod_p builds: one int64 array, taken straight from the
-# entries when every one is an int within int64's range, else scaled
+# the arrays rank_mod_p builds: one int64 array of the residues, whatever
+# the size of the ints
 ARRAYS_BUILT = [
-    ("one-fraction", [[1, Fraction(1, 2)], [2, 1]], [numpy.int64]),
-    ("all-fractions", [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]], [numpy.int64]),
-    ("bools", [[True, False], [True, True]], [numpy.int64]),
     ("ints", [[1, 2], [3, 4]], [numpy.int64]),
     ("two-to-the-63", [[2**63, 1], [1, 1]], [numpy.int64]),
     ("two-to-the-64", [[2**64, 1], [1, 1]], [numpy.int64]),
@@ -146,6 +146,23 @@ def test_only_all_int_entries_are_tried_as_an_array(monkeypatch, entries, dtypes
     monkeypatch.setattr(incidence.numpy, "array", spy)
     assert rank_mod_p(m) == want
     assert built == [numpy.dtype(d) for d in dtypes]
+
+
+# matrices with entries that are not ints, and the row of the first one
+REFUSED_EDGES = [
+    ("bools", [[True, False], [True, True], [False, True]], 0, "bool"),
+    ("one-fraction", [[2, 1], [1, Fraction(1, 2)]], 1, "Fraction"),
+    ("all-fractions", [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]], 0, "Fraction"),
+]
+
+
+@pytest.mark.parametrize(
+    "entries,row,name", [c[1:] for c in REFUSED_EDGES], ids=[c[0] for c in REFUSED_EDGES]
+)
+def test_edge_entries_that_are_not_ints_are_refused(entries, row, name):
+    with pytest.raises(ValueError) as info:
+        _labeled(entries)
+    assert str(info.value) == f"entries row {row} holds an entry of type {name}, not int"
 
 
 def test_int64_entries_are_reduced_before_any_update():

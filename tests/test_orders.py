@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permlab.errors import (
     ArityMismatch,
@@ -37,6 +39,8 @@ from permlab.relations import (
     relation_to_json,
     relation_to_object,
 )
+
+import oracles
 
 F = Fraction
 
@@ -146,6 +150,23 @@ def test_forth_random_prefixes_order_preserving(rng):
         pairs = sorted(res.mapping)
         assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
         assert len({t for _, t in res.mapping}) == len(res.mapping)
+
+
+# few distinct values, so targets run out often; either list may be empty
+_SMALL_RATIONALS = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3), unique=True, max_size=10
+)
+
+
+@given(_SMALL_RATIONALS, _SMALL_RATIONALS)
+def test_forth_equals_the_loop_with_a_first_value_branch(source, target):
+    assert cantor_forth(source, target) == oracles.first_value_cantor_forth(source, target)
+
+
+def test_forth_first_value_with_no_target_is_exhausted():
+    res = cantor_forth([F(3), F(1)], [])
+    assert res == oracles.first_value_cantor_forth([F(3), F(1)], [])
+    assert (res.mapping, res.steps, res.exhausted) == ((), (), F(3))
 
 
 # ----------------------------------------------------------- piecewise linear

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -115,12 +116,17 @@ def test_sparse_wide_int_matrices_match_the_dense_kernels(entries, p):
 
 @NO_SHRINK
 @given(_sparse_matrices(6), st.data(), PRIMES)
-def test_sparse_fraction_matrices_match_the_dense_kernels(entries, data, p):
+def test_sparse_fraction_matrices_are_refused_and_match_the_dense_kernels_once_scaled(
+    entries, data, p
+):
     denominators = st.integers(min_value=1, max_value=5)
     fractions = [[Fraction(x, data.draw(denominators)) for x in row] for row in entries]
-    m = _labeled(fractions)
-    assert rank(m) == oracles.dense_bareiss_rank(m)
-    assert rank_mod_p(m, p) == oracles.converting_rank_mod_p(m, p)
+    with pytest.raises(ValueError, match="^entries row 0 holds an entry of type Fraction, not int$"):
+        _labeled(fractions)
+    unlabeled = SimpleNamespace(entries=fractions, shape=(len(fractions), len(fractions[0])))
+    m = _labeled(oracles._integer_rows(unlabeled))
+    assert rank(m) == oracles.dense_bareiss_rank(unlabeled)
+    assert rank_mod_p(m, p) == oracles.converting_rank_mod_p(unlabeled, p)
 
 
 # hand-made deficiencies, each with its rank written out
