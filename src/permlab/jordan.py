@@ -20,7 +20,10 @@ is certified once per G-orbit: ``is_jordan`` certifies A by a second
 route, and B's witness is A's conjugated by g, since G_(Omega - A)^g =
 G_(Omega - B).  A decreasing fixpoint over the same stabilizers finds
 the unique maximal Jordan set avoiding a prescribed set of points, and
-spans and the closure-operator audit reduce to it.
+spans and the closure-operator audit reduce to it.  The span table is
+G-invariant as well, span(A^g) = span(A)^g, so it runs one span per
+G-orbit of subsets and carries it to each translate through the element
+that the orbit walk's first word to the translate names.
 """
 
 from __future__ import annotations
@@ -325,7 +328,16 @@ class SpanGeometry:
 def span_geometry(
     group: GenGroup, size_cap: int = 2, cap: int | None = None
 ) -> SpanGeometry:
-    """Tabulate spans of every subset of size at most size_cap + 1."""
+    """Tabulate spans of every subset of size at most size_cap + 1.
+
+    Rows come by size, then lexicographically.  Since g maps Jordan sets
+    onto Jordan sets, span(A^g) = span(A)^g: the first subset of a size
+    not yet tabulated represents its G-orbit and gets one ``span``, and
+    ``groups._item_walk`` walks that orbit, giving each translate B the
+    representative's span mapped through the product of the first word
+    reaching B (``groups._word_images``).  The row count is compared
+    against the element cap before any span runs.
+    """
     n = group.degree
     if size_cap < 0:
         raise OutOfRange("size_cap must be nonnegative")
@@ -333,8 +345,17 @@ def span_geometry(
     check_cap(count, f"{count} table rows", cap)
     rows = []
     for m in range(min(size_cap + 1, n) + 1):
+        spans: dict[tuple[int, ...], tuple[int, ...]] = {}
         for combo in itertools.combinations(range(n), m):
-            rows.append((combo, span(group, combo, cap)))
+            if combo not in spans:
+                closed = span(group, combo, cap)
+                words: dict[tuple[int, ...], tuple[int, ...]] = {}
+                for translate in _item_walk(
+                    combo, _subset_image, group.generators, math.comb(n, m), words
+                ):
+                    g = _word_images(group, words[translate])
+                    spans[translate] = tuple(sorted(g[p] for p in closed))
+            rows.append((combo, spans[combo]))
     return SpanGeometry(group, size_cap, tuple(rows))
 
 

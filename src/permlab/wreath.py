@@ -320,13 +320,18 @@ def imprimitive_embedding(
     w = wreath(bottom, top, cap)
     domain = ProductDomain((bottom.degree, top.degree))
 
-    # images of each transversal element's inverse, computed once
+    # images of each transversal element's inverse and the product point
+    # fiber[delta][gamma] of (gamma, delta), computed once
     back = {delta: inverse(t).images for delta, t in transversal.items()}
+    fiber = [
+        [domain.to_point((gamma, delta)) for gamma in range(bottom.degree)]
+        for delta in range(top.degree)
+    ]
 
     phi = {}
     for point in range(group.degree):
         delta = block_of[point]
-        phi[point] = domain.to_point((position_in_base[back[delta][point]], delta))
+        phi[point] = fiber[delta][position_in_base[back[delta][point]]]
 
     def psi_of(g: Permutation) -> Permutation:
         # the fiber over delta is transversal[delta], then g, then the
@@ -335,10 +340,11 @@ def imprimitive_embedding(
         for delta in range(top.degree):
             delta_moved = block_of[g.images[blocks[delta][0]]]
             forth, pulled = transversal[delta].images, back[delta_moved]
+            source, target = fiber[delta], fiber[delta_moved]
             for gamma, point in enumerate(base_block):
-                images[domain.to_point((gamma, delta))] = domain.to_point(
-                    (position_in_base[pulled[g.images[forth[point]]]], delta_moved)
-                )
+                images[source[gamma]] = target[
+                    position_in_base[pulled[g.images[forth[point]]]]
+                ]
         return Permutation(tuple(images))
 
     psi = {g: psi_of(g) for g in elements}

@@ -970,6 +970,20 @@ def sorted_complement_jordan_scan(group, sizes, cap: int | None):
     return tuple(sorted(hits, key=lambda a: (len(a), a)))
 
 
+def rowwise_span_table(group, size_cap: int, cap: int | None = None):
+    """span_geometry's table before it ran one span per G-orbit: ``span``
+    on every subset of size at most size_cap + 1, by size, then
+    lexicographically."""
+    from permlab.jordan import span
+
+    n = group.degree
+    return tuple(
+        (combo, span(group, combo, cap))
+        for m in range(min(size_cap + 1, n) + 1)
+        for combo in itertools.combinations(range(n), m)
+    )
+
+
 def to_least(group, point: int) -> tuple[int, tuple[int, ...]]:
     """The library's walk to the least point of an orbit before it read
     the transversal off ``orbit``: the least point r of the point's orbit,

@@ -1,7 +1,7 @@
-"""The Jordan scan and the almost-regular decomposition read off the
-pointwise-stabilizer lattice, against the support-table scan, the
-sorted-complement walk and the element-list decomposition they replace
-(``tests/oracles.py``)."""
+"""The Jordan scan, the span table and the almost-regular decomposition
+read off the pointwise-stabilizer lattice, against the support-table scan,
+the sorted-complement walk, the row-by-row span table and the element-list
+decomposition they replace (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from permlab.groups import (
     is_transitive,
     symmetric_group,
 )
-from permlab.jordan import _jordan_translates, jordan_sets
+from permlab.jordan import _jordan_translates, jordan_sets, span_geometry
 from permlab.perms import Permutation, compose
 from permlab.suite import _corpus
 
@@ -267,3 +267,35 @@ def test_fixed_parent_shortcut_equals_the_element_filter(name, group):
         assert set(enumerate_elements(stab)) == expected, points
     if name.startswith("cyclic"):
         assert shortcuts
+
+
+# the span table, one span per G-orbit
+
+# the battery's four closure audits, at their size caps
+AUDITS = {"pg_2_3": 2, "ag_2_3": 2, "pg_2_2": 3, "ag_2_2": 3}
+SPAN_CASES = CORPUS + [(f"{name}_seed1", _relabeled(group, 1)) for name, group in CORPUS]
+
+
+@pytest.mark.parametrize("name,group", SPAN_CASES, ids=[name for name, _ in SPAN_CASES])
+def test_span_table_equals_one_span_per_row(name, group):
+    size_cap = AUDITS.get(name.removesuffix("_seed1"), 1)
+    expected = oracles.rowwise_span_table(group, size_cap)
+    assert span_geometry(group, size_cap).table == expected
+
+
+@pytest.mark.parametrize(
+    "name,rows,spans", [("pg_2_3", 378, 5), ("ag_2_3", 130, 5), ("pg_2_2", 99, 7), ("ag_2_2", 16, 5)]
+)
+def test_span_table_runs_one_span_per_orbit(name, rows, spans, monkeypatch):
+    # row by row, the table ran one span per row
+    calls = []
+    span = jordan.span
+
+    def counted_span(group, points, cap=None):
+        calls.append(tuple(points))
+        return span(group, points, cap)
+
+    monkeypatch.setattr(jordan, "span", counted_span)
+    geometry = span_geometry(fixture(name).group, AUDITS[name])
+    assert len(geometry.table) == rows
+    assert len(calls) == len(set(calls)) == spans

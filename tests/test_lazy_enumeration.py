@@ -212,11 +212,16 @@ def _battery_embeddings():
 
 
 def test_battery_embedding_reports_equal_the_enumerated_ones():
+    # phi and psi too, key for key in order: psi reads each fiber's product
+    # points off a table built once, the oracle converts each afresh
     seen = 0
     for name, group, rho in _battery_embeddings():
         seen += 1
-        report = imprimitive_embedding(group, rho)[2]
-        assert report == oracles.enumerated_embedding_report(group, rho), (name, rho.blocks)
+        phi, psi, report = imprimitive_embedding(group, rho)
+        expected_phi, expected_psi, expected_report = oracles.enumerated_embedding(group, rho)
+        assert report == expected_report, (name, rho.blocks)
+        assert list(phi.items()) == list(expected_phi.items()), (name, rho.blocks)
+        assert list(psi.items()) == list(expected_psi.items()), (name, rho.blocks)
     assert seen == 42
 
 
