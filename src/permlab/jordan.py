@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import check_cap
 from .errors import AxiomsFailed, OutOfRange, TooSmall
@@ -73,13 +73,19 @@ class JordanWitness:
     witness_order is the witness group's order, read off the stabilizer
     chain that gave the complement's pointwise stabilizer: that
     stabilizer fixes every point off the set, so restricting it to the
-    set loses nothing.
+    set loses nothing.  representative names the set A whose witness
+    this one is: the set's own points when ``is_jordan`` certified it,
+    else its G-orbit's representative, whose witness group relabeled
+    onto the set gives this one, with the same primitivity and
+    transitivity.  It is bookkeeping: equality, hashing and repr leave
+    it out, and no output carries it.
     """
 
     points: tuple[int, ...]
     witness_group: GenGroup
     proper: bool
     witness_order: int
+    representative: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def _point_set(group: GenGroup, points) -> set[int]:
@@ -131,7 +137,7 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
     )
     k = len(complement)
     proper = transitivity_degree(group, k + 1, cap) < k + 1
-    return JordanWitness(points, GenGroup(len(points), restricted), proper, size)
+    return JordanWitness(points, GenGroup(len(points), restricted), proper, size, points)
 
 
 def _jordan_translates(
@@ -242,8 +248,9 @@ def _translated_witness(
     g^-1, then h, then g") fixes every point off A^g and maps a^g to
     (a^h)^g.  In sorted positions, position i of A goes to the position
     of its image under g, so each witness generator is relabeled through
-    that map; the order and properness carry over.  The relabeled group
-    must still have one orbit on the set, else AxiomsFailed.
+    that map; the order, properness and representative carry over.  The
+    relabeled group must still have one orbit on the set, else
+    AxiomsFailed.
     """
     if points == witness.points:
         return witness
@@ -258,7 +265,9 @@ def _translated_witness(
     conjugate = GenGroup(len(points), tuple(generators))
     if len(orbit(conjugate, 0).points) != len(points):
         raise AxiomsFailed(f"translate {points} of {witness.points} is not one orbit of its witness")
-    return JordanWitness(points, conjugate, witness.proper, witness.witness_order)
+    return JordanWitness(
+        points, conjugate, witness.proper, witness.witness_order, witness.representative
+    )
 
 
 def _connected_inside(inside: GenGroup, members: tuple[int, ...]) -> bool:

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy
 
@@ -437,6 +437,22 @@ def _translate_comparability_problems(
     return problems
 
 
+def _orbit_verdict(memo: dict, witnesses: dict, test, s: frozenset[int], *args):
+    """test(witness group of s, *args), computed once per G-orbit.
+
+    witnesses maps each catalog set to its JordanWitness.  A translate's
+    witness group is its representative's relabeled, which changes
+    neither primitivity nor the transitivity or homogeneity degree, so
+    the test runs on the representative's own group and memo keeps the
+    verdict under (test, representative, args).
+    """
+    representative = witnesses[s].representative
+    key = (test, representative, args)
+    if key not in memo:
+        memo[key] = test(witnesses[frozenset(representative)].witness_group, *args)
+    return memo[key]
+
+
 def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     problems = []
     fix = fixture("pg_2_2")
@@ -466,12 +482,14 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
     for name, group in _corpus():
         # the plane is a corpus group: its catalog is the one checked above
         found = catalog7 if group == g7 else jordan_sets(group)
-        witnesses = {frozenset(w.points): w.witness_group for w in found}
+        witnesses = {frozenset(w.points): w for w in found}
+        # primitivity, transitivity and homogeneity once per G-orbit
+        verdict = partial(_orbit_verdict, {}, witnesses)
         catalog = list(witnesses)
         comparability_pairs += len(catalog) ** 2
         problems.extend(_translate_comparability_problems(name, group, catalog))
         sample = catalog if len(catalog) <= 40 else rng.sample(catalog, 40)
-        prim = [s for s in sample if is_primitive(witnesses[s])]
+        prim = [s for s in sample if verdict(is_primitive, s)]
         if prim:
             for _ in range(10):
                 family = [prim[rng.randrange(len(prim))]]
@@ -486,11 +504,11 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
                 if union not in witnesses:
                     problems.append(("family union not in catalog", name, tuple(sorted(union))))
                     continue
-                if not is_primitive(witnesses[union]):
+                if not verdict(is_primitive, union):
                     problems.append(("family union imprimitive", name, tuple(sorted(union))))
-                k_family = min(transitivity_degree(witnesses[s], len(s)) for s in set(family))
+                k_family = min(verdict(transitivity_degree, s, len(s)) for s in set(family))
                 k = min(k_family, len(union))
-                if transitivity_degree(witnesses[union], k) != k:
+                if verdict(transitivity_degree, union, k) != k:
                     problems.append(("family transitivity", name, tuple(sorted(union)), k))
         incomparable = ((a, b) for a in prim for b in prim if a & b and not (a <= b or b <= a))
         for a, b in itertools.islice(incomparable, 10):
@@ -499,7 +517,7 @@ def _check_jordan_span_geometry(rng: random.Random) -> tuple[bool, str]:
             if union not in witnesses:
                 problems.append(("pair union not in catalog", name, tuple(sorted(union))))
                 continue
-            if homogeneity_degree(witnesses[union], 2) != 2:
+            if verdict(homogeneity_degree, union, 2) != 2:
                 problems.append(("pair union not 2-homogeneous", name, tuple(sorted(union))))
     detail = (
         f"plane catalog, pair spans and 4 closure audits verified; translate "

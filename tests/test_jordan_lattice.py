@@ -1,19 +1,21 @@
 """The Jordan scan, the span table and the almost-regular decomposition
 read off the pointwise-stabilizer lattice, against the support-table scan,
 the sorted-complement walk, the row-by-row span table and the element-list
-decomposition they replace (``tests/oracles.py``)."""
+decomposition they replace (``tests/oracles.py``); and the battery's
+witness verdicts, taken once per G-orbit, against each set's own."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab import groups, jordan
-from permlab.blocks import almost_regular_decomposition
+from permlab import groups, jordan, suite
+from permlab.blocks import almost_regular_decomposition, is_primitive
 from permlab.errors import CapExceeded
 from permlab.fixtures import fixture
 from permlab.groups import (
@@ -21,13 +23,17 @@ from permlab.groups import (
     _pointwise_stabilizer,
     _stabilizer_in,
     clear_caches,
+    cyclic_group,
+    dihedral_group,
     enumerate_elements,
+    homogeneity_degree,
     is_transitive,
     symmetric_group,
+    transitivity_degree,
 )
-from permlab.jordan import _jordan_translates, jordan_sets, span_geometry
+from permlab.jordan import _jordan_translates, is_jordan, jordan_sets, span_geometry
 from permlab.perms import Permutation, compose
-from permlab.suite import _corpus
+from permlab.suite import _corpus, _orbit_verdict
 
 import oracles
 
@@ -299,3 +305,100 @@ def test_span_table_runs_one_span_per_orbit(name, rows, spans, monkeypatch):
     geometry = span_geometry(fixture(name).group, AUDITS[name])
     assert len(geometry.table) == rows
     assert len(calls) == len(set(calls)) == spans
+
+
+# the battery's witness verdicts, once per G-orbit
+
+
+def _side_by_side(left: GenGroup, right: GenGroup) -> GenGroup:
+    """left on the first points and right on the rest, independently."""
+    n = left.degree + right.degree
+    generators = [Permutation(g.images + tuple(range(left.degree, n))) for g in left.generators]
+    generators += [
+        Permutation(tuple(range(left.degree)) + tuple(left.degree + p for p in g.images))
+        for g in right.generators
+    ]
+    return GenGroup(n, tuple(generators))
+
+
+# no corpus group has two G-orbits of Jordan sets of one size; these do,
+# and their witnesses differ in transitivity (S3, C3) or primitivity (S4, D4)
+TWO_ORBITS = [
+    ("s3_beside_c3", _side_by_side(symmetric_group(3), cyclic_group(3))),
+    ("s4_beside_d4", _side_by_side(symmetric_group(4), dihedral_group(4))),
+]
+TWO_ORBITS += [(f"{name}_seed1", _relabeled(group, 1)) for name, group in TWO_ORBITS]
+VERDICT_CASES = SPAN_CASES + TWO_ORBITS
+
+
+@pytest.mark.parametrize("name,group", VERDICT_CASES, ids=[name for name, _ in VERDICT_CASES])
+def test_orbit_verdicts_equal_each_sets_own_verdicts(name, group):
+    found = jordan_sets(group)
+    witnesses = {frozenset(w.points): w for w in found}
+    memo: dict = {}
+    for s, w in witnesses.items():
+        own = w.witness_group
+        assert is_transitive(own), w.points
+        assert _orbit_verdict(memo, witnesses, is_primitive, s) == is_primitive(own), w.points
+        for k in range(1, len(s) + 1):
+            got = _orbit_verdict(memo, witnesses, transitivity_degree, s, k)
+            assert got == transitivity_degree(own, k), (w.points, k)
+        got = _orbit_verdict(memo, witnesses, homogeneity_degree, s, 2)
+        assert got == homogeneity_degree(own, 2), w.points
+    representatives = {w.representative for w in found}
+    assert len(memo) == sum(2 + len(a) for a in representatives)
+
+
+@pytest.mark.parametrize(
+    "name,group", CORPUS + TWO_ORBITS, ids=IDS + [name for name, _ in TWO_ORBITS]
+)
+def test_each_witness_names_its_orbits_representative(name, group):
+    found = jordan_sets(group)
+    by_points = {w.points: w for w in found}
+    orbits = oracles.orbits_on(list(group.generators), [frozenset(a) for a in by_points])
+    orbit_of = {s: o for o in orbits for s in o}
+    for w in found:
+        a = w.representative
+        assert by_points[a].representative == a, w.points
+        assert frozenset(w.points) in orbit_of[frozenset(a)], w.points
+        assert is_jordan(group, w.points).representative == w.points
+        other = replace(w, representative=tuple(reversed(a)))
+        assert other == w and hash(other) == hash(w)
+        assert "representative" not in repr(w)
+    assert len({w.representative for w in found}) == len(orbits)
+
+
+def test_battery_tests_primitivity_once_per_representative(monkeypatch):
+    catalogs = []
+    catalog = suite.jordan_sets
+
+    def kept_catalog(group, sizes=None, cap=None):
+        catalogs.append(catalog(group, sizes, cap))
+        return catalogs[-1]
+
+    # the catalog and set whose own witness group this is, if a representative
+    def representative_of(group):
+        return next(
+            (
+                (i, w.points)
+                for i, found in enumerate(catalogs)
+                for w in found
+                if w.witness_group is group and w.representative == w.points
+            ),
+            None,
+        )
+
+    tested = []
+    primitive = suite.is_primitive
+
+    def counted_is_primitive(group):
+        tested.append(representative_of(group))
+        return primitive(group)
+
+    monkeypatch.setattr(suite, "jordan_sets", kept_catalog)
+    monkeypatch.setattr(suite, "is_primitive", counted_is_primitive)
+    (result,) = suite.run_battery(7, "jordan")
+    assert result.passed
+    assert None not in tested
+    # one test per G-orbit that the sample and the unions reach
+    assert len(tested) == len(set(tested)) == 112
