@@ -50,9 +50,9 @@ from .groups import (
 from .incidence import (
     EXACT_RANK_LIMIT,
     _check_cells,
+    _inclusion_rank,
     _inclusion_shape,
     build_r_matrix,
-    rank,
     rank_mod_p,
     theta_exploration,
 )
@@ -568,7 +568,7 @@ def _cmd_lw(args) -> int:
     if args.csv:
         sys.stdout.write(matrix.to_csv())
         return 0
-    rank_value = rank(matrix) if small else rank_mod_p(matrix)
+    rank_value = _inclusion_rank(args.n, args.k, matrix.ones) if small else rank_mod_p(matrix)
     payload = {
         "n": args.n,
         "k": args.k,

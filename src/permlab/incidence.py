@@ -9,32 +9,29 @@ matrices with entries (-1)^|intersection| are a candidate for a family
 of maps composing multiplicatively between levels; the exploration
 report computes the composite and compares, asserting nothing.
 
-All arithmetic is exact: int entries, fraction-free (Bareiss) elimination
-over the integers, and an independent elimination mod a large prime as a
-cheap full-rank certificate for the bigger matrices.  The inclusion
-matrix is stored sparse, as the k columns that hold a 1 in each row, and
-both eliminations read those columns directly; its dense entries are
-derived only when they are read (entry, matmul, CSV).  Every other
-matrix holds its entries as a tuple of rows of ints, and nothing else: a
-bool, a float, a Fraction or a numpy integer is refused when the matrix
-is made.  The modular route reduces each entry mod p into an int64
-array, so ints of any size go in.  The modulus must be a prime.  Both
-eliminations touch only nonzeros: the exact one holds each row as a dict
-of its nonzero entries, and the modular one updates only the columns
-where the pivot row is nonzero.  Inclusion matrices stay sparse while
-they are eliminated.
+All arithmetic is exact: int entries, ranks from the S_n-module
+decomposition of the subset levels, and an independent elimination mod a
+large prime as a second route and a full-rank certificate.  The inclusion
+and sign maps commute with S_n, so by Schur's lemma each acts on each
+irreducible module V_j by a scalar, and the exact rank is the sum of
+dim V_j over the j whose test vector the map does not kill: one array
+product, no elimination (_module_rank).  The inclusion matrix is stored
+sparse, as the k columns that hold a 1 in each row, and both routes read
+those columns directly; its dense entries are derived only when they are
+read (entry, matmul, CSV).  Every other matrix holds its entries as a
+tuple of rows of ints, and nothing else: a bool, a float, a Fraction or a
+numpy integer is refused when the matrix is made.  The modular route
+reduces each entry mod p into an int64 array, so ints of any size go in.
+The modulus must be a prime.  The elimination updates only the columns
+where the pivot row is nonzero.
 
 In colex order the inclusion matrix is [[A, 0], [I, B]]: the k-subsets
 without the last point come first, and each k-subset T + {n-1} meets the
 column of T in an identity block of size m = C(n-1, k-1).  The modular
 route recognises that form in the stored columns and eliminates the
 identity block in one step: the rank is m + rank(A * B) over any field,
-so only A * B is made an array and pivoted.  The exact route takes a
-sparse 0/1 matrix's rows bottom-up, since the rank does not depend on
-row order: every column of the identity block then meets its unit row
-first, so a pivot puts only A * B into the rows above, where the
-top-down order filled them almost dense.  A sparse matrix without the
-form goes to the modular kernel whole, its rows bottom-up too.
+so only A * B is made an array and pivoted.  A sparse matrix without the
+form goes to the modular kernel whole, its rows bottom-up.
 
 The sign matrices are int64 arrays: the intersection sizes are one
 product of 0/1 point-membership rows, the composite of two sign maps is
@@ -73,7 +70,6 @@ __all__ = [
     "build_r_matrix",
     "build_theta_matrix",
     "subset_permutation_matrix",
-    "rank",
     "rank_mod_p",
     "orbit_count_inequality",
     "ThetaReport",
@@ -81,7 +77,8 @@ __all__ = [
 ]
 
 
-# Both sides at most this: `lw` and the battery rank exactly, else mod p.
+# Both sides at most this: `lw --k` ranks an inclusion matrix by the module
+# route and reports method "exact", else mod p and "modular".
 EXACT_RANK_LIMIT = 130
 
 # Cells a dense matrix may allocate per unit of the element cap: the int64
@@ -139,8 +136,8 @@ class ExactMatrix:
     _check_ones does for stored columns.  ExactMatrix(rows, cols, ones=...)
     is a 0/1 matrix stored sparse: for each row, the increasing columns
     that hold a 1, as many in every row; any other rows raise ValueError.
-    The rank kernels read those columns directly, and its entries are
-    derived on first read, after the cell budget is checked.
+    rank_mod_p and the module route read those columns directly, and its
+    entries are derived on first read, after the cell budget is checked.
     """
 
     __slots__ = ("rows", "cols", "ones", "_entries")
@@ -300,54 +297,37 @@ def subset_permutation_matrix(g: Permutation, k: int) -> ExactMatrix:
     return ExactMatrix(labels, labels, tuple(tuple(row) for row in entries))
 
 
-def rank(matrix: ExactMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination over the integers.
+def _module_rank(n: int, r: int, s: int, image) -> int:
+    """Exact rank of an S_n-equivariant map from the functions on r-subsets
+    to those on s-subsets of n points; image applies the map to an int64
+    array with a row per colex r-subset, one function per column.
 
-    After a pivot every row below it becomes lead * row - factor * top,
-    divided by the previous pivot; that division is exact because each
-    entry is then a minor of the input.  Each row is held sparse, as a
-    dict from column to nonzero int, taken from the int entries as they
-    are, or straight from the stored columns of a sparse 0/1 matrix, read
-    bottom-up so that an inclusion matrix meets its unit rows first (see
-    the module docstring); only nonzeros are touched: a row with factor 0 is rescaled over its own
-    nonzeros, and left alone when the pivot equals the previous one, and
-    any other row is recomputed over the columns where it or the pivot
-    row is nonzero, dropping the entries that cancel.  Columns left of
-    the pivot are already zero below it, so they hold no entries.
+    For j <= min(r, n - r) the functions on r-subsets hold one copy of
+    each irreducible module V_j, of dimension C(n, j) - C(n, j - 1), and
+    nothing else (G. D. James, LNM 682, 1978).  By Schur's lemma the map
+    acts on each V_j by a scalar, and kills every V_j that level s lacks,
+    so its rank is the sum of dim V_j over the j <= min(r, n - r, s, n - s)
+    whose test vector it does not kill.  The test vector of V_j is
+    v_j(A) = (a_0 - a_1)(a_2 - a_3)...(a_(2j-2) - a_(2j-1)), a_x the
+    membership of point x in A: the sum over the j-subsets of A of the
+    polytabloid of the pairs {0, 1}, ..., {2j - 2, 2j - 1}, which is
+    nonzero on level r.  v_0 is 1 everywhere.
     """
-    if matrix.ones is None:
-        work = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
-    else:
-        work = [dict.fromkeys(row, 1) for row in reversed(matrix.ones)]
-    n_rows, n_cols = matrix.shape
-    found = 0
-    previous = 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(found, n_rows) if col in work[i]), None)
-        if pivot is None:
-            continue
-        work[found], work[pivot] = work[pivot], work[found]
-        top = work[found]
-        lead = top[col]
-        top_get = top.get
-        for i in range(found + 1, n_rows):
-            row = work[i]
-            factor = row.get(col)
-            if factor is None:
-                if lead != previous:
-                    work[i] = {j: lead * a // previous for j, a in row.items()}
-                continue
-            get = row.get
-            work[i] = {
-                j: v
-                for j in top.keys() | row.keys()
-                if (v := (lead * get(j, 0) - factor * top_get(j, 0)) // previous)
-            }
-        previous = lead
-        found += 1
-        if found == n_rows:
-            break
-    return found
+    top = min(r, n - r, s, n - s)
+    members = _members(n, _subsets_colex(n, r))
+    tests = numpy.ones((len(members), top + 1), dtype=numpy.int64)
+    tests[:, 1:] = members[:, 0 : 2 * top : 2] - members[:, 1 : 2 * top : 2]
+    numpy.cumprod(tests, axis=1, out=tests)
+    live = image(tests).any(axis=0).tolist()
+    dims = [math.comb(n, j) - math.comb(n, j - 1) for j in range(1, top + 1)]
+    return sum(itertools.compress([1, *dims], live))
+
+
+def _inclusion_rank(n: int, k: int, ones) -> int:
+    """Exact rank of build_r_matrix(n, k), given its stored columns: the
+    map sends a function on (k-1)-subsets to its sums over the facets."""
+    facets = numpy.array(ones)  # a tuple would index one cell, not rows
+    return _module_rank(n, k - 1, k, lambda v: v[facets].sum(axis=1))
 
 
 @_bounded_cache
@@ -408,7 +388,8 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     """Rank of the reduction mod p; a lower bound for the rational rank.
 
     Equality with the column count therefore certifies injectivity over
-    the rationals without touching big-number arithmetic.  p must be a
+    the rationals without touching big-number arithmetic; the exact rank
+    of an inclusion or sign map comes from _module_rank.  p must be a
     prime, else OutOfRange: the elimination divides by pivots.  It must
     also be below 2**32, since a larger p overflows int64 on any matrix;
     that bound keeps the trial division short.
@@ -658,7 +639,8 @@ class ThetaReport:
 def _theta_rank(n: int, r: int, s: int) -> int:
     """Exact rank of one sign matrix, whose cells the caller has checked;
     only the int is kept, not the matrix."""
-    return rank(_sign_matrix(n, r, s))
+    signs = _signs(_members(n, _subsets_colex(n, s)), _members(n, _subsets_colex(n, r)))
+    return _module_rank(n, r, s, signs.__matmul__)
 
 
 def theta_exploration(
@@ -672,8 +654,9 @@ def theta_exploration(
     shape of the r -> t array.  The sign arrays are int64, the composite
     is one matrix product, and proportionality is one array comparison:
     the r -> t entry at (first t-subset, first r-subset) is (-1)^r, never
-    0.  The three exact ranks come from a cache keyed on (n, r, s), since
-    many triples share a level pair.
+    0.  The three exact ranks come from the module decomposition
+    (_module_rank) through a cache keyed on (n, r, s), since many triples
+    share a level pair.
     """
     if not 0 <= r <= s <= t <= n:
         raise OutOfRange(f"levels ({r},{s},{t}) not increasing within 0..{n}")

@@ -45,13 +45,7 @@ from .groups import (
     symmetric_group,
     transitivity_degree,
 )
-from .incidence import (
-    EXACT_RANK_LIMIT,
-    build_r_matrix,
-    orbit_count_inequality,
-    rank,
-    rank_mod_p,
-)
+from .incidence import _inclusion_rank, build_r_matrix, orbit_count_inequality, rank_mod_p
 from .jordan import geometry_audit, jordan_sets, span
 from .orders import (
     LOCAL_KINDS,
@@ -308,7 +302,7 @@ def _check_subset_incidence(rng: random.Random) -> tuple[bool, str]:
             cols = len(matrix.cols)
             if rank_mod_p(matrix) != cols:
                 problems.append(("mod-p rank", n, k))
-            if max(len(matrix.rows), cols) <= EXACT_RANK_LIMIT and rank(matrix) != cols:
+            if _inclusion_rank(n, k, matrix.ones) != cols:
                 problems.append(("exact rank", n, k))
     checked_gens = 0
     for name, group in _corpus():

@@ -26,7 +26,6 @@ from permlab.incidence import (
     build_r_matrix,
     build_theta_matrix,
     orbit_count_inequality,
-    rank,
     rank_mod_p,
     subset_permutation_matrix,
     theta_exploration,
@@ -42,16 +41,16 @@ def test_r_matrix_five_two():
     m = build_r_matrix(5, 2)
     assert m.shape == (10, 5)
     assert all(sum(row) == 2 for row in m.entries)
-    assert rank(m) == 5
+    assert rank_mod_p(m) == 5
     assert m.entry((0, 1), (1,)) == 1
     assert m.entry((0, 1), (2,)) == 0
 
 
 def test_r_matrix_small_ranks():
-    assert rank(build_r_matrix(3, 2)) == 3
+    assert rank_mod_p(build_r_matrix(3, 2)) == 3
     m = build_r_matrix(6, 1)
     assert m.shape == (6, 1)
-    assert rank(m) == 1
+    assert rank_mod_p(m) == 1
 
 
 def test_r_matrix_validation():
@@ -66,13 +65,12 @@ def test_square_case_has_full_rank():
         m = build_r_matrix(2 * k - 1, k)
         expected = math.comb(2 * k - 1, k - 1)
         assert m.shape == (expected, expected)
-        assert rank(m) == expected
+        assert rank_mod_p(m) == expected
 
 
 def test_zero_matrix_rank():
     labels = ((0,), (1,))
     zero = ExactMatrix(labels, labels, ((0,) * 2,) * 2)
-    assert rank(zero) == 0
     assert rank_mod_p(zero) == 0
 
 
@@ -85,9 +83,9 @@ def test_matmul_label_mismatch():
 def test_mod_p_rank_agrees_with_exact():
     for n, k in ((5, 2), (6, 3), (7, 3), (8, 4)):
         m = build_r_matrix(n, k)
-        assert rank_mod_p(m) == rank(m)
+        assert rank_mod_p(m) == oracles.dense_bareiss_rank(m)
     theta = build_theta_matrix(5, 2, 3)
-    assert rank_mod_p(theta) == rank(theta)
+    assert rank_mod_p(theta) == oracles.dense_bareiss_rank(theta)
 
 
 def test_mod_p_rejects_a_prime_that_overflows_int64():
@@ -270,7 +268,7 @@ def test_ranks_match_oracle_on_inclusion_matrices():
         for k in range(1, n + 1):
             m = build_r_matrix(n, k)
             want = oracles.rational_rank(m.entries)
-            assert rank(m) == rank_mod_p(m) == want, (n, k)
+            assert rank_mod_p(m) == want, (n, k)
 
 
 def test_ranks_match_oracle_on_theta_matrices():
@@ -279,7 +277,7 @@ def test_ranks_match_oracle_on_theta_matrices():
             for s in range(n + 1):
                 m = build_theta_matrix(n, r, s)
                 want = oracles.rational_rank(m.entries)
-                assert rank(m) == rank_mod_p(m) == want, (n, r, s)
+                assert incidence._theta_rank(n, r, s) == rank_mod_p(m) == want, (n, r, s)
 
 
 @st.composite
@@ -300,7 +298,7 @@ def _low_rank_matrices(draw):
 @given(_low_rank_matrices())
 def test_ranks_match_oracle_on_integer_matrices(entries):
     m = _labeled(entries)
-    assert rank(m) == rank_mod_p(m) == oracles.rational_rank(entries)
+    assert rank_mod_p(m) == oracles.rational_rank(entries)
 
 
 @given(_low_rank_matrices(), st.booleans(), st.data())
@@ -318,4 +316,4 @@ def test_fraction_matrices_are_refused_and_rank_once_scaled(entries, per_entry, 
     with pytest.raises(ValueError, match="^entries row 0 holds an entry of type Fraction, not int$"):
         _labeled(fractions)
     m = _labeled(oracles._integer_rows(SimpleNamespace(entries=fractions)))
-    assert rank(m) == rank_mod_p(m) == oracles.rational_rank(fractions)
+    assert rank_mod_p(m) == oracles.rational_rank(fractions)
