@@ -11,7 +11,6 @@ first minimum base are computed, and the rest follows by identity.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,16 +29,14 @@ from .groups import (
     _bounded_cache,
     _item_walk,
     _pointwise_stabilizer,
-    element_set,
     enumerate_elements,
     is_transitive,
     orbit,
     orbits,
     order,
     point_stabilizer,
-    subgroup_from_elements,
 )
-from .perms import Permutation, compose, conjugate, identity, inverse
+from .perms import Permutation, inverse
 
 
 @dataclass(frozen=True)
@@ -313,31 +310,6 @@ def orbitals(group: GenGroup, alpha: int) -> tuple[Orbital, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SubdegreeReport:
-    subdegrees: tuple[int, ...]
-    paired_sizes_equal: bool
-    index_identity_holds: bool
-
-
-def subdegree_check(group: GenGroup) -> SubdegreeReport:
-    """Sorted subdegrees; each suborbit as large as its pair and as large
-    as the index of the two-point stabilizer in the one-point stabilizer."""
-    table = suborbits(group, 0)
-    paired_ok = all(
-        len(table.sets[i]) == len(table.sets[j]) for i, j in enumerate(table.pairing)
-    )
-    stab = point_stabilizer(group, 0)
-    stab_order = order(stab)
-    index_ok = True
-    for suborbit in table.sets:
-        beta = suborbit[0]
-        two_point = order(point_stabilizer(stab, beta))
-        if len(suborbit) != stab_order // two_point:
-            index_ok = False
-    return SubdegreeReport(tuple(sorted(table.subdegrees)), paired_ok, index_ok)
-
-
 # orbital graphs
 
 
@@ -450,100 +422,6 @@ def is_strongly_primitive(group: GenGroup, cap: int | None = None) -> bool:
     return all(len(s) in (1, group.degree) for s in found)
 
 
-# congruence / overgroup correspondence
-
-
-def _overgroups_of_point_stabilizer(
-    group: GenGroup, alpha: int, cap: int | None = None
-) -> tuple[frozenset[Permutation], ...]:
-    """Every subgroup between the point stabilizer and the whole group.
-
-    Breadth-first growth: adjoin one outside element at a time and close;
-    every intermediate subgroup is reached this way.
-    """
-    whole = enumerate_elements(group, cap)
-    base = point_stabilizer(group, alpha)
-    base_members = frozenset(element_set(base, cap))
-    found: dict[frozenset[Permutation], tuple[Permutation, ...]] = {
-        base_members: base.generators
-    }
-    queue = deque([(base_members, base.generators)])
-    while queue:
-        members, generators = queue.popleft()
-        if len(members) == len(whole):
-            continue
-        for g in whole:
-            if g in members:
-                continue
-            grown_generators = generators + (g,)
-            grown = frozenset(
-                element_set(GenGroup(group.degree, grown_generators), cap)
-            )
-            if grown not in found:
-                found[grown] = grown_generators
-                queue.append((grown, grown_generators))
-    return tuple(sorted(found, key=lambda s: (len(s), sorted(f.images for f in s))))
-
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    congruence_count: int
-    overgroup_count: int
-    mutually_inverse: bool
-    order_preserving: bool
-
-
-def congruence_subgroup_correspondence(
-    group: GenGroup, alpha: int, cap: int | None = None
-) -> CorrespondenceReport:
-    """Audit the lattice bijection between congruences and overgroups.
-
-    One direction sends a congruence to the stabilizer of the base class;
-    the other sends an overgroup H to the partition into orbits of the
-    translates of (alpha)H.  Both lattices are enumerated independently,
-    then the maps are checked to be mutually inverse and order-preserving.
-    """
-    if not is_transitive(group):
-        raise NotTransitive("the correspondence needs a transitive action")
-    rhos = congruences(group)
-    overgroups = _overgroups_of_point_stabilizer(group, alpha, cap)
-    elements = enumerate_elements(group, cap)
-
-    def h_of(rho: Partition) -> frozenset[Permutation]:
-        wanted = set(rho.class_of(alpha))
-        return frozenset(g for g in elements if g.images[alpha] in wanted)
-
-    def gamma_of(members: frozenset[Permutation]) -> frozenset[int]:
-        return frozenset(g.images[alpha] for g in members)
-
-    overgroup_set = set(overgroups)
-    inverse_ok = len(rhos) == len(overgroups)
-    for rho in rhos:
-        h = h_of(rho)
-        if h not in overgroup_set:
-            inverse_ok = False
-            break
-        if gamma_of(h) != set(rho.class_of(alpha)):
-            inverse_ok = False
-            break
-    if inverse_ok:
-        class_to_rho = {frozenset(r.class_of(alpha)): r for r in rhos}
-        for members in overgroups:
-            rho = class_to_rho.get(gamma_of(members))
-            if rho is None or h_of(rho) != members:
-                inverse_ok = False
-                break
-    order_ok = True
-    if inverse_ok:
-        for r1, r2 in itertools.product(rhos, repeat=2):
-            refines = all(
-                r2.same(block[0], point) for block in r1.blocks for point in block
-            )
-            if refines != (h_of(r1) <= h_of(r2)):
-                order_ok = False
-    return CorrespondenceReport(len(rhos), len(overgroups), inverse_ok, order_ok)
-
-
 # almost-regular decomposition
 
 
@@ -624,103 +502,3 @@ def almost_regular_decomposition(
         almost_regular=True,
     )
 
-
-# normal subgroup audit
-
-
-def _conjugacy_classes(group: GenGroup, cap: int | None) -> tuple[tuple[Permutation, ...], ...]:
-    elements = enumerate_elements(group, cap)
-    seen: set[Permutation] = set()
-    classes = []
-    for x in sorted(elements, key=lambda f: f.images):
-        if x in seen:
-            continue
-        cls = list(_item_walk(x, conjugate, group.generators, len(elements)))
-        seen.update(cls)
-        classes.append(tuple(sorted(cls, key=lambda f: f.images)))
-    return tuple(classes)
-
-
-def _normal_closure(
-    group: GenGroup, seeds: tuple[Permutation, ...], cap: int | None
-) -> frozenset[Permutation]:
-    generators = list(seeds)
-    while True:
-        sub = subgroup_from_elements(
-            tuple(enumerate_elements(GenGroup(group.degree, tuple(generators)), cap)),
-            group.degree,
-        )
-        members = element_set(sub, cap)
-        grown = False
-        for g in group.generators:
-            for s in sub.generators:
-                moved = conjugate(s, g)
-                if moved not in members:
-                    generators.append(moved)
-                    grown = True
-        if not grown:
-            return frozenset(members)
-
-
-@dataclass(frozen=True)
-class NormalAudit:
-    normal_orders: tuple[int, ...]
-    primitive: bool
-    nontrivial_all_transitive: bool | None
-    abelian_all_regular: bool | None
-    small_subdegree_dichotomy: bool | None
-
-
-def normal_subgroup_audit(group: GenGroup, cap: int | None = None) -> NormalAudit:
-    """Sample the normal subgroup lattice and check the structure laws.
-
-    Normal subgroups are produced as normal closures of up to 3 conjugacy
-    class representatives.  For a primitive group every nontrivial one
-    must be transitive and every abelian one regular; when all subdegrees
-    are at most 2, either the point stabilizer has order at most 2 or
-    some congruence has classes of size at most 2.
-    """
-    if not is_transitive(group):
-        raise NotTransitive("the audit needs a transitive action")
-    classes = _conjugacy_classes(group, cap)
-    reps = [cls[0] for cls in classes if cls[0] != identity(group.degree)]
-    found: set[frozenset[Permutation]] = {frozenset([identity(group.degree)])}
-    for count in range(1, min(3, len(reps)) + 1):
-        for combo in itertools.combinations(reps, count):
-            found.add(_normal_closure(group, combo, cap))
-    subgroups = sorted(found, key=len)
-    primitive = group.degree >= 2 and is_primitive(group)
-    nontrivial_transitive = None
-    abelian_regular = None
-    if primitive:
-        nontrivial_transitive = True
-        abelian_regular = True
-        for members in subgroups:
-            if len(members) == 1:
-                continue
-            sub = subgroup_from_elements(tuple(sorted(members, key=lambda f: f.images)), group.degree)
-            if not is_transitive(sub):
-                nontrivial_transitive = False
-            abelian = all(
-                compose(a, b) == compose(b, a)
-                for a in sub.generators
-                for b in sub.generators
-            )
-            if abelian and len(members) != group.degree:
-                abelian_regular = False
-    dichotomy = None
-    table = suborbits(group, 0)
-    if max(table.subdegrees) <= 2:
-        stab_small = order(point_stabilizer(group, 0)) <= 2
-        rho_small = any(
-            not rho.is_discrete and max(len(b) for b in rho.blocks) <= 2
-            for rho in congruences(group)
-        )
-        dichotomy = stab_small or rho_small
-    return NormalAudit(
-        tuple(len(s) for s in subgroups),
-        primitive,
-        nontrivial_transitive,
-        abelian_regular,
-        dichotomy,
-    )

@@ -60,7 +60,6 @@ from .errors import (
     AxiomsFailed,
     CapExceeded,
     NotSubgroup,
-    NotTransitive,
     OutOfRange,
     PointOutOfRange,
 )
@@ -69,7 +68,6 @@ from .perms import (
     _inverse_images,
     _trusted,
     compose,
-    conjugate,
     identity,
     parse_cycles,
 )
@@ -881,73 +879,3 @@ def coset_cover_audit(
         raise AxiomsFailed("irredundant exhaustive cover with reciprocal sum < 1")
     return CosetCoverReport(covers, irredundant, tuple(indices), index_sum)
 
-
-# automorphisms of the action and coset spaces
-
-
-def _normalizer_of_subgroup(
-    group: GenGroup, sub: GenGroup, cap: int | None = None
-) -> tuple[Permutation, ...]:
-    members = element_set(sub, cap)
-    out = []
-    for g in enumerate_elements(group, cap):
-        if all(conjugate(s, g) in members for s in sub.generators):
-            out.append(g)
-    return tuple(out)
-
-
-def gspace_automorphisms(
-    group: GenGroup, alpha: int, cap: int | None = None
-) -> GenGroup:
-    """All permutations of the domain commuting with the whole action.
-
-    Requires transitivity.  Each normalizer element g of the point
-    stabilizer yields the commuting map (alpha)x -> (alpha)gx; distinct
-    stabilizer cosets give distinct maps, so the output order is
-    |N(G_alpha)| / |G_alpha|.
-    """
-    if not is_transitive(group):
-        raise NotTransitive("the action has more than one orbit")
-    stab = point_stabilizer(group, alpha)
-    normalizer = _normalizer_of_subgroup(group, stab, cap)
-    table = orbit(group, alpha)
-    transversal = {
-        beta: table.transversal_element(beta) for beta in table.points
-    }
-    maps = []
-    for g in normalizer:
-        images = [0] * group.degree
-        for beta in range(group.degree):
-            images[beta] = compose(g, transversal[beta]).images[alpha]
-        maps.append(Permutation(tuple(images)))
-    unique = tuple(dict.fromkeys(maps))
-    return subgroup_from_elements(unique, group.degree)
-
-
-def _is_subgroup_of(
-    group: GenGroup, sub: GenGroup, cap: int | None = None
-) -> bool:
-    order(sub, cap)
-    order(group, cap)
-    return sub.degree == group.degree and all(
-        contains(group, s, cap) for s in sub.generators
-    )
-
-
-def coset_spaces_isomorphic(
-    group: GenGroup, h: GenGroup, k: GenGroup, cap: int | None = None
-) -> Permutation | None:
-    """BFS-least x with x^-1 H x = K, or None when H, K are not conjugate.
-
-    The search reads the BFS element list only up to its first hit.
-    """
-    if not _is_subgroup_of(group, h, cap) or not _is_subgroup_of(group, k, cap):
-        raise NotSubgroup("both coset spaces need subgroups of the ambient group")
-    h_members = element_set(h, cap)
-    k_members = element_set(k, cap)
-    if len(h_members) != len(k_members):
-        return None
-    for x in _bfs_prefix(group, element_cap(cap)):
-        if all(conjugate(s, x) in k_members for s in h.generators):
-            return x
-    return None

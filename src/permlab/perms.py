@@ -206,33 +206,6 @@ def cycle_type(f: Permutation) -> CycleType:
     return counts
 
 
-def is_conjugate(
-    f: Permutation, g: Permutation
-) -> tuple[bool, Permutation | None]:
-    """Test conjugacy in the full symmetric group; return a witness when true.
-
-    Two permutations are conjugate exactly when their cycle types agree.
-    The witness h (with h^-1 f h = g) aligns the canonical cycle
-    decompositions positionally, 1-cycles included.
-    """
-    if f.degree != g.degree:
-        raise DegreeMismatch(f"{f.degree} != {g.degree}")
-    if cycle_type(f) != cycle_type(g):
-        return False, None
-    by_length_f: dict[int, list[tuple[int, ...]]] = {}
-    by_length_g: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in _cycles_including_fixed(f.images):
-        by_length_f.setdefault(len(cycle), []).append(cycle)
-    for cycle in _cycles_including_fixed(g.images):
-        by_length_g.setdefault(len(cycle), []).append(cycle)
-    images = [0] * f.degree
-    for length, f_cycles in by_length_f.items():
-        for f_cycle, g_cycle in zip(f_cycles, by_length_g[length]):
-            for a, b in zip(f_cycle, g_cycle):
-                images[a] = b
-    return True, Permutation(tuple(images))
-
-
 def involution_factorization(f: Permutation) -> tuple[Permutation, Permutation]:
     """Split f into two involutions t1, t2 with compose(t1, t2) = f.
 

@@ -50,10 +50,6 @@ def relation_to_object(rel):
     return {"arity": rel.arity, "size": rel.size, "tuples": rows}
 
 
-def relation_to_json(rel):
-    return json.dumps(relation_to_object(rel))
-
-
 def relation_from_object(data):
     """The relation in a decoded JSON object with an int arity >= 1, an int
     size >= 0 and tuples, a list of lists of 1-based int points.  A value
@@ -94,11 +90,6 @@ def json_document(raw):
         ) from None
 
 
-def relation_from_json(text):
-    """The relation in a JSON text, as relation_from_object reads it."""
-    return relation_from_object(json_document(text))
-
-
 def relabel_relation(rel, images):
     """Apply the point map ``images`` (a degree-matching sequence) to every tuple."""
     if len(images) != rel.size:
@@ -119,10 +110,8 @@ __all__ = [
     "Relation",
     "relation",
     "relation_to_object",
-    "relation_to_json",
     "relation_from_object",
     "json_document",
-    "relation_from_json",
     "relabel_relation",
     "is_invariant",
 ]

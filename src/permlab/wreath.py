@@ -6,14 +6,14 @@ Product domains are linearized little-endian: with components listed
 C_0, C_1, ..., a point of the product is sum(gamma_i * radix_i) where
 radix_i multiplies the sizes of all earlier components.  The last listed
 component is the most significant, so for the two-factor product on
-Gamma x Delta the point index is delta*|Gamma| + gamma.  Every export
-records this so outside tools can reproduce the indexing.
+Gamma x Delta the point index is delta*|Gamma| + gamma.  The one export,
+``wreath --format json``, records this in its ``indexing`` field so
+outside tools can reproduce it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .blocks import Partition, is_congruence, partition_from_blocks
@@ -26,7 +26,7 @@ from .groups import (
     order,
     setwise_stabilizer,
 )
-from .perms import Permutation, format_cycles, identity, inverse, parse_cycles
+from .perms import Permutation, inverse
 
 
 @dataclass(frozen=True)
@@ -214,40 +214,6 @@ def wreath_tower(chain: tuple[GenGroup, ...], cap: int | None = None) -> GenGrou
     for top in chain[1:]:
         tower = wreath(tower, top, cap)
     return tower
-
-
-# serialization
-
-
-def wreath_spec_to_json(poset: PosetIndex, components: tuple[GenGroup, ...]) -> str:
-    payload = {
-        "poset": [[bool(x) for x in row] for row in poset.leq],
-        "factors": [
-            {
-                "degree": c.degree,
-                "generators": [format_cycles(g) for g in c.generators],
-            }
-            for c in components
-        ],
-        "base_points": [0] * poset.size,
-        "linearization": "little-endian mixed radix, last factor most significant",
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def wreath_spec_from_json(text: str) -> tuple[PosetIndex, tuple[GenGroup, ...]]:
-    payload = json.loads(text)
-    poset = PosetIndex(
-        len(payload["poset"]), tuple(tuple(row) for row in payload["poset"])
-    )
-    components = tuple(
-        GenGroup(
-            factor["degree"],
-            tuple(parse_cycles(t, factor["degree"]) for t in factor["generators"]),
-        )
-        for factor in payload["factors"]
-    )
-    return poset, components
 
 
 # embedding a group with a congruence into a wreath product

@@ -51,6 +51,41 @@ def brute_conjugator(f: Permutation, g: Permutation) -> Permutation | None:
     return None
 
 
+def centralizer(generators: list[Permutation], degree: int) -> set[Permutation]:
+    """Every element of Sym(degree) commuting with each generator."""
+    return {
+        f for f in sym(degree) if all(mul(f, s) == mul(s, f) for s in generators)
+    }
+
+
+def normal_subgroups(elements: set[Permutation]) -> set[frozenset[Permutation]]:
+    """All normal subgroups: the normal closures of single elements, then
+    their products until no new one appears."""
+    found = {frozenset(closure(sorted({conj(f, x) for x in elements}))) for f in elements}
+    while True:
+        fresh = {frozenset(closure(sorted(a | b))) for a in found for b in found}
+        if fresh <= found:
+            return found
+        found |= fresh
+
+
+def overgroups(
+    elements: set[Permutation], h_members: set[Permutation]
+) -> set[frozenset[Permutation]]:
+    """Every subgroup K with H <= K <= G, grown from H one element at a time."""
+    start = frozenset(h_members)
+    found = {start}
+    frontier = [start]
+    while frontier:
+        k = frontier.pop()
+        for x in elements - k:
+            bigger = frozenset(closure(sorted(k | {x})))
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return found
+
+
 def closure(generators: list[Permutation]) -> set[Permutation]:
     """Subgroup closure by a product fixpoint loop (not a word BFS)."""
     if not generators:
@@ -478,14 +513,6 @@ def full_list_separation_search(elements, gamma, delta) -> Permutation | None:
     """separation_search before it stopped at its first hit: every g of the
     whole BFS list is tested, and the first that moves gamma off delta wins."""
     hits = [g for g in elements if not {g.images[p] for p in gamma} & set(delta)]
-    return hits[0] if hits else None
-
-
-def full_list_conjugator(elements, h_members, k_members) -> Permutation | None:
-    """coset_spaces_isomorphic before it stopped at its first hit: the first
-    x of the whole BFS list with x^-1 H x = K, tested on every member of H."""
-    wanted = set(k_members)
-    hits = [x for x in elements if {conj(s, x) for s in h_members} == wanted]
     return hits[0] if hits else None
 
 

@@ -9,20 +9,17 @@ from permlab.blocks import (
     AlmostRegularDecomposition,
     Orbital,
     almost_regular_decomposition,
-    congruence_subgroup_correspondence,
     congruences,
     discrete_partition,
     is_congruence,
     is_primitive,
     is_strongly_primitive,
     minimal_congruence_identifying,
-    normal_subgroup_audit,
     orbital_graph,
     orbitals,
     partition_from_blocks,
     partition_join,
     semiblocks,
-    subdegree_check,
     suborbits,
 )
 from permlab.errors import (
@@ -41,12 +38,14 @@ from permlab.groups import (
     element_set,
     enumerate_elements,
     group_from_cycles,
+    is_transitive,
     order,
     point_stabilizer,
     pointwise_stabilizer,
+    subgroup_from_elements,
     symmetric_group,
 )
-from permlab.perms import identity, parse_cycles
+from permlab.perms import compose, identity, parse_cycles
 
 import oracles
 
@@ -234,14 +233,16 @@ def test_trivial_suborbit_first_and_self_paired():
         assert table.pairing[0] == 0
 
 
-def test_subdegree_check_examples():
-    assert subdegree_check(d4()).subdegrees == (1, 1, 2)
-    assert subdegree_check(cyclic_group(5)).subdegrees == (1, 1, 1, 1, 1)
-    assert subdegree_check(symmetric_group(4)).subdegrees == (1, 3)
+def test_subdegrees_pair_up_and_count_two_point_stabilizer_cosets():
+    assert sorted(suborbits(d4(), 0).subdegrees) == [1, 1, 2]
+    assert sorted(suborbits(cyclic_group(5), 0).subdegrees) == [1, 1, 1, 1, 1]
+    assert sorted(suborbits(symmetric_group(4), 0).subdegrees) == [1, 3]
     for g in transitive_samples():
-        report = subdegree_check(g)
-        assert report.paired_sizes_equal
-        assert report.index_identity_holds
+        table = suborbits(g, 0)
+        stab = point_stabilizer(g, 0)
+        for i, suborbit in enumerate(table.sets):
+            assert len(suborbit) == len(table.sets[table.pairing[i]])
+            assert len(suborbit) * order(point_stabilizer(stab, suborbit[0])) == order(stab)
 
 
 # orbital graphs
@@ -386,31 +387,43 @@ def test_strong_primitivity_matches_primitivity_on_finite_groups():
         assert is_strongly_primitive(g) == is_primitive(g)
 
 
-# congruence / overgroup correspondence
+# congruences against the overgroups of the point stabilizer
 
 
-def test_correspondence_c4():
-    report = congruence_subgroup_correspondence(cyclic_group(4), 0)
-    assert report.congruence_count == report.overgroup_count == 3
-    assert report.mutually_inverse and report.order_preserving
+def assert_congruences_match_overgroups(g: GenGroup) -> int:
+    """Each congruence's class of 0 has as setwise stabilizer an overgroup
+    K >= G_0 whose orbit of 0 is that class; the map is a bijection onto the
+    overgroups and keeps the order both ways.  Returns the count."""
+    elements = set(element_set(g))
+    expected = oracles.overgroups(elements, set(element_set(point_stabilizer(g, 0))))
+    found = {}
+    for rho in congruences(g):
+        block = set(rho.class_of(0))
+        k = frozenset(x for x in elements if {x.images[p] for p in block} == block)
+        assert oracles.orbit_set(list(k), 0) == block
+        found[rho] = k
+    assert set(found.values()) == expected
+    assert len(found) == len(expected)
+    for rho, sigma in itertools.product(found, repeat=2):
+        finer = all(sigma.same(block[0], p) for block in rho.blocks for p in block)
+        assert finer == (found[rho] <= found[sigma])
+    return len(found)
 
 
-def test_correspondence_c6():
-    report = congruence_subgroup_correspondence(cyclic_group(6), 0)
-    assert report.congruence_count == report.overgroup_count == 4
-    assert report.mutually_inverse and report.order_preserving
+def test_congruences_match_overgroups_c4():
+    assert assert_congruences_match_overgroups(cyclic_group(4)) == 3
 
 
-def test_correspondence_primitive_two_on_each_side():
-    report = congruence_subgroup_correspondence(symmetric_group(4), 0)
-    assert report.congruence_count == report.overgroup_count == 2
-    assert report.mutually_inverse and report.order_preserving
+def test_congruences_match_overgroups_c6():
+    assert assert_congruences_match_overgroups(cyclic_group(6)) == 4
 
 
-def test_correspondence_d4():
-    report = congruence_subgroup_correspondence(d4(), 0)
-    assert report.mutually_inverse and report.order_preserving
-    assert report.congruence_count == report.overgroup_count
+def test_congruences_match_overgroups_primitive_two_on_each_side():
+    assert assert_congruences_match_overgroups(symmetric_group(4)) == 2
+
+
+def test_congruences_match_overgroups_d4():
+    assert assert_congruences_match_overgroups(d4()) == 3
 
 
 # almost-regular decomposition
@@ -458,27 +471,43 @@ def test_decomposition_phi_is_minimum_hitting_set():
                 assert order(pointwise_stabilizer(g, smaller)) > 1
 
 
-# normal subgroup audit
+# normal subgroups of primitive groups
 
 
-def test_normal_audit_s4():
-    audit = normal_subgroup_audit(symmetric_group(4))
-    assert audit.primitive
-    assert 12 in audit.normal_orders
-    assert 4 in audit.normal_orders
-    assert audit.nontrivial_all_transitive
-    assert audit.abelian_all_regular
+def normal_subgroup_groups(g: GenGroup) -> list[GenGroup]:
+    members = oracles.normal_subgroups(set(element_set(g)))
+    return [subgroup_from_elements(tuple(sorted(m)), g.degree) for m in members]
 
 
-def test_normal_audit_d4_dichotomy():
-    audit = normal_subgroup_audit(d4())
-    assert audit.small_subdegree_dichotomy
+def test_normal_subgroups_of_s4_are_transitive_and_abelian_ones_regular():
+    g = symmetric_group(4)
+    assert is_primitive(g)
+    normal = normal_subgroup_groups(g)
+    assert sorted(order(n) for n in normal) == [1, 4, 12, 24]
+    for n in normal:
+        if order(n) > 1:
+            assert is_transitive(n)
+        if all(compose(a, b) == compose(b, a) for a in n.generators for b in n.generators):
+            assert order(n) in (1, g.degree)
 
 
-def test_normal_audit_simple_primitive():
-    audit = normal_subgroup_audit(alternating_group(5))
-    assert set(audit.normal_orders) == {1, 60}
-    assert audit.nontrivial_all_transitive
+def test_d4_small_subdegree_dichotomy():
+    # all subdegrees at most 2: |G_0| <= 2 or a congruence has classes of size 2
+    g = d4()
+    assert max(suborbits(g, 0).subdegrees) <= 2
+    small_stabilizer = order(point_stabilizer(g, 0)) <= 2
+    small_classes = any(
+        not rho.is_discrete and max(len(b) for b in rho.blocks) <= 2 for rho in congruences(g)
+    )
+    assert small_stabilizer or small_classes
+
+
+def test_simple_primitive_group_has_only_trivial_normal_subgroups():
+    g = alternating_group(5)
+    assert is_primitive(g)
+    normal = normal_subgroup_groups(g)
+    assert sorted(order(n) for n in normal) == [1, 60]
+    assert all(is_transitive(n) for n in normal if order(n) > 1)
 
 
 # structure laws tying suborbits to primitivity

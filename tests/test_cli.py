@@ -8,6 +8,9 @@ import pytest
 
 from permlab import incidence
 from permlab.cli import main
+from permlab.groups import GenGroup, cyclic_group, order, symmetric_group
+from permlab.perms import parse_cycles
+from permlab.wreath import wreath
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +329,26 @@ def test_wreath_report(capsys):
     assert report["fibers"] == [[1, 2], [3, 4], [5, 6]]
 
 
+def test_wreath_json_export_rebuilds_the_product(capsys):
+    # the generators, read back at the reported degree, are the product's
+    # own, and the fibers follow the stated indexing rule
+    rc, out, _ = run_cli(
+        capsys, "wreath", "--bottom", "cyclic_3", "--top", "symmetric_3", "--format", "json"
+    )
+    assert rc == 0
+    report = report_of(out)
+    generators = tuple(parse_cycles(text, report["degree"]) for text in report["generators"])
+    assert generators == wreath(cyclic_group(3), symmetric_group(3)).generators
+    assert order(GenGroup(report["degree"], generators)) == report["order"]
+    b = report["bottom"]["degree"]
+    fibers = [[(f - 1) * b + pos for pos in range(1, b + 1)] for f in (1, 2, 3)]
+    assert report["fibers"] == fibers
+    as_sets = [{p - 1 for p in fiber} for fiber in fibers]
+    for g in generators:
+        for fiber in as_sets:
+            assert {g.images[p] for p in fiber} in as_sets
+
+
 def test_wreath_with_an_empty_bottom_lists_no_fibers(capsys):
     # the fibers are the fiber partition's classes, and no point leaves none
     rc, out, _ = run_cli(capsys, "wreath", "--bottom", "symmetric_0", "--top", "cyclic_3")
@@ -393,10 +416,10 @@ def test_relations_words_roundtrip(capsys, tmp_path):
 
 
 def test_relations_check_reads_stdin(capsys, monkeypatch):
-    from permlab.relations import relation_to_json
+    from permlab.relations import relation_to_object
     from permlab.trees import finite_c_model
 
-    text = relation_to_json(finite_c_model(1, 2).relation)
+    text = json.dumps(relation_to_object(finite_c_model(1, 2).relation))
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     rc, out, _ = run_cli(capsys, "relations", "check", "--family", "C", "--input", "-")
     assert rc == 0

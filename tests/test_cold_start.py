@@ -25,7 +25,7 @@ import pytest
 
 import permlab
 from permlab.cli import _PASSES, main
-from permlab.relations import relation_to_json
+from permlab.relations import relation_to_object
 from permlab.trees import finite_c_model
 
 SRC = Path(permlab.__file__).parent.parent
@@ -81,7 +81,7 @@ def test_analyze_and_lw_load_no_deferred_module():
 
 
 def _relation_text() -> str:
-    return relation_to_json(finite_c_model(2, 2).relation)
+    return json.dumps(relation_to_object(finite_c_model(2, 2).relation))
 
 
 # one call of each verb that imports a deferred module, with its stdin

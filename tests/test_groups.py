@@ -4,19 +4,18 @@ import math
 
 import pytest
 
-from permlab.errors import CapExceeded, NotSubgroup, NotTransitive, OutOfRange
+from permlab.errors import CapExceeded, NotSubgroup, OutOfRange
 from permlab.groups import (
     CosetCoverInstance,
     GenGroup,
     alternating_group,
+    contains,
     coset_cover_audit,
-    coset_spaces_isomorphic,
     cyclic_group,
     dihedral_group,
     element_set,
     enumerate_elements,
     group_from_cycles,
-    gspace_automorphisms,
     homogeneity_degree,
     induced_action,
     is_transitive,
@@ -27,10 +26,18 @@ from permlab.groups import (
     pointwise_stabilizer,
     separation_search,
     setwise_stabilizer,
+    subgroup_from_elements,
     symmetric_group,
     transitivity_degree,
 )
-from permlab.perms import Permutation, compose, format_cycles, identity, parse_cycles
+from permlab.perms import (
+    Permutation,
+    compose,
+    conjugate,
+    format_cycles,
+    identity,
+    parse_cycles,
+)
 
 import oracles
 from fractions import Fraction
@@ -364,68 +371,85 @@ def test_coset_cover_rejects_foreign_subgroup():
         coset_cover_audit(CosetCoverInstance(s3, ((foreign, identity(3)),)))
 
 
-# automorphisms of the action
+# automorphisms of the action: the centralizer in Sym(n), rebuilt from its
+# element list
 
 
-def test_gspace_automorphisms_regular_cyclic():
-    aut = gspace_automorphisms(cyclic_group(5), 0)
+def centralizer_group(g: GenGroup) -> tuple[set[Permutation], GenGroup]:
+    central = oracles.centralizer(list(g.generators), g.degree)
+    return central, subgroup_from_elements(tuple(sorted(central)), g.degree)
+
+
+def test_regular_cyclic_group_is_its_own_centralizer():
+    central, aut = centralizer_group(cyclic_group(5))
+    assert central == element_set(cyclic_group(5))
     assert order(aut) == 5
 
 
-def test_gspace_automorphisms_s4_trivial():
-    aut = gspace_automorphisms(symmetric_group(4), 0)
+def test_s4_centralizer_is_trivial():
+    central, aut = centralizer_group(symmetric_group(4))
+    assert central == {identity(4)}
     assert order(aut) == 1
 
 
-def test_gspace_automorphisms_degree_one():
-    aut = gspace_automorphisms(GenGroup(1, ()), 0)
+def test_degree_one_centralizer_is_trivial():
+    central, aut = centralizer_group(GenGroup(1, ()))
+    assert central == {identity(1)}
     assert order(aut) == 1
 
 
-def test_gspace_automorphisms_commute():
+def test_centralizer_rebuilt_from_its_elements_commutes():
     for g in [cyclic_group(6), klein_four(), dihedral_group(5)]:
-        aut = gspace_automorphisms(g, 0)
+        central, aut = centralizer_group(g)
+        assert element_set(aut) == central
         for f in element_set(aut):
             for s in g.generators:
                 assert compose(f, s) == compose(s, f)
 
 
-def test_gspace_automorphisms_equal_centralizer_filter():
-    for g in [cyclic_group(4), klein_four(), symmetric_group(3), dihedral_group(3)]:
-        aut = element_set(gspace_automorphisms(g, 0))
-        sym_all = oracles.sym(g.degree)
-        central = {
-            f
-            for f in sym_all
-            if all(oracles.mul(f, s) == oracles.mul(s, f) for s in g.generators)
-        }
-        assert aut == central
+def test_centralizer_order_is_the_normalizer_quotient():
+    # Aut of the transitive G-space G/G_0 is N_G(G_0)/G_0
+    for g in [
+        cyclic_group(4),
+        klein_four(),
+        symmetric_group(3),
+        dihedral_group(3),
+        dihedral_group(5),
+    ]:
+        stab = element_set(point_stabilizer(g, 0))
+        normalizer = [
+            x for x in enumerate_elements(g) if {conjugate(s, x) for s in stab} == stab
+        ]
+        _, aut = centralizer_group(g)
+        assert order(aut) * len(stab) == len(normalizer)
 
 
-def test_gspace_automorphisms_requires_transitive():
-    with pytest.raises(NotTransitive):
-        gspace_automorphisms(group_from_cycles(5, "(1 2 3)"), 0)
+def test_contains_agrees_with_the_centralizer_filter():
+    for g in [cyclic_group(4), klein_four(), symmetric_group(3), dihedral_group(4)]:
+        central, aut = centralizer_group(g)
+        for f in oracles.sym(g.degree):
+            assert contains(aut, f) == (f in central)
 
 
-# coset space isomorphism
+# coset spaces: point stabilizers are conjugate
 
 
-def test_coset_spaces_isomorphic_examples():
+def test_point_stabilizers_are_conjugate_examples():
     s3 = symmetric_group(3)
-    h = group_from_cycles(3, "(1 2)")
-    k = group_from_cycles(3, "(2 3)")
-    x = coset_spaces_isomorphic(s3, h, k)
-    assert x is not None
-    members = element_set(k)
-    for s in h.generators:
-        assert oracles.conj(s, x) in members
-
+    h = element_set(point_stabilizer(s3, 2))
+    k = element_set(point_stabilizer(s3, 0))
+    assert h == element_set(group_from_cycles(3, "(1 2)"))
+    assert k == element_set(group_from_cycles(3, "(2 3)"))
+    x = parse_cycles("(1 3)", 3)
+    assert {conjugate(s, x) for s in h} == k
+    assert {conjugate(s, identity(3)) for s in h} == h
     a3 = group_from_cycles(3, "(1 2 3)")
-    assert coset_spaces_isomorphic(s3, h, a3) is None
-    assert coset_spaces_isomorphic(s3, h, h) == identity(3)
+    assert all(
+        {conjugate(s, x) for s in h} != element_set(a3) for x in enumerate_elements(s3)
+    )
 
 
-def test_coset_spaces_isomorphic_rejects_non_subgroup():
-    s3 = symmetric_group(3)
-    with pytest.raises(NotSubgroup):
-        coset_spaces_isomorphic(s3, symmetric_group(4), symmetric_group(4))
+def test_subgroup_from_elements_rejects_a_list_its_closure_outgrows():
+    not_closed = (parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3))
+    with pytest.raises(CapExceeded):
+        subgroup_from_elements(not_closed, 3)

@@ -18,7 +18,6 @@ from permlab.fixtures import fixture
 from permlab.groups import (
     _bfs_prefix,
     clear_caches,
-    coset_spaces_isomorphic,
     cyclic_group,
     element_set,
     enumerate_elements,
@@ -28,7 +27,7 @@ from permlab.groups import (
     separation_search,
 )
 from permlab.incidence import _element_table, _fixed_subset_totals
-from permlab.perms import compose
+from permlab.perms import compose, conjugate
 from permlab.suite import _corpus, run_battery
 from permlab.wreath import imprimitive_embedding
 
@@ -129,20 +128,16 @@ SMALL = [(name, group) for name, group in CORPUS if order(group) <= 200]
 
 
 @pytest.mark.parametrize("name,group", SMALL, ids=[name for name, _ in SMALL])
-def test_coset_spaces_isomorphic_equals_the_full_list_scan(name, group):
+def test_every_element_of_the_full_list_conjugates_the_stabilizers(name, group):
+    # x^-1 G_p x = G_(p)x, for one point and for two
     clear_caches()
-    n = group.degree
-    h = point_stabilizer(group, 0)
-    for k in [point_stabilizer(group, p) for p in range(n)] + [
-        pointwise_stabilizer(group, [0, 1]),
-        h,
-    ]:
-        expected = (
-            oracles.full_list_conjugator(bfs_list(name), element_set(h), element_set(k))
-            if order(h) == order(k)
-            else None
-        )
-        assert coset_spaces_isomorphic(group, h, k) == expected
+    h = element_set(point_stabilizer(group, 0))
+    hh = element_set(pointwise_stabilizer(group, [0, 1]))
+    for x in bfs_list(name):
+        p, q = x.images[0], x.images[1]
+        assert {conjugate(s, x) for s in h} == element_set(point_stabilizer(group, p)), x
+        expected = element_set(pointwise_stabilizer(group, [p, q]))
+        assert {conjugate(s, x) for s in hh} == expected, x
 
 
 def test_separation_witnesses_lists_no_symmetric_8_element(monkeypatch):

@@ -150,13 +150,12 @@ def test_cap_errors_are_built_only_by_check_cap_and_the_walk():
 
 
 def test_the_item_walk_is_the_only_orbit_walk():
-    # every orbit walk goes through groups._item_walk; the three other
-    # queues merge point pairs, measure graph distances and grow overgroups
+    # every orbit walk goes through groups._item_walk; the two other
+    # queues merge point pairs and measure graph distances
     allowed = {
         "groups._item_walk",
         "blocks.minimal_congruence_identifying",
         "blocks.orbital_graph",
-        "blocks._overgroups_of_point_stabilizer",
     }
     found = set()
     for path in sorted(SRC.glob("*.py")):

@@ -34,8 +34,6 @@ from permlab.wreath import (
     generalized_wreath,
     imprimitive_embedding,
     wreath,
-    wreath_spec_from_json,
-    wreath_spec_to_json,
     wreath_tower,
     wreath_variation1,
 )
@@ -258,21 +256,6 @@ def test_wreath_associativity_element_sets():
     left = wreath(wreath(a, b), c)
     right = wreath(a, wreath(b, c))
     assert element_set(left) == element_set(right)
-
-
-# serialization
-
-
-def test_wreath_spec_json_round_trip():
-    poset = chain_poset(2)
-    components = (cyclic_group(2), cyclic_group(3))
-    text = wreath_spec_to_json(poset, components)
-    poset2, components2 = wreath_spec_from_json(text)
-    assert poset2 == poset
-    assert components2 == components
-    rebuilt = generalized_wreath(poset2, components2)
-    original = generalized_wreath(poset, components)
-    assert rebuilt.generators == original.generators
 
 
 # embedding
