@@ -265,21 +265,17 @@ LOCAL_KINDS = {
 
 @lru_cache(maxsize=None)
 def _local_catalog(kind, d):
-    """Tuple-sets a valid relation may induce on any d-point subset,
-    generated from all d! linear orders on the subset."""
-    out = set()
-    for seq in itertools.permutations(range(d)):
-        ranks = [0] * d
-        for pos, p in enumerate(seq):
-            ranks[p] = pos
-        if kind == "linear":
-            rel = relation(
-                2, d, [(a, b) for a in range(d) for b in range(d) if ranks[a] < ranks[b]]
-            )
-        else:
-            rel = _derive_from_ranks(ranks, d, kind)
-        out.add(rel.tuples)
-    return frozenset(out)
+    """Tuple-sets a valid relation may induce on any d-point subset: the
+    relation of the identity order on the subset, derived once, with its
+    tuples relabeled through each of the d! linear orders."""
+    if kind == "linear":
+        base = linear_order_relation(d)
+    else:
+        base = _derive_from_ranks(range(d), d, kind)
+    return frozenset(
+        frozenset(tuple(order[p] for p in t) for t in base.tuples)
+        for order in itertools.permutations(range(d))
+    )
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,21 @@ quotient turning a C-relation into a semilinear order, cross-derivations
 between the structure kinds, and invariant-subset classification for a
 group action.
 
-Each family's axioms are data: an axiom is a name and the counterexamples
-it yields, least first, and one evaluator keeps the first as the witness.
-Existential axioms that can only hold on infinite domains (denseness
-and its relatives) are evaluated and reported alongside the core list,
-never mixed into the pass/fail verdict.
+Each family's axioms are data: an audit turns the relation into one
+boolean membership array, and an axiom is a name and a mask of its
+candidates in the order they are listed, so one evaluator keeps the
+first True cell as the least witness.  Existential axioms that can only
+hold on infinite domains (denseness and its relatives) are evaluated and
+reported alongside the core list, never mixed into the pass/fail verdict.
 
-The element cap bounds the loops here as it bounds group enumeration:
-the audit, the equivalence-chain builder, the word model's order matrix,
-betweenness, the pair quotient and the builders from a set's translates
-measure how many candidates their widest loop visits before it starts,
-and config.check_cap raises CapExceeded naming a PERMLAB_CAP that would
-suffice.  The translates themselves are walked under the element cap.
+The element cap bounds the loops and arrays here as it bounds group
+enumeration: the audit, the equivalence-chain builder, the word model's
+order matrix, betweenness, the pair quotient and the builders from a
+set's translates measure how many candidates their widest loop or array
+holds before it starts, and config.check_cap raises CapExceeded naming a
+PERMLAB_CAP that would suffice.  No array of the audit or the chain
+builder has more cells than that count.  The translates themselves are
+walked under the element cap.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy
 
 from .config import AXIOM_FAMILIES, check_cap, element_cap
 from .errors import (
@@ -198,95 +203,88 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def _tuples(n, k):
-    return itertools.product(range(n), repeat=k)
+def _least(mask, members=()):
+    """The first True cell of a counterexample mask in C order, as a tuple
+    of Python ints, or None when the mask is all False.  With members, the
+    member columns, the mask's first axis runs over the member tuples and
+    the witness starts with the tuple of that row."""
+    if not mask.any():
+        return None
+    index = numpy.unravel_index(int(mask.argmax()), mask.shape)
+    if members:
+        index = tuple(column[index[0]] for column in members) + index[1:]
+    return tuple(int(p) for p in index)
 
 
-def _last_two_swapped(n, has, m):
-    return ((a, b, c) for a, b, c in m if not has((a, c, b)))
+def _unequal(h):
+    return ~numpy.eye(len(h), dtype=bool)
 
 
-def _dense(n, has, m):
-    def strictly(a, b):
-        return a != b and has((a, b))
+def _three_distinct(h):
+    unequal = _unequal(h)
+    return unequal[:, :, None] & unequal[None, :, :] & unequal[:, None, :]
 
-    return itertools.chain(
-        ((a, b) for a, b in _tuples(n, 2)
-         if strictly(a, b) and not any(strictly(a, c) and strictly(c, b) for c in range(n))),
-        ((a,) for a in range(n) if not any(strictly(a, c) for c in range(n))),
-    )
+
+def _dense(h, *m):
+    strictly = h & _unequal(h)
+    pairs = strictly & ~(strictly[:, :, None] & strictly[None, :, :]).any(1)
+    return _least(pairs) or _least(~strictly.any(1))
 
 
 # family: (arity, k, core axioms, reported-only axioms).  An axiom is its
-# name and a function of (n, has, m), the domain size, membership and the
-# sorted tuples, that yields its counterexamples least first; no loop
-# visits more than max(len(m) * n, n**k) candidates.
+# name and a function of the membership array h (h[t] says t is a member)
+# and the member columns, which are the sorted member tuples read down
+# each position.  It builds a mask of its candidates in the order they are
+# listed, least first: the member tuples in sorted order then the free
+# point, the tuples of itertools.product order otherwise, and for dense
+# the pairs before the singletons.  _least keeps the first True cell as
+# the witness.  No mask has more than max(len(members) * n, n**k) cells.
 _AXIOMS = {
     "semilinear": (2, 3, (
-        ("reflexive", lambda n, has, m: ((a,) for a in range(n) if not has((a, a)))),
-        ("antisymmetric", lambda n, has, m: (
-            (a, b) for a, b in _tuples(n, 2) if a != b and has((a, b)) and has((b, a)))),
-        ("transitive", lambda n, has, m: (
-            (a, b, c) for a, b, c in _tuples(n, 3)
-            if has((a, b)) and has((b, c)) and not has((a, c)))),
-        ("upper-linear", lambda n, has, m: (
-            (a, b, c) for a, b, c in _tuples(n, 3)
-            if has((a, b)) and has((a, c)) and not (has((b, c)) or has((c, b))))),
-        ("upper-directed", lambda n, has, m: (
-            (a, b) for a, b in _tuples(n, 2)
-            if not any(has((a, c)) and has((b, c)) for c in range(n)))),
+        ("reflexive", lambda h, *m: _least(~h.diagonal())),
+        ("antisymmetric", lambda h, *m: _least(h & h.T & _unequal(h))),
+        ("transitive", lambda h, *m: _least(
+            h[:, :, None] & h[None, :, :] & ~h[:, None, :])),
+        ("upper-linear", lambda h, *m: _least(
+            h[:, :, None] & h[:, None, :] & ~(h | h.T)[None, :, :])),
+        ("upper-directed", lambda h, *m: _least(
+            ~(h[:, None, :] & h[None, :, :]).any(2))),
     ), (
         ("dense", _dense),
     )),
     "C": (3, 3, (
-        ("C1", _last_two_swapped),
-        ("C2", lambda n, has, m: ((a, b, c) for a, b, c in m if has((b, a, c)))),
-        ("C3", lambda n, has, m: (
-            (a, b, c, d) for a, b, c in m for d in range(n)
-            if not (has((a, c, d)) or has((d, b, c))))),
-        ("C4", lambda n, has, m: (
-            (a, b) for a, b in _tuples(n, 2) if a != b and not has((a, b, b)))),
-        ("C5", lambda n, has, m: (
-            (b, c) for b, c in _tuples(n, 2) if not any(has((a, b, c)) for a in range(n)))),
-        ("C6", lambda n, has, m: (
-            (a, b) for a, b in _tuples(n, 2)
-            if a != b and not any(d != b and has((a, b, d)) for d in range(n)))),
+        ("C1", lambda h, a, b, c: _least(~h[a, c, b], (a, b, c))),
+        ("C2", lambda h, a, b, c: _least(h[b, a, c], (a, b, c))),
+        ("C3", lambda h, a, b, c: _least(~(h[a, c] | h[:, b, c].T), (a, b, c))),
+        ("C4", lambda h, *m: _least(~h.diagonal(axis1=1, axis2=2) & _unequal(h))),
+        ("C5", lambda h, *m: _least(~h.any(0))),
+        ("C6", lambda h, *m: _least(
+            _unequal(h) & ~(h & _unequal(h)[None, :, :]).any(2))),
     ), (
-        ("C7", lambda n, has, m: (
-            (a, b, c) for a, b, c in m
-            if not any(has((a, b, d)) and has((d, b, c)) for d in range(n)))),
+        ("C7", lambda h, a, b, c: _least(~(h[a, b] & h[:, b, c].T).any(1), (a, b, c))),
     )),
     "B": (3, 4, (
-        ("B1", _last_two_swapped),
-        ("B2", lambda n, has, m: (
-            (a, b, c) for a, b, c in _tuples(n, 3)
-            if (has((a, b, c)) and has((b, a, c))) != (a == b))),
-        ("B3", lambda n, has, m: (
-            (a, b, c, d) for a, b, c in m for d in range(n)
-            if not (has((a, b, d)) or has((a, c, d))))),
-        ("B4", lambda n, has, m: (
-            (a, b, c, d) for a, b, c, d in _tuples(n, 4)
-            if has((a, c, d)) and has((b, a, c)) and not has((b, c, d)))),
-        ("B5", lambda n, has, m: (
-            (a, b, c, d) for a, b, c, d in _tuples(n, 4)
-            if has((a, c, d)) and has((b, c, d)) and not (has((a, b, c)) or has((b, a, c))))),
+        ("B1", lambda h, a, b, c: _least(~h[a, c, b], (a, b, c))),
+        ("B2", lambda h, *m: _least(
+            (h & h.transpose(1, 0, 2)) == _unequal(h)[:, :, None])),
+        ("B3", lambda h, a, b, c: _least(~(h[a, b] | h[a, c]), (a, b, c))),
+        ("B4", lambda h, *m: _least(
+            h[:, None, :, :] & h.transpose(1, 0, 2)[:, :, :, None] & ~h[None, :, :, :])),
+        ("B5", lambda h, *m: _least(
+            h[:, None, :, :] & h[None, :, :, :]
+            & ~(h | h.transpose(1, 0, 2))[:, :, :, None])),
     ), (
-        ("B6", lambda n, has, m: (
-            (a, b, c) for a, b, c in _tuples(n, 3)
-            if not has((a, b, c))
-            and not any(d != a and has((d, a, b)) and has((d, a, c)) for d in range(n)))),
+        ("B6", lambda h, *m: _least(~h & ~(
+            h.transpose(1, 2, 0)[:, :, None, :] & h.transpose(1, 2, 0)[:, None, :, :]
+            & _unequal(h)[:, None, None, :]).any(3))),
     )),
     "D": (4, 4, (
-        ("D1", lambda n, has, m: (
-            (a, b, c, d) for a, b, c, d in m
-            if not (has((b, a, c, d)) and has((a, b, d, c)) and has((c, d, a, b))))),
-        ("D2", lambda n, has, m: ((a, b, c, d) for a, b, c, d in m if has((a, c, b, d)))),
-        ("D3", lambda n, has, m: (
-            (a, b, c, d, e) for a, b, c, d in m for e in range(n)
-            if not (has((a, e, c, d)) or has((a, b, c, e))))),
-        ("D4", lambda n, has, m: (
-            (a, b, c) for a, b, c in _tuples(n, 3)
-            if len({a, b, c}) == 3 and not any(e != c and has((a, b, c, e)) for e in range(n)))),
+        ("D1", lambda h, a, b, c, d: _least(
+            ~(h[b, a, c, d] & h[a, b, d, c] & h[c, d, a, b]), (a, b, c, d))),
+        ("D2", lambda h, a, b, c, d: _least(h[a, c, b, d], (a, b, c, d))),
+        ("D3", lambda h, a, b, c, d: _least(~(h[a, :, c, d] | h[a, b, c]), (a, b, c, d))),
+        ("D4", lambda h, *m: _least(
+            _three_distinct(h) & ~(h & _unequal(h)[None, None, :, :]).any(3))),
     ), ()),
 }
 
@@ -294,8 +292,13 @@ _AXIOMS = {
 def check_axioms(rel, family):
     """Exhaustively evaluate the axiom list of the given family, returning
     every core axiom with its least counterexample and the infinite-scale
-    axioms as a separate reported list.  Raises CapExceeded before any
-    axiom runs when the widest loop would pass the element cap."""
+    axioms as a separate reported list.
+
+    The relation becomes one boolean membership array, n cells along
+    each position, and each axiom one mask over its candidates in the
+    order they are listed, so the first True cell is the least witness.
+    Raises CapExceeded before any array is built when the widest mask,
+    max(len(rel.tuples) * n, n**k) cells, would pass the element cap."""
     if family not in _AXIOMS:
         raise OutOfRange(f"unknown axiom family {family!r}")
     arity, k, core, reported = _AXIOMS[family]
@@ -304,13 +307,15 @@ def check_axioms(rel, family):
     n = rel.size
     count = max(len(rel.tuples) * n, n**k)
     check_cap(count, f"the {family} axiom audit on {n} points visits {count} candidates")
-    has = rel.tuples.__contains__
-    members = sorted(rel.tuples)
+    h = numpy.zeros((n,) * arity, dtype=bool)
+    if rel.tuples:
+        h[tuple(zip(*rel.tuples))] = True
+    members = h.nonzero()
 
     def audit(axioms):
         checks = []
-        for name, counterexamples in axioms:
-            witness = next(counterexamples(n, has, members), None)
+        for name, least in axioms:
+            witness = least(h, *members)
             checks.append(AxiomCheck(name, witness is None, witness))
         return tuple(checks)
 
@@ -323,8 +328,11 @@ def check_axioms(rel, family):
 def c_from_equivalence_chain(chain):
     """The ternary relation of a refinement chain of equivalence relations:
     the focus point falls outside some class that contains the other two.
-    Raises CapExceeded before the loop when the degree**3 triples it
-    visits pass the element cap."""
+
+    Each level tests row[b] == row[c] != row[a] on every triple in one
+    array pass, ORed into one degree**3 boolean array.  Raises
+    CapExceeded before that array is built when its degree**3 cells pass
+    the element cap."""
     chain = tuple(chain)
     if not chain:
         raise NotAChain("empty chain")
@@ -342,11 +350,11 @@ def c_from_equivalence_chain(chain):
             else:
                 coarser[key] = upper[p]
     check_cap(degree**3, f"a C-relation on {degree} points visits {degree**3} candidates")
-    tuples = []
-    for a, b, c in itertools.product(range(degree), repeat=3):
-        if any(row[b] == row[c] != row[a] for row in ids):
-            tuples.append((a, b, c))
-    return relation(3, degree, tuples)
+    triples = numpy.zeros((degree,) * 3, dtype=bool)
+    for row in ids:
+        same = numpy.equal.outer(row, row)
+        triples |= same[None, :, :] & ~same[:, None, :]
+    return relation(3, degree, zip(*(axis.tolist() for axis in triples.nonzero())))
 
 
 @dataclass(frozen=True)

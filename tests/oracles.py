@@ -1295,6 +1295,163 @@ PER_FAMILY_CHECKS = {
 }
 
 
+# The generator table that trees.check_axioms replaced with boolean masks,
+# kept as written: an axiom is its name and a function of (n, has, m), the
+# domain size, membership and the sorted tuples, that yields its
+# counterexamples least first, one frozenset lookup at a time.
+
+
+def _tuples(n, k):
+    return itertools.product(range(n), repeat=k)
+
+
+def _last_two_swapped(n, has, m):
+    return ((a, b, c) for a, b, c in m if not has((a, c, b)))
+
+
+def _dense(n, has, m):
+    def strictly(a, b):
+        return a != b and has((a, b))
+
+    return itertools.chain(
+        ((a, b) for a, b in _tuples(n, 2)
+         if strictly(a, b) and not any(strictly(a, c) and strictly(c, b) for c in range(n))),
+        ((a,) for a in range(n) if not any(strictly(a, c) for c in range(n))),
+    )
+
+
+GENERATOR_AXIOMS = {
+    "semilinear": (
+        (
+            ("reflexive", lambda n, has, m: ((a,) for a in range(n) if not has((a, a)))),
+            ("antisymmetric", lambda n, has, m: (
+                (a, b) for a, b in _tuples(n, 2) if a != b and has((a, b)) and has((b, a)))),
+            ("transitive", lambda n, has, m: (
+                (a, b, c) for a, b, c in _tuples(n, 3)
+                if has((a, b)) and has((b, c)) and not has((a, c)))),
+            ("upper-linear", lambda n, has, m: (
+                (a, b, c) for a, b, c in _tuples(n, 3)
+                if has((a, b)) and has((a, c)) and not (has((b, c)) or has((c, b))))),
+            ("upper-directed", lambda n, has, m: (
+                (a, b) for a, b in _tuples(n, 2)
+                if not any(has((a, c)) and has((b, c)) for c in range(n)))),
+        ),
+        (("dense", _dense),),
+    ),
+    "C": (
+        (
+            ("C1", _last_two_swapped),
+            ("C2", lambda n, has, m: ((a, b, c) for a, b, c in m if has((b, a, c)))),
+            ("C3", lambda n, has, m: (
+                (a, b, c, d) for a, b, c in m for d in range(n)
+                if not (has((a, c, d)) or has((d, b, c))))),
+            ("C4", lambda n, has, m: (
+                (a, b) for a, b in _tuples(n, 2) if a != b and not has((a, b, b)))),
+            ("C5", lambda n, has, m: (
+                (b, c) for b, c in _tuples(n, 2) if not any(has((a, b, c)) for a in range(n)))),
+            ("C6", lambda n, has, m: (
+                (a, b) for a, b in _tuples(n, 2)
+                if a != b and not any(d != b and has((a, b, d)) for d in range(n)))),
+        ),
+        (
+            ("C7", lambda n, has, m: (
+                (a, b, c) for a, b, c in m
+                if not any(has((a, b, d)) and has((d, b, c)) for d in range(n)))),
+        ),
+    ),
+    "B": (
+        (
+            ("B1", _last_two_swapped),
+            ("B2", lambda n, has, m: (
+                (a, b, c) for a, b, c in _tuples(n, 3)
+                if (has((a, b, c)) and has((b, a, c))) != (a == b))),
+            ("B3", lambda n, has, m: (
+                (a, b, c, d) for a, b, c in m for d in range(n)
+                if not (has((a, b, d)) or has((a, c, d))))),
+            ("B4", lambda n, has, m: (
+                (a, b, c, d) for a, b, c, d in _tuples(n, 4)
+                if has((a, c, d)) and has((b, a, c)) and not has((b, c, d)))),
+            ("B5", lambda n, has, m: (
+                (a, b, c, d) for a, b, c, d in _tuples(n, 4)
+                if has((a, c, d)) and has((b, c, d)) and not (has((a, b, c)) or has((b, a, c))))),
+        ),
+        (
+            ("B6", lambda n, has, m: (
+                (a, b, c) for a, b, c in _tuples(n, 3)
+                if not has((a, b, c))
+                and not any(d != a and has((d, a, b)) and has((d, a, c)) for d in range(n)))),
+        ),
+    ),
+    "D": (
+        (
+            ("D1", lambda n, has, m: (
+                (a, b, c, d) for a, b, c, d in m
+                if not (has((b, a, c, d)) and has((a, b, d, c)) and has((c, d, a, b))))),
+            ("D2", lambda n, has, m: ((a, b, c, d) for a, b, c, d in m if has((a, c, b, d)))),
+            ("D3", lambda n, has, m: (
+                (a, b, c, d, e) for a, b, c, d in m for e in range(n)
+                if not (has((a, e, c, d)) or has((a, b, c, e))))),
+            ("D4", lambda n, has, m: (
+                (a, b, c) for a, b, c in _tuples(n, 3)
+                if len({a, b, c}) == 3 and not any(e != c and has((a, b, c, e)) for e in range(n)))),
+        ),
+        (),
+    ),
+}
+
+
+def generator_checks(rel, family):
+    """check_axioms as the generator table evaluated it: the core and the
+    reported AxiomCheck lists, each witness the first counterexample."""
+    core, reported = GENERATOR_AXIOMS[family]
+    n = rel.size
+    has = rel.tuples.__contains__
+    members = sorted(rel.tuples)
+
+    def audit(axioms):
+        checks = []
+        for name, counterexamples in axioms:
+            witness = next(counterexamples(n, has, members), None)
+            checks.append(AxiomCheck(name, witness is None, witness))
+        return checks
+
+    return audit(core), audit(reported)
+
+
+def looped_c_from_equivalence_chain(chain):
+    """The tuple set of trees.c_from_equivalence_chain as its triple loop
+    built it: (a, b, c) when some level puts b and c in one class and a
+    outside it."""
+    ids = [p.index for p in chain]
+    degree = chain[0].degree
+    return frozenset(
+        (a, b, c)
+        for a, b, c in itertools.product(range(degree), repeat=3)
+        if any(row[b] == row[c] != row[a] for row in ids)
+    )
+
+
+def permuted_local_catalog(kind, d):
+    """orders._local_catalog as its loop derived it: the relation of each
+    of the d! linear orders on d points, derived from that order's ranks."""
+    from permlab.orders import _derive_from_ranks
+    from permlab.relations import relation
+
+    out = set()
+    for seq in itertools.permutations(range(d)):
+        ranks = [0] * d
+        for pos, p in enumerate(seq):
+            ranks[p] = pos
+        if kind == "linear":
+            rel = relation(
+                2, d, [(a, b) for a in range(d) for b in range(d) if ranks[a] < ranks[b]]
+            )
+        else:
+            rel = _derive_from_ranks(ranks, d, kind)
+        out.add(rel.tuples)
+    return frozenset(out)
+
+
 def first_value_cantor_forth(source, target):
     """orders.cantor_forth before its first value took the general step: the
     first source value went to the first target value, or was reported

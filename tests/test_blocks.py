@@ -6,8 +6,6 @@ import pytest
 
 from permlab import blocks
 from permlab.blocks import (
-    AlmostRegularDecomposition,
-    Orbital,
     almost_regular_decomposition,
     congruences,
     discrete_partition,
@@ -45,7 +43,7 @@ from permlab.groups import (
     subgroup_from_elements,
     symmetric_group,
 )
-from permlab.perms import compose, identity, parse_cycles
+from permlab.perms import compose
 
 import oracles
 

@@ -3,7 +3,6 @@ automorphisms, derived ternary/quaternary relations, local checks."""
 
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest

@@ -16,16 +16,14 @@ from permlab.groups import (
     GenGroup,
     cyclic_group,
     element_set,
-    enumerate_elements,
     group_from_cycles,
     is_transitive,
     order,
     symmetric_group,
 )
-from permlab.perms import Permutation, compose, identity
+from permlab.perms import compose, identity
 from permlab.suite import _corpus
 from permlab.wreath import (
-    EmbeddingReport,
     PosetIndex,
     ProductDomain,
     antichain_poset,
