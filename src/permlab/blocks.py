@@ -378,9 +378,7 @@ def orbital_graph(group: GenGroup, orb: Orbital) -> OrbitalGraphReport:
 # semiblocks
 
 
-def semiblocks(
-    group: GenGroup, alpha: int, cap: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def semiblocks(group: GenGroup, alpha: int) -> tuple[tuple[int, ...], ...]:
     """All semiblocks at alpha: sets containing alpha where any translate
     that meets alpha at all lands inside the set.
 
@@ -393,9 +391,9 @@ def semiblocks(
         raise NotTransitive("semiblocks are tracked for transitive actions")
     table = suborbits(group, alpha)
     others = [s for s in table.sets if alpha not in s]
-    count = (1 << len(others)) * order(group, cap)
-    check_cap(count, f"the semiblock scan on {group.degree} points visits {count} candidates", cap)
-    elements = enumerate_elements(group, cap)
+    count = (1 << len(others)) * order(group)
+    check_cap(count, f"the semiblock scan on {group.degree} points visits {count} candidates")
+    elements = enumerate_elements(group)
     found = []
     for take in range(1 << len(others)):
         candidate = {alpha}
@@ -414,11 +412,11 @@ def semiblocks(
     return tuple(found)
 
 
-def is_strongly_primitive(group: GenGroup, cap: int | None = None) -> bool:
+def is_strongly_primitive(group: GenGroup) -> bool:
     """Only the singleton and the whole domain are semiblocks at the base."""
     if group.degree < 2:
         raise TooSmall("strong primitivity needs at least 2 points")
-    found = semiblocks(group, 0, cap)
+    found = semiblocks(group, 0)
     return all(len(s) in (1, group.degree) for s in found)
 
 
@@ -467,9 +465,7 @@ def _first_base(group: GenGroup) -> tuple[int, ...]:
     return next(filter(None, (search((), size) for size in range(1, n + 1))))
 
 
-def almost_regular_decomposition(
-    group: GenGroup, cap: int | None = None
-) -> AlmostRegularDecomposition:
+def almost_regular_decomposition(group: GenGroup) -> AlmostRegularDecomposition:
     """Split a transitive group along a canonical normal subgroup N.
 
     m is the largest subdegree.  Over non-empty point sets Phi, m(Phi) is
@@ -491,7 +487,7 @@ def almost_regular_decomposition(
         raise NotTransitive("the decomposition needs a transitive action")
     table = suborbits(group, 0)
     m = max(table.subdegrees)
-    size = order(group, cap)
+    size = order(group)
     return AlmostRegularDecomposition(
         m=m,
         phi=_first_base(group),

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .blocks import congruences, is_primitive, orbital_graph, orbitals, suborbits
-from .config import AXIOM_FAMILIES, DEFAULT_SEED, element_cap
+from .config import AXIOM_FAMILIES, DEFAULT_SEED, check_cap, element_cap
 from .errors import CapExceeded, MalformedSyntax, OutOfRange, PermlabError, PointOutOfRange
 from .groups import (
     GenGroup,
@@ -92,7 +92,7 @@ def _envelope(payload) -> str:
     doc = {
         "schema": SCHEMA,
         "tool": {"name": "permlab", "version": __version__},
-        "cap": element_cap(None),
+        "cap": element_cap(),
         "report": payload,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -120,6 +120,7 @@ def _resolve_group(args) -> tuple[str, GenGroup, object]:
         raise OutOfRange("--gens needs --degree")
     if args.degree < 0:
         raise OutOfRange(f"--degree {args.degree} is negative")
+    check_cap(args.degree, f"a group on {args.degree} points")  # before any permutation
     gens = tuple(
         parse_cycles(part.strip(), args.degree) for part in args.gens.split(",")
     )
@@ -372,7 +373,9 @@ def _named_group(name: str) -> GenGroup:
         return fixture(name).group
     family, _, tail = name.rpartition("_")
     if family in _FAMILIES and tail.isdigit():
-        return _FAMILIES[family](int(tail))
+        degree = int(tail)
+        check_cap(degree, f"a group on {degree} points")  # before any permutation
+        return _FAMILIES[family](degree)
     raise OutOfRange(
         f"unknown group {name!r}: use a fixture name or family_N "
         f"with family in {sorted(_FAMILIES)}"

@@ -1,11 +1,11 @@
 """Runtime limits.
 
 Enumeration caps keep brute-force closures honest: any walk that would grow
-past the cap raises CapExceeded instead of thrashing.  The default can be
-overridden with the PERMLAB_CAP environment variable or per call.  A loop
-whose size is known before it starts is measured by check_cap, so every
-such refusal reads "<what>, past cap <cap>; PERMLAB_CAP=<count> would
-suffice".
+past the cap raises CapExceeded instead of thrashing.  The one cap is the
+PERMLAB_CAP environment variable, or DEFAULT_CAP when it is unset; the
+library and the CLI read it alike.  A loop whose size is known before it
+starts is measured by check_cap, so every such refusal reads "<what>, past
+cap <cap>; PERMLAB_CAP=<count> would suffice".
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ DEFAULT_SEED = 20260818
 AXIOM_FAMILIES = ("semilinear", "C", "B", "D")
 
 
-def element_cap(override: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit override > env var > default.
+def element_cap() -> int:
+    """The enumeration cap: PERMLAB_CAP when set, else DEFAULT_CAP.
 
     Raises BadSetting when PERMLAB_CAP is not an integer of at least 1.
     """
-    if override is not None:
-        return override
     env = os.environ.get("PERMLAB_CAP")
     if env is None:
         return DEFAULT_CAP
@@ -47,11 +45,11 @@ def element_cap(override: int | None = None) -> int:
     return cap
 
 
-def check_cap(count: int, what: str, cap: int | None = None) -> int:
-    """Resolve the cap as element_cap does and return it; raise CapExceeded
-    first when count, the size of the loop or table that what describes,
-    is past it, naming count as the PERMLAB_CAP that would suffice."""
-    limit = element_cap(cap)
+def check_cap(count: int, what: str) -> int:
+    """Return element_cap(); raise CapExceeded first when count, the size
+    of the loop or table that what describes, is past it, naming count as
+    the PERMLAB_CAP that would suffice."""
+    limit = element_cap()
     if count > limit:
         raise CapExceeded(f"{what}, past cap {limit}; PERMLAB_CAP={count} would suffice")
     return limit

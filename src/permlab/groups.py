@@ -373,17 +373,13 @@ def _chain(group: GenGroup) -> _Chain:
     return chain
 
 
-def _check_order(degree: int, generators: int, size: int, cap: int | None) -> None:
-    """check_cap on the order of a group of this degree and generator count."""
-    plural = "" if generators == 1 else "s"
-    what = f"group of degree {degree} with {generators} generator{plural} has order {size}"
-    check_cap(size, what, cap)
-
-
-def _capped_order(group: GenGroup, cap: int | None = None) -> int:
+def _capped_order(group: GenGroup) -> int:
     """|G| from the stabilizer chain; CapExceeded when it passes the cap."""
     size = _chain(group).order()
-    _check_order(group.degree, len(group.generators), size, cap)
+    count = len(group.generators)
+    plural = "" if count == 1 else "s"
+    what = f"group of degree {group.degree} with {count} generator{plural} has order {size}"
+    check_cap(size, what)
     return size
 
 
@@ -399,7 +395,7 @@ class _BfsPrefix:
     """
 
     def __init__(self, group: GenGroup, cap: int) -> None:
-        self.size = _capped_order(group, cap)
+        self.size = _capped_order(group)
         self.elements: list[Permutation] = []
         self._walk = _item_walk(identity(group.degree), compose, group.generators, cap)
 
@@ -445,15 +441,15 @@ def _bfs_elements(group: GenGroup, cap: int) -> tuple[Permutation, ...]:
     return tuple(_bfs_prefix(group, cap).finish())
 
 
-def enumerate_elements(group: GenGroup, cap: int | None = None) -> tuple[Permutation, ...]:
+def enumerate_elements(group: GenGroup) -> tuple[Permutation, ...]:
     """All elements in deterministic BFS word order (identity first).
 
-    Raises CapExceeded when the group has more than `cap` elements; the
+    Raises CapExceeded when the group has more elements than the cap; the
     stabilizer chain's order is compared with the cap before any element
     is built, and the finished list must have exactly that many elements.
     The list is the one every BFS-least search reads a prefix of.
     """
-    return _bfs_elements(group, element_cap(cap))
+    return _bfs_elements(group, element_cap())
 
 
 @_bounded_cache
@@ -461,18 +457,18 @@ def _element_set(group: GenGroup, cap: int) -> frozenset[Permutation]:
     return frozenset(_bfs_elements(group, cap))
 
 
-def element_set(group: GenGroup, cap: int | None = None) -> frozenset[Permutation]:
-    return _element_set(group, element_cap(cap))
+def element_set(group: GenGroup) -> frozenset[Permutation]:
+    return _element_set(group, element_cap())
 
 
-def order(group: GenGroup, cap: int | None = None) -> int:
+def order(group: GenGroup) -> int:
     """|G| from the stabilizer chain; CapExceeded when it passes the cap."""
-    return _capped_order(group, cap)
+    return _capped_order(group)
 
 
-def contains(group: GenGroup, f: Permutation, cap: int | None = None) -> bool:
+def contains(group: GenGroup, f: Permutation) -> bool:
     """Membership by sifting; CapExceeded when |G| passes the cap."""
-    _capped_order(group, cap)
+    _capped_order(group)
     return f.degree == group.degree and _chain(group).sift(f.images)[1] == group.degree
 
 
@@ -492,7 +488,7 @@ def _reduce_generators(
     Scans in the given order, keeping any element outside the running
     closure, which is tested by sifting through a stabilizer chain of the
     kept elements.  Each kept element at least doubles the closure, so at
-    most log2(n) generators survive.  Raises CapExceeded if the closure
+    most log2(n) generators survive.  Raises NotSubgroup if the closure
     outgrows the list.
     """
     chain = _Chain(degree)
@@ -503,7 +499,12 @@ def _reduce_generators(
             continue
         generators.append(candidate)
         size = chain.order()
-        _check_order(degree, len(generators), size, target)
+        if size > target:
+            for rest in elements:
+                chain.extend(rest.images)
+            raise NotSubgroup(
+                f"{target} elements are no subgroup: their closure has order {chain.order()}"
+            )
         if size == target:
             break
     return tuple(generators)
@@ -585,22 +586,22 @@ def point_stabilizer(group: GenGroup, point: int) -> GenGroup:
     return _pointwise_stabilizer(group, (_point_in_range(group, point),))[0]
 
 
-def pointwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> GenGroup:
+def pointwise_stabilizer(group: GenGroup, points) -> GenGroup:
     """G_(points), read off a stabilizer chain; CapExceeded when |G| passes
     the cap."""
-    _capped_order(group, cap)
+    _capped_order(group)
     wanted = tuple(sorted({_point_in_range(group, p) for p in points}))
     return _pointwise_stabilizer(group, wanted)[0]
 
 
-def setwise_stabilizer(group: GenGroup, points, cap: int | None = None) -> GenGroup:
+def setwise_stabilizer(group: GenGroup, points) -> GenGroup:
     """G_{points}, read off a chain; CapExceeded when |G| passes the cap.
 
     Each translate C of the set gets u_C from its first word.  The
     Schreier generators u_C g u_{C^g}^-1 (Seress 2003, 4.1) fill a chain
     up to |G| / |orbit|, and the group below its level 0 is returned.
     """
-    size = _capped_order(group, cap)
+    size = _capped_order(group)
     wanted = tuple(sorted({_point_in_range(group, p) for p in points}))
     words: dict[tuple[int, ...], tuple[int, ...]] = {}
     walk = _item_walk(wanted, _subset_image, group.generators, size, words)
@@ -725,9 +726,7 @@ class InducedAction:
     kind: str
 
 
-def induced_action(
-    group: GenGroup, kind: str, k: int, cap: int | None = None
-) -> InducedAction:
+def induced_action(group: GenGroup, kind: str, k: int) -> InducedAction:
     """Action on injective k-tuples ("tuples") or k-subsets ("subsets").
 
     Derived degree is n!/(n-k)! for tuples and C(n, k) for subsets; subsets
@@ -740,7 +739,7 @@ def induced_action(
         raise ValueError(f"unknown induced action kind {kind!r}")
     count, act = _INDUCED[kind]
     size = count(group.degree, k)
-    check_cap(size, f"derived domain of size {size}", cap)
+    check_cap(size, f"derived domain of size {size}")
     if kind == "tuples":
         items = tuple(itertools.permutations(range(group.degree), k))
     else:
@@ -753,7 +752,7 @@ def induced_action(
     return InducedAction(GenGroup(len(items), lifted), items, kind)
 
 
-def transitivity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
+def transitivity_degree(group: GenGroup, kmax: int) -> int:
     """Largest k <= kmax with a single orbit on injective j-tuples for all j <= k.
 
     The orbit of (0, ..., k-1) has as many tuples as the first k orbit
@@ -768,14 +767,14 @@ def transitivity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> i
     size = 1
     for k in range(1, kmax + 1):
         size *= lengths[k - 1]
-        check_cap(size, f"orbit of {tuple(range(k))} has {size} tuples", cap)
+        check_cap(size, f"orbit of {tuple(range(k))} has {size} tuples")
         if size != math.perm(group.degree, k):
             break
         best = k
     return best
 
 
-def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> int:
+def homogeneity_degree(group: GenGroup, kmax: int) -> int:
     """Largest k <= kmax with a single orbit on j-subsets for all j <= k.
 
     Walks the orbit of {0, ..., k-1}, which stops with CapExceeded once it
@@ -784,7 +783,7 @@ def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> in
     """
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
-    cap = element_cap(cap)
+    cap = element_cap()
     best = 0
     for k in range(1, kmax + 1):
         try:
@@ -805,10 +804,7 @@ def homogeneity_degree(group: GenGroup, kmax: int, cap: int | None = None) -> in
 
 
 def separation_search(
-    group: GenGroup,
-    gamma: frozenset[int] | set[int],
-    delta: frozenset[int] | set[int],
-    cap: int | None = None,
+    group: GenGroup, gamma: frozenset[int] | set[int], delta: frozenset[int] | set[int]
 ) -> Permutation | None:
     """BFS-least g with (gamma)g disjoint from delta, or None.
 
@@ -817,7 +813,7 @@ def separation_search(
     the BFS element list only up to its first hit.  Raises PointOutOfRange
     for a point outside the domain.
     """
-    elements = _bfs_prefix(group, element_cap(cap))
+    elements = _bfs_prefix(group, element_cap())
     gamma = frozenset(_point_in_range(group, p) for p in gamma)
     delta = frozenset(_point_in_range(group, p) for p in delta)
     for g in elements:
@@ -843,20 +839,18 @@ class CosetCoverReport:
     index_sum: Fraction
 
 
-def coset_cover_audit(
-    instance: CosetCoverInstance, cap: int | None = None
-) -> CosetCoverReport:
+def coset_cover_audit(instance: CosetCoverInstance) -> CosetCoverReport:
     """Audit a finite union of cosets Y_i x_i against the whole group.
 
     Exact index arithmetic; when the cover is exhaustive and irredundant the
     reciprocal index sum is at least 1, and this audit raises AxiomsFailed
     otherwise.
     """
-    whole = element_set(instance.group, cap)
+    whole = element_set(instance.group)
     cosets: list[frozenset[Permutation]] = []
     indices: list[int] = []
     for subgroup, representative in instance.parts:
-        members = element_set(subgroup, cap)
+        members = element_set(subgroup)
         if not members <= whole or representative not in whole:
             raise NotSubgroup("cover part does not live inside the group")
         cosets.append(frozenset(compose(y, representative) for y in members))

@@ -86,13 +86,13 @@ EXACT_RANK_LIMIT = 130
 # is 12.8 M cells; the widest inclusion matrix on 12 points is 924 x 792.
 CELLS_PER_CAP = 64
 
-def _check_cells(n_rows: int, n_cols: int, cap: int | None = None) -> None:
+def _check_cells(n_rows: int, n_cols: int) -> None:
     """Raise CapExceeded before a dense n_rows x n_cols allocation past the
-    cell budget of the cap (the active one by default): each unit of the
-    cap admits CELLS_PER_CAP cells."""
+    cell budget of the cap: each unit of the cap admits CELLS_PER_CAP
+    cells."""
     cells = n_rows * n_cols
     what = f"{cells} cells in a dense {n_rows}x{n_cols} matrix at {CELLS_PER_CAP} per unit of cap"
-    check_cap(-(-cells // CELLS_PER_CAP), what, cap)
+    check_cap(-(-cells // CELLS_PER_CAP), what)
 
 
 def _dense_rows(ones: tuple[tuple[int, ...], ...], n_cols: int) -> tuple[tuple[int, ...], ...]:
@@ -253,7 +253,7 @@ def _signs(rows: numpy.ndarray, cols: numpy.ndarray) -> numpy.ndarray:
     return 1 - 2 * (rows @ cols.T & 1)
 
 
-def _check_sign_cells(n: int, steps, cap: int | None = None) -> None:
+def _check_sign_cells(n: int, steps) -> None:
     """Check the largest array the sign maps of the (low, high) steps need
     against the cell budget, before any is allocated: a membership array,
     C(n, m) x n, for each level, or a sign array, C(n, high) x C(n, low),
@@ -261,7 +261,7 @@ def _check_sign_cells(n: int, steps, cap: int | None = None) -> None:
     levels = {m for step in steps for m in step}
     shapes = [(math.comb(n, m), n) for m in levels]
     shapes += [(math.comb(n, high), math.comb(n, low)) for low, high in steps]
-    _check_cells(*max(shapes, key=math.prod), cap)
+    _check_cells(*max(shapes, key=math.prod))
 
 
 def _sign_matrix(n: int, r: int, s: int) -> ExactMatrix:
@@ -517,7 +517,7 @@ def _cycle_types(table: numpy.ndarray) -> dict[tuple[int, ...], int]:
     return types
 
 
-def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int | None) -> list[int]:
+def _fixed_subset_totals(group: GenGroup, kmax: int) -> list[int]:
     """Fixed k-subsets summed over the whole group, for k = 0..kmax.
 
     |G| from the stabilizer chain is checked against the cap first, and
@@ -527,7 +527,7 @@ def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int | None) -> list[in
     they are counted per cycle type, and the count of fixed subsets is
     worked out once per type.
     """
-    _capped_order(group, cap)
+    _capped_order(group)
     totals = [0] * (kmax + 1)
     for lengths, count in _cycle_types(_element_table(group)).items():
         for j, ways in enumerate(_fixed_subset_counts(lengths, kmax)):
@@ -535,7 +535,7 @@ def _fixed_subset_totals(group: GenGroup, kmax: int, cap: int | None) -> list[in
     return totals
 
 
-def _subset_orbit_count(group: GenGroup, k: int, cap: int | None = None) -> int:
+def _subset_orbit_count(group: GenGroup, k: int) -> int:
     """Orbits of G on its k-subsets, from the generators' images alone.
 
     C(n, k) is checked against the cap before any subset is listed.  Each
@@ -551,7 +551,7 @@ def _subset_orbit_count(group: GenGroup, k: int, cap: int | None = None) -> int:
     """
     n = group.degree
     size = math.comb(n, k)
-    check_cap(size, f"derived domain of size {size}", cap)
+    check_cap(size, f"derived domain of size {size}")
     subsets = numpy.array(_subsets_colex(n, k), dtype=numpy.intp)
     # C(x, i + 1) where point x may sit at place i, n - k + i at the most:
     # each term is at most the last subset's rank, below C(n, k)
@@ -576,9 +576,7 @@ def _subset_orbit_count(group: GenGroup, k: int, cap: int | None = None) -> int:
         labels = lowered
 
 
-def orbit_count_inequality(
-    group: GenGroup, kmax: int, cap: int | None = None
-) -> tuple[int, ...]:
+def orbit_count_inequality(group: GenGroup, kmax: int) -> tuple[int, ...]:
     """Orbit counts on k-subsets for k = 0..kmax, with the growth law.
 
     Counts come from the generators' images on the colex k-subsets
@@ -595,11 +593,11 @@ def orbit_count_inequality(
     n = group.degree
     if not 0 <= kmax <= n:
         raise OutOfRange(f"kmax={kmax} outside 0..{n}")
-    size = order(group, cap)
-    totals = _fixed_subset_totals(group, kmax, cap)
+    size = order(group)
+    totals = _fixed_subset_totals(group, kmax)
     counts = [1]
     for k in range(1, kmax + 1):
-        count = _subset_orbit_count(group, k, cap)
+        count = _subset_orbit_count(group, k)
         if totals[k] != count * size:
             raise AxiomsFailed(
                 f"{count} orbits on {k}-subsets, but the Burnside average is "
@@ -643,9 +641,7 @@ def _theta_rank(n: int, r: int, s: int) -> int:
     return _module_rank(n, r, s, signs.__matmul__)
 
 
-def theta_exploration(
-    n: int, r: int, s: int, t: int, cap: int | None = None
-) -> ThetaReport:
+def theta_exploration(n: int, r: int, s: int, t: int) -> ThetaReport:
     """Compose the sign maps level r -> s -> t and compare with r -> t.
 
     The widest level is checked against the cap first, then every array
@@ -661,8 +657,8 @@ def theta_exploration(
     if not 0 <= r <= s <= t <= n:
         raise OutOfRange(f"levels ({r},{s},{t}) not increasing within 0..{n}")
     widest = max(math.comb(n, m) for m in (r, s, t))
-    check_cap(widest, f"{widest} subsets on one level of {n} points", cap)
-    _check_sign_cells(n, [(r, s), (s, t), (r, t)], cap)
+    check_cap(widest, f"{widest} subsets on one level of {n} points")
+    _check_sign_cells(n, [(r, s), (s, t), (r, t)])
     members = {m: _members(n, _subsets_colex(n, m)) for m in {r, s, t}}
     theta_rt = _signs(members[t], members[r])
     composite = _signs(members[t], members[s]) @ _signs(members[s], members[r])

@@ -111,7 +111,7 @@ def _component(group: GenGroup, allowed: frozenset[int], seed: int) -> tuple[int
         current = frozenset(reached)
 
 
-def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness | None:
+def is_jordan(group: GenGroup, gamma) -> JordanWitness | None:
     """Test one candidate set, returning a witness or None.
 
     Checks that the pointwise stabilizer of the complement has a single
@@ -126,7 +126,7 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
         raise TooSmall("a Jordan set needs at least two points")
     points = tuple(sorted(wanted))
     complement = tuple(p for p in range(group.degree) if p not in wanted)
-    order(group, cap)  # the cap check, as pointwise_stabilizer makes it
+    order(group)  # the cap check, as pointwise_stabilizer makes it
     inside, size = _pointwise_stabilizer(group, complement)
     if set(orbit(inside, points[0]).points) != wanted:
         return None
@@ -136,12 +136,12 @@ def is_jordan(group: GenGroup, gamma, cap: int | None = None) -> JordanWitness |
         for g in inside.generators
     )
     k = len(complement)
-    proper = transitivity_degree(group, k + 1, cap) < k + 1
+    proper = transitivity_degree(group, k + 1) < k + 1
     return JordanWitness(points, GenGroup(len(points), restricted), proper, size, points)
 
 
 def _jordan_translates(
-    group: GenGroup, sizes, cap: int | None
+    group: GenGroup, sizes
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each subset that is one orbit of the pointwise stabilizer of its
     complement, mapped to (A, g): A the representative of its G-orbit,
@@ -173,8 +173,8 @@ def _jordan_translates(
             if not 2 <= m <= n:
                 raise OutOfRange(f"size {m} outside 2..{n}")
     count = sum(math.comb(n, m) for m in wanted_sizes)
-    limit = check_cap(count, f"{count} candidate subsets", cap)
-    size = order(group, cap)
+    limit = check_cap(count, f"{count} candidate subsets")
+    size = order(group)
     if not wanted_sizes:
         return {}
     smallest = wanted_sizes[0]
@@ -205,9 +205,7 @@ def _jordan_translates(
     return {a: found[a] for a in sorted(found, key=lambda a: (len(a), a))}
 
 
-def jordan_sets(
-    group: GenGroup, sizes=None, cap: int | None = None
-) -> tuple[JordanWitness, ...]:
+def jordan_sets(group: GenGroup, sizes=None) -> tuple[JordanWitness, ...]:
     """All Jordan sets of the group, optionally restricted to given sizes,
     by ascending size then lexicographically.
 
@@ -223,12 +221,12 @@ def jordan_sets(
     """
     certified: dict[tuple[int, ...], JordanWitness] = {}
     found: list[JordanWitness] = []
-    for points, (representative, g) in _jordan_translates(group, sizes, cap).items():
+    for points, (representative, g) in _jordan_translates(group, sizes).items():
         if representative not in certified:
-            witness = is_jordan(group, representative, cap)
+            witness = is_jordan(group, representative)
             if witness is None:
                 raise AxiomsFailed(f"scanned set {representative} has no Jordan witness")
-            size = order(witness.witness_group, cap)
+            size = order(witness.witness_group)
             if size != witness.witness_order:
                 raise AxiomsFailed(
                     f"witness of {representative} has order {size},"
@@ -275,9 +273,7 @@ def _connected_inside(inside: GenGroup, members: tuple[int, ...]) -> bool:
     return len(orbit(inside, members[0]).points) == len(members)
 
 
-def maximal_jordan_avoiding(
-    group: GenGroup, avoid, seed: int | None = None, cap: int | None = None
-):
+def maximal_jordan_avoiding(group: GenGroup, avoid, seed: int | None = None):
     """Maximal Jordan sets disjoint from a prescribed point set.
 
     With a seed point, returns the unique maximal Jordan set through the
@@ -288,7 +284,7 @@ def maximal_jordan_avoiding(
     """
     banned = _point_set(group, avoid)
     allowed = frozenset(range(group.degree)) - banned
-    order(group, cap)  # the cap check, before the seed is validated
+    order(group)  # the cap check, before the seed is validated
     if seed is not None:
         _point_in_range(group, seed)
         if seed in banned:
@@ -305,7 +301,7 @@ def maximal_jordan_avoiding(
     return tuple(out)
 
 
-def span(group: GenGroup, points, cap: int | None = None) -> tuple[int, ...]:
+def span(group: GenGroup, points) -> tuple[int, ...]:
     """Points in no Jordan set avoiding the given ones.
 
     The complement of the union of the maximal Jordan sets avoiding the
@@ -314,7 +310,7 @@ def span(group: GenGroup, points, cap: int | None = None) -> tuple[int, ...]:
     recovers the lines, and for a symmetric group it is the identity on
     small sets.
     """
-    covered = set().union(*maximal_jordan_avoiding(group, points, cap=cap))
+    covered = set().union(*maximal_jordan_avoiding(group, points))
     return tuple(p for p in range(group.degree) if p not in covered)
 
 
@@ -334,9 +330,7 @@ class SpanGeometry:
         raise OutOfRange(f"span table only covers sets of at most {self.size_cap + 1}")
 
 
-def span_geometry(
-    group: GenGroup, size_cap: int = 2, cap: int | None = None
-) -> SpanGeometry:
+def span_geometry(group: GenGroup, size_cap: int = 2) -> SpanGeometry:
     """Tabulate spans of every subset of size at most size_cap + 1.
 
     Rows come by size, then lexicographically.  Since g maps Jordan sets
@@ -351,13 +345,13 @@ def span_geometry(
     if size_cap < 0:
         raise OutOfRange("size_cap must be nonnegative")
     count = sum(math.comb(n, m) for m in range(min(size_cap + 1, n) + 1))
-    check_cap(count, f"{count} table rows", cap)
+    check_cap(count, f"{count} table rows")
     rows = []
     for m in range(min(size_cap + 1, n) + 1):
         spans: dict[tuple[int, ...], tuple[int, ...]] = {}
         for combo in itertools.combinations(range(n), m):
             if combo not in spans:
-                closed = span(group, combo, cap)
+                closed = span(group, combo)
                 words: dict[tuple[int, ...], tuple[int, ...]] = {}
                 for translate in _item_walk(
                     combo, _subset_image, group.generators, math.comb(n, m), words
@@ -418,11 +412,9 @@ def _tuple_orbits(group: GenGroup, tuples: tuple[tuple[int, ...], ...]) -> int:
     return orbits
 
 
-def geometry_audit(
-    group: GenGroup, size_cap: int = 2, cap: int | None = None
-) -> GeometryAudit:
+def geometry_audit(group: GenGroup, size_cap: int = 2) -> GeometryAudit:
     """Build the span table and audit it as a combinatorial geometry."""
-    geometry = span_geometry(group, size_cap, cap)
+    geometry = span_geometry(group, size_cap)
     table = {frozenset(k): frozenset(v) for k, v in geometry.table}
     n = group.degree
 
@@ -434,7 +426,7 @@ def geometry_audit(
         if a < b
     )
     idempotent = all(
-        tuple(sorted(v)) == span(group, v, cap) for v in set(table.values())
+        tuple(sorted(v)) == span(group, v) for v in set(table.values())
     )
 
     exchange = True
@@ -459,7 +451,7 @@ def geometry_audit(
             break
 
     empty_span = tuple(sorted(table[frozenset()]))
-    if transitivity_degree(group, min(2, n), cap) >= 2:
+    if transitivity_degree(group, min(2, n)) >= 2:
         singleton_spans_fixed = all(
             table[frozenset([p])] == frozenset([p]) for p in range(n)
         )

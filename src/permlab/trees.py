@@ -364,13 +364,13 @@ class FiniteCModel:
     relation: Relation
 
 
-def finite_c_model(k, s, cap=None):
+def finite_c_model(k, s):
     """All functions {1..k} -> alphabet of size s, chained by agreement on
     ever-shorter tails, with the induced ternary relation."""
     if k < 1 or s < 2:
         raise OutOfRange("need k >= 1 positions and an alphabet of size s >= 2")
     count = s ** k
-    check_cap(count, f"{count} functions", cap)
+    check_cap(count, f"{count} functions")
     functions = tuple(itertools.product(range(s), repeat=k))
     chain = []
     for level in range(k + 1):
@@ -382,7 +382,7 @@ def finite_c_model(k, s, cap=None):
     return FiniteCModel(functions, tuple(chain), rel)
 
 
-def lambda_word_model(rationals, s, cap=None):
+def lambda_word_model(rationals, s):
     """Poset of words q1 u1 q2 u2 ... qt with strictly descending rationals
     and letters from an alphabet of size s - 1; a word sits below another
     when the shorter one is a block-prefix with a dominating final rational."""
@@ -397,7 +397,7 @@ def lambda_word_model(rationals, s, cap=None):
     count = 0
     for t in range(1, m + 1):
         count += math.comb(m, t) * (s - 1) ** (t - 1)
-    check_cap(count**2, f"the order matrix of {count} words visits {count**2} candidates", cap)
+    check_cap(count**2, f"the order matrix of {count} words visits {count**2} candidates")
     words = []
     for t in range(1, m + 1):
         for qs in itertools.combinations(sorted(rationals, reverse=True), t):

@@ -71,7 +71,7 @@ def fiber_partition(a_degree: int, b_degree: int) -> Partition:
     return partition_from_blocks(domain.total, classes)
 
 
-def wreath(a: GenGroup, b: GenGroup, cap: int | None = None) -> GenGroup:
+def wreath(a: GenGroup, b: GenGroup) -> GenGroup:
     """Imprimitive wreath product acting on the product of the two domains.
 
     Generators: one copy of each bottom generator per top point (moving one
@@ -79,15 +79,11 @@ def wreath(a: GenGroup, b: GenGroup, cap: int | None = None) -> GenGroup:
     (gamma, delta) moves to (gamma f(delta), delta b).  This is
     wreath_variation1 with both top actions b and the identity for pi.
     """
-    return wreath_variation1(a, b, b, tuple(range(b.degree)), cap)
+    return wreath_variation1(a, b, b, tuple(range(b.degree)))
 
 
 def wreath_variation1(
-    a: GenGroup,
-    b_on_delta: GenGroup,
-    b_on_phi: GenGroup,
-    pi: tuple[int, ...],
-    cap: int | None = None,
+    a: GenGroup, b_on_delta: GenGroup, b_on_phi: GenGroup, pi: tuple[int, ...]
 ) -> GenGroup:
     """Wreath action twisted through an equivariant map of top domains.
 
@@ -105,7 +101,7 @@ def wreath_variation1(
             if pi[t_delta.images[delta]] != t_phi.images[pi[delta]]:
                 raise NotAMorphism("pi does not commute with the top action")
     domain = ProductDomain((a.degree, b_on_delta.degree))
-    check_cap(domain.total, f"product domain of size {domain.total}", cap)
+    check_cap(domain.total, f"product domain of size {domain.total}")
     generators: list[Permutation] = []
     for phi in range(b_on_phi.degree):
         for s in a.generators:
@@ -166,11 +162,7 @@ def antichain_poset(size: int) -> PosetIndex:
     )
 
 
-def generalized_wreath(
-    poset: PosetIndex,
-    components: tuple[GenGroup, ...],
-    cap: int | None = None,
-) -> GenGroup:
+def generalized_wreath(poset: PosetIndex, components: tuple[GenGroup, ...]) -> GenGroup:
     """Wreath product over a finite poset.
 
     Coordinate i is rewritten by a component element chosen as a function
@@ -186,7 +178,7 @@ def generalized_wreath(
     if len(components) != poset.size:
         raise ValueError("one component per poset element")
     domain = ProductDomain(tuple(c.degree for c in components))
-    check_cap(domain.total, f"product domain of size {domain.total}", cap)
+    check_cap(domain.total, f"product domain of size {domain.total}")
     generators: list[Permutation] = []
     for i, component in enumerate(components):
         above = poset.strictly_above(i)
@@ -206,13 +198,13 @@ def generalized_wreath(
     return GenGroup(domain.total, tuple(generators))
 
 
-def wreath_tower(chain: tuple[GenGroup, ...], cap: int | None = None) -> GenGroup:
+def wreath_tower(chain: tuple[GenGroup, ...]) -> GenGroup:
     """Left-nested iterated wreath product of a chain of groups."""
     if not chain:
         raise ValueError("need at least one group")
     tower = chain[0]
     for top in chain[1:]:
-        tower = wreath(tower, top, cap)
+        tower = wreath(tower, top)
     return tower
 
 
@@ -231,7 +223,7 @@ class EmbeddingReport:
 
 
 def imprimitive_embedding(
-    group: GenGroup, rho: Partition, cap: int | None = None
+    group: GenGroup, rho: Partition
 ) -> tuple[dict[int, int], dict[Permutation, Permutation], EmbeddingReport]:
     """Embed a transitive group with a proper congruence into a wreath product.
 
@@ -257,7 +249,7 @@ def imprimitive_embedding(
 
     # BFS-least transversal: first enumerated element carrying the base
     # block onto each block
-    elements = enumerate_elements(group, cap)
+    elements = enumerate_elements(group)
     transversal: dict[int, Permutation] = {}
     for g in elements:
         target = block_of[g.images[base_block[0]]]
@@ -267,7 +259,7 @@ def imprimitive_embedding(
             break
 
     # bottom group: setwise stabilizer of the base block, restricted
-    setwise = setwise_stabilizer(group, base_block, cap)
+    setwise = setwise_stabilizer(group, base_block)
     bottom_generators = tuple(
         Permutation(
             tuple(position_in_base[s.images[point]] for point in base_block)
@@ -283,7 +275,7 @@ def imprimitive_embedding(
     )
     top = GenGroup(len(blocks), top_generators)
 
-    w = wreath(bottom, top, cap)
+    w = wreath(bottom, top)
     domain = ProductDomain((bottom.degree, top.degree))
 
     # images of each transversal element's inverse and the product point
@@ -320,7 +312,7 @@ def imprimitive_embedding(
         for g in group.generators
         for point in range(group.degree)
     )
-    wreath_order = order(w, cap)
+    wreath_order = order(w)
     report = EmbeddingReport(
         group_order=len(elements),
         wreath_order=wreath_order,

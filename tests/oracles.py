@@ -318,7 +318,7 @@ def queue_orbit_words(group, alpha: int) -> dict[int, tuple[int, ...]]:
     return words
 
 
-def filtered_setwise_stabilizer(group, points, cap: int | None = None):
+def filtered_setwise_stabilizer(group, points):
     """The library's setwise stabilizer before it was read off a chain:
     the elements mapping the set onto itself, filtered from the element
     list, and the greedy generating set of what is kept."""
@@ -327,7 +327,7 @@ def filtered_setwise_stabilizer(group, points, cap: int | None = None):
     wanted = frozenset(points)
     keep = tuple(
         g
-        for g in enumerate_elements(group, cap)
+        for g in enumerate_elements(group)
         if frozenset(g.images[p] for p in wanted) == wanted
     )
     return subgroup_from_elements(keep, group.degree)
@@ -426,7 +426,7 @@ def support_jordan_scan(degree: int, generators, sizes=None, cap: int = 200_000)
     return tuple(out)
 
 
-def support_almost_regular_decomposition(group, cap: int | None = None):
+def support_almost_regular_decomposition(group):
     """The library's almost-regular decomposition before it read the
     minimum base, N and the quotient off stabilizer chains: the base
     search meets every inclusion-minimal support, N filters the element
@@ -452,7 +452,7 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
         raise NotTransitive("the decomposition needs a transitive action")
     table = suborbits(group, 0)
     m = max(table.subdegrees)
-    all_masks = [mask for mask, _ in support_edges(enumerate_elements(group, cap))]
+    all_masks = [mask for mask, _ in support_edges(enumerate_elements(group))]
     masks = tuple(
         mk for mk in all_masks if not any(other != mk and other & mk == other for other in all_masks)
     )
@@ -467,10 +467,10 @@ def support_almost_regular_decomposition(group, cap: int | None = None):
             break
     first_witness = witnesses[0]
     m0 = 1
-    elements = enumerate_elements(group, cap)
+    elements = enumerate_elements(group)
     candidates = set(elements)
     for phi in witnesses:
-        stab = pointwise_stabilizer(group, phi, cap)
+        stab = pointwise_stabilizer(group, phi)
         short_orbits = [set(o) for o in orbits(stab) if len(o) == m0]
         candidates = {
             g
@@ -544,16 +544,16 @@ def per_element_burnside_totals(elements, kmax: int) -> list[int]:
     return totals
 
 
-def enumerated_embedding_report(group, rho, cap: int | None = None):
+def enumerated_embedding_report(group, rho):
     """imprimitive_embedding's report before the wreath order came off a
     stabilizer chain: psi is built on the whole element list and the
     wreath product is enumerated for its order.  The group and wreath
     helpers are the library's own, and the setwise stabilizer is
     ``filtered_setwise_stabilizer``."""
-    return enumerated_embedding(group, rho, cap)[2]
+    return enumerated_embedding(group, rho)[2]
 
 
-def enumerated_embedding(group, rho, cap: int | None = None):
+def enumerated_embedding(group, rho):
     """(phi, psi, report) as enumerated_embedding_report builds them: each
     fiber of psi is the composite transversal[delta], g, and the inverse
     of the transversal element of the block g moves delta to, inverted
@@ -567,9 +567,9 @@ def enumerated_embedding(group, rho, cap: int | None = None):
     base_block = blocks[0]
     position_in_base = {point: i for i, point in enumerate(base_block)}
     transversal: dict[int, Permutation] = {}
-    for g in enumerate_elements(group, cap):
+    for g in enumerate_elements(group):
         transversal.setdefault(block_of[g.images[base_block[0]]], g)
-    setwise = filtered_setwise_stabilizer(group, base_block, cap)
+    setwise = filtered_setwise_stabilizer(group, base_block)
     bottom = GenGroup(
         len(base_block),
         tuple(
@@ -584,7 +584,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
             for g in group.generators
         ),
     )
-    w = wreath(bottom, top, cap)
+    w = wreath(bottom, top)
     domain = ProductDomain((bottom.degree, top.degree))
     phi = {}
     for point in range(group.degree):
@@ -603,7 +603,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
                 )
         return Permutation(tuple(images))
 
-    elements = enumerate_elements(group, cap)
+    elements = enumerate_elements(group)
     psi = {g: psi_of(g) for g in elements}
     injective = len(set(psi.values())) == len(elements)
     compatible = all(
@@ -611,7 +611,7 @@ def enumerated_embedding(group, rho, cap: int | None = None):
         for g in group.generators
         for point in range(group.degree)
     )
-    wreath_order = len(enumerate_elements(w, cap))
+    wreath_order = len(enumerate_elements(w))
     return phi, psi, EmbeddingReport(
         group_order=len(elements),
         wreath_order=wreath_order,
@@ -956,7 +956,7 @@ def schreier_sims_pointwise_stabilizer(group, points: tuple[int, ...]):
     return GenGroup(group.degree, generators), math.prod(chain.orbit_lengths()[level:])
 
 
-def sorted_complement_jordan_scan(group, sizes, cap: int | None):
+def sorted_complement_jordan_scan(group, sizes):
     """The library's Jordan scan before the walk over closed complements:
     a depth-first walk over the sorted complements S, each stabilizer taken
     from its memoized prefix's, whose children add no point past the least
@@ -975,9 +975,9 @@ def sorted_complement_jordan_scan(group, sizes, cap: int | None):
             if not 2 <= m <= n:
                 raise OutOfRange(f"size {m} outside 2..{n}")
     count = sum(math.comb(n, m) for m in wanted_sizes)
-    if count > element_cap(cap):
+    if count > element_cap():
         raise CapExceeded(f"{count} candidate subsets passes the cap")
-    order(group, cap)
+    order(group)
     depths = {n - m for m in wanted_sizes}
     deepest = max(depths, default=-1)
     hits = []
@@ -997,7 +997,7 @@ def sorted_complement_jordan_scan(group, sizes, cap: int | None):
     return tuple(sorted(hits, key=lambda a: (len(a), a)))
 
 
-def rowwise_span_table(group, size_cap: int, cap: int | None = None):
+def rowwise_span_table(group, size_cap: int):
     """span_geometry's table before it ran one span per G-orbit: ``span``
     on every subset of size at most size_cap + 1, by size, then
     lexicographically."""
@@ -1005,7 +1005,7 @@ def rowwise_span_table(group, size_cap: int, cap: int | None = None):
 
     n = group.degree
     return tuple(
-        (combo, span(group, combo, cap))
+        (combo, span(group, combo))
         for m in range(min(size_cap + 1, n) + 1)
         for combo in itertools.combinations(range(n), m)
     )

@@ -51,7 +51,7 @@ def test_burnside_totals_equal_the_per_element_sum(name):
     group = GROUPS[name]
     kmax = group.degree
     expected = oracles.per_element_burnside_totals(bfs_list(name), kmax)
-    assert _fixed_subset_totals(group, kmax, DEFAULT_CAP) == expected
+    assert _fixed_subset_totals(group, kmax) == expected
 
 
 def test_extra_groups_reach_past_a_packed_key():
@@ -76,15 +76,16 @@ def test_cap_below_the_order_raises_before_any_table(name, group, monkeypatch):
     size = order(group)
     if size == 1:
         pytest.skip("no cap below the order")
+    monkeypatch.setenv("PERMLAB_CAP", str(size - 1))
     with pytest.raises(CapExceeded) as expected:
-        order(group, size - 1)
+        order(group)
 
     def unreachable(group):
         raise AssertionError("element table built past the cap")
 
     monkeypatch.setattr(incidence, "_element_table", unreachable)
     with pytest.raises(CapExceeded) as found:
-        _fixed_subset_totals(group, group.degree, size - 1)
+        _fixed_subset_totals(group, group.degree)
     assert str(found.value) == str(expected.value)
 
 
@@ -93,7 +94,7 @@ def test_burnside_sum_builds_no_wide_int64_array():
     rows = order(group)
     tracemalloc.start()
     try:
-        _fixed_subset_totals(group, group.degree, DEFAULT_CAP)
+        _fixed_subset_totals(group, group.degree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -105,7 +106,7 @@ def test_burnside_sum_builds_no_wide_int64_array():
 
 @pytest.mark.parametrize("name,group", CORPUS, ids=IDS)
 def test_comparability_equals_the_frozenset_loop(name, group):
-    catalog = [frozenset(a) for a in _jordan_translates(group, None, None)]
+    catalog = [frozenset(a) for a in _jordan_translates(group, None)]
     found = _translate_comparability_problems(name, group, catalog)
     assert found == oracles.frozenset_translate_comparability(name, group, catalog)
 
@@ -116,7 +117,7 @@ def test_comparability_equals_the_frozenset_loop(name, group):
 )
 def test_comparability_reports_an_injected_pair_like_the_loop(name, injected):
     group = dict(CORPUS)[name]
-    catalog = [frozenset(a) for a in _jordan_translates(group, None, None)]
+    catalog = [frozenset(a) for a in _jordan_translates(group, None)]
     middle = len(catalog) // 2
     doctored = catalog[:middle] + [frozenset(injected)] + catalog[middle:]
     expected = oracles.frozenset_translate_comparability(name, group, doctored)

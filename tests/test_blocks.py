@@ -350,15 +350,17 @@ def test_semiblocks_match_full_subset_scan():
         assert set(semiblocks(g, 0)) == brute_force_semiblocks(g, 0)
 
 
-def test_semiblocks_cap_counts_unions_times_elements():
+def test_semiblocks_cap_counts_unions_times_elements(monkeypatch):
     # C6 has 6 suborbits, so 2**5 unions hold 0, each checked against 6 elements
+    monkeypatch.setenv("PERMLAB_CAP", "191")
     with pytest.raises(CapExceeded) as info:
-        semiblocks(cyclic_group(6), 0, cap=191)
+        semiblocks(cyclic_group(6), 0)
     assert str(info.value) == (
         "the semiblock scan on 6 points visits 192 candidates, past cap 191;"
         " PERMLAB_CAP=192 would suffice"
     )
-    assert semiblocks(cyclic_group(6), 0, cap=192) == ((0,), (0, 3), (0, 2, 4), tuple(range(6)))
+    monkeypatch.setenv("PERMLAB_CAP", "192")
+    assert semiblocks(cyclic_group(6), 0) == ((0,), (0, 3), (0, 2, 4), tuple(range(6)))
 
 
 def test_semiblocks_past_the_cap_list_no_element(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from permlab import groups
 from permlab.blocks import suborbits
 from permlab.config import DEFAULT_CAP
-from permlab.errors import AxiomsFailed, CapExceeded
+from permlab.errors import AxiomsFailed, CapExceeded, NotSubgroup
 from permlab.fixtures import fixture
 from permlab.groups import (
     GenGroup,
@@ -81,7 +81,7 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("name,group", CORPUS, ids=[name for name, _ in CORPUS])
-def test_transitivity_degree_matches_the_tuple_walk(name, group):
+def test_transitivity_degree_matches_the_tuple_walk(name, group, monkeypatch):
     n, gens = group.degree, group.generators
     for kmax in range(n + 1):
         assert transitivity_degree(group, kmax) == oracles.tuple_walk_transitivity_degree(
@@ -94,15 +94,16 @@ def test_transitivity_degree_matches_the_tuple_walk(name, group):
         if sizes[-1] != math.perm(n, k):
             break
     for cap in {c for size in sizes for c in (size, size - 1) if c > 0}:
+        monkeypatch.setenv("PERMLAB_CAP", str(cap))
         stop = next((k for k, size in enumerate(sizes, 1) if size > cap), None)
         kmaxes = {n} if stop is None else {stop - 1, stop, n}
         for kmax in kmaxes:
-            assert _outcome(transitivity_degree, group, kmax, cap) == _outcome(
+            assert _outcome(transitivity_degree, group, kmax) == _outcome(
                 oracles.tuple_walk_transitivity_degree, n, gens, kmax, cap
             ), (kmax, cap)
         if stop is not None:
-            assert _outcome(transitivity_degree, group, stop, cap) == "cap"
-            assert _outcome(transitivity_degree, group, stop - 1, cap) != "cap"
+            assert _outcome(transitivity_degree, group, stop) == "cap"
+            assert _outcome(transitivity_degree, group, stop - 1) != "cap"
 
 
 REDUCE_CASES = ["pg_2_2", "ag_2_3", "symmetric_5"]
@@ -124,7 +125,7 @@ def test_reduce_generators_matches_the_bfs_closure_scan(name):
 def test_reduce_generators_raises_when_the_closure_outgrows_the_list():
     c5 = cyclic_group(5)
     not_closed = enumerate_elements(c5)[:3]
-    with pytest.raises(CapExceeded):
+    with pytest.raises(NotSubgroup, match="3 elements are no subgroup: their closure has order 5"):
         _reduce_generators(not_closed, 5)
     with pytest.raises(OverflowError):
         oracles.bfs_reduce_generators(not_closed, 5)
@@ -144,13 +145,15 @@ def test_enumeration_past_the_cap_builds_no_element(monkeypatch):
     )
 
 
-def test_order_and_contains_keep_the_cap():
+def test_order_and_contains_keep_the_cap(monkeypatch):
     s6 = symmetric_group(6)
-    assert order(s6, cap=720) == 720
-    assert contains(s6, s6.generators[0], cap=720)
-    for query in (order, lambda g, cap: contains(g, g.generators[0], cap)):
+    monkeypatch.setenv("PERMLAB_CAP", "720")
+    assert order(s6) == 720
+    assert contains(s6, s6.generators[0])
+    monkeypatch.setenv("PERMLAB_CAP", "719")
+    for query in (order, lambda g: contains(g, g.generators[0])):
         with pytest.raises(CapExceeded, match="cap 719"):
-            query(s6, cap=719)
+            query(s6)
 
 
 def test_a_mismatched_enumeration_raises(monkeypatch):

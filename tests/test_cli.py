@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from permlab import incidence
+from permlab import cli, incidence
 from permlab.cli import main
 from permlab.groups import GenGroup, cyclic_group, order, symmetric_group
 from permlab.perms import parse_cycles
@@ -313,6 +313,36 @@ def test_item_orbit_walk_exits_3_at_the_cap(capsys, monkeypatch, pass_name):
     if pass_name == "homogeneity":
         assert "passed cap 50; a 2-subset orbit has at most C(12, 2) = 66 subsets" in err
         assert "PERMLAB_CAP=66 would suffice" in err
+
+
+@pytest.mark.parametrize(
+    "argv,degree",
+    [
+        (["analyze", "--gens", "(1 2)", "--degree", "30000000"], 30000000),
+        (["wreath", "--bottom", "cyclic_30000000", "--top", "cyclic_2"], 30000000),
+        (["wreath", "--bottom", "cyclic_0", "--top", "symmetric_3000000"], 3000000),
+    ],
+)
+def test_a_huge_degree_exits_3_before_any_permutation(capsys, monkeypatch, argv, degree):
+    def never(*args):
+        raise AssertionError("a permutation was built before the cap check")
+
+    def no_points_only(n):
+        if n:
+            raise AssertionError(f"a group on {n} points was built before the cap check")
+        return GenGroup(0)
+
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    monkeypatch.setattr(cli, "parse_cycles", never)
+    for family in cli._FAMILIES:
+        monkeypatch.setitem(cli._FAMILIES, family, no_points_only)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        f"error: a group on {degree} points, past cap 200000;"
+        f" PERMLAB_CAP={degree} would suffice\n"
+    )
 
 
 # wreath

@@ -110,9 +110,10 @@ def test_enumerate_d4_order():
     assert element_set(d4) == oracles.closure(list(d4.generators))
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setenv("PERMLAB_CAP", "10000")
     with pytest.raises(CapExceeded):
-        enumerate_elements(symmetric_group(8), cap=10000)
+        enumerate_elements(symmetric_group(8))
 
 
 def test_enumerate_bfs_order_frozen():
@@ -223,9 +224,10 @@ def test_induced_degrees():
     assert induced_action(g, "subsets", 3).group.degree == math.comb(5, 3)
 
 
-def test_induced_action_cap():
+def test_induced_action_cap(monkeypatch):
+    monkeypatch.setenv("PERMLAB_CAP", "1000")
     with pytest.raises(CapExceeded):
-        induced_action(symmetric_group(10), "tuples", 10, cap=1000)
+        induced_action(symmetric_group(10), "tuples", 10)
 
 
 # transitivity and homogeneity
@@ -256,14 +258,18 @@ def test_two_orbits_on_pairs_for_c5():
     assert len(orbits(act.group)) == 2
 
 
-def test_degree_walks_stop_at_the_cap():
+def test_degree_walks_stop_at_the_cap(monkeypatch):
     # Sym(6) has one orbit of 120 ordered and 20 unordered triples
-    assert transitivity_degree(symmetric_group(6), 3, cap=120) == 3
+    monkeypatch.setenv("PERMLAB_CAP", "120")
+    assert transitivity_degree(symmetric_group(6), 3) == 3
+    monkeypatch.setenv("PERMLAB_CAP", "119")
     with pytest.raises(CapExceeded):
-        transitivity_degree(symmetric_group(6), 3, cap=119)
-    assert homogeneity_degree(symmetric_group(6), 3, cap=20) == 3
+        transitivity_degree(symmetric_group(6), 3)
+    monkeypatch.setenv("PERMLAB_CAP", "20")
+    assert homogeneity_degree(symmetric_group(6), 3) == 3
+    monkeypatch.setenv("PERMLAB_CAP", "19")
     with pytest.raises(CapExceeded):
-        homogeneity_degree(symmetric_group(6), 3, cap=19)
+        homogeneity_degree(symmetric_group(6), 3)
 
 
 def test_degree_kmax_out_of_range():
@@ -451,5 +457,5 @@ def test_point_stabilizers_are_conjugate_examples():
 
 def test_subgroup_from_elements_rejects_a_list_its_closure_outgrows():
     not_closed = (parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(NotSubgroup, match="2 elements are no subgroup: their closure has order 6"):
         subgroup_from_elements(not_closed, 3)

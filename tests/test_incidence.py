@@ -198,13 +198,14 @@ def test_theta_exploration_examples():
     assert rep_square.scalar == 0
 
 
-def test_theta_validation():
+def test_theta_validation(monkeypatch):
     with pytest.raises(OutOfRange):
         theta_exploration(4, 2, 1, 3)
     with pytest.raises(OutOfRange):
         theta_exploration(4, 1, 2, 5)
+    monkeypatch.setenv("PERMLAB_CAP", "1000")
     with pytest.raises(CapExceeded):
-        theta_exploration(30, 10, 15, 20, cap=1000)
+        theta_exploration(30, 10, 15, 20)
 
 
 def test_theta_matrix_shape_and_symmetry():

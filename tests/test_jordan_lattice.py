@@ -47,10 +47,10 @@ TRANSITIVE.append(("trivial_1", GenGroup(1, ())))
 def test_scan_equals_the_support_table_scan(name, group):
     n = group.degree
     expected = oracles.support_jordan_scan(n, group.generators)
-    assert tuple(_jordan_translates(group, None, None)) == expected
+    assert tuple(_jordan_translates(group, None)) == expected
     for m in range(2, n + 1):
         single = tuple(c for c in expected if len(c) == m)
-        assert tuple(_jordan_translates(group, [m], None)) == single, m
+        assert tuple(_jordan_translates(group, [m])) == single, m
 
 
 @st.composite
@@ -69,7 +69,7 @@ def _groups_and_sizes(draw):
 def test_scan_equals_the_support_table_scan_on_drawn_groups(case):
     group, sizes = case
     expected = oracles.support_jordan_scan(group.degree, group.generators, sizes)
-    assert tuple(_jordan_translates(group, sizes, None)) == expected
+    assert tuple(_jordan_translates(group, sizes)) == expected
 
 
 def test_no_wanted_size_gives_no_jordan_set():
@@ -116,11 +116,11 @@ RELABELED = [
 @pytest.mark.parametrize("name,group", RELABELED, ids=[name for name, _ in RELABELED])
 def test_walk_equals_the_sorted_complement_scan(name, group):
     n = group.degree
-    expected = oracles.sorted_complement_jordan_scan(group, None, None)
-    assert tuple(_jordan_translates(group, None, None)) == expected
+    expected = oracles.sorted_complement_jordan_scan(group, None)
+    assert tuple(_jordan_translates(group, None)) == expected
     for m in range(2, n + 1):
         single = tuple(c for c in expected if len(c) == m)
-        assert tuple(_jordan_translates(group, [m], None)) == single, m
+        assert tuple(_jordan_translates(group, [m])) == single, m
 
 
 @st.composite
@@ -147,8 +147,8 @@ def _intransitive_groups_and_sizes(draw):
 @given(_intransitive_groups_and_sizes())
 def test_walk_equals_the_sorted_complement_scan_on_intransitive_groups(case):
     group, sizes = case
-    expected = oracles.sorted_complement_jordan_scan(group, sizes, None)
-    assert tuple(_jordan_translates(group, sizes, None)) == expected
+    expected = oracles.sorted_complement_jordan_scan(group, sizes)
+    assert tuple(_jordan_translates(group, sizes)) == expected
 
 
 def _walk_work(group, monkeypatch):
@@ -174,7 +174,7 @@ def _walk_work(group, monkeypatch):
     monkeypatch.setattr(jordan, "_connected_inside", counted_test)
     monkeypatch.setattr(jordan, "_least_stabilizer", counted_child)
     clear_caches()
-    tuple(_jordan_translates(group, None, None))
+    tuple(_jordan_translates(group, None))
     return tested, set(reached), _stabilizer_in.cache_info().misses
 
 
@@ -297,9 +297,9 @@ def test_span_table_runs_one_span_per_orbit(name, rows, spans, monkeypatch):
     calls = []
     span = jordan.span
 
-    def counted_span(group, points, cap=None):
+    def counted_span(group, points):
         calls.append(tuple(points))
-        return span(group, points, cap)
+        return span(group, points)
 
     monkeypatch.setattr(jordan, "span", counted_span)
     geometry = span_geometry(fixture(name).group, AUDITS[name])
@@ -372,8 +372,8 @@ def test_battery_tests_primitivity_once_per_representative(monkeypatch):
     catalogs = []
     catalog = suite.jordan_sets
 
-    def kept_catalog(group, sizes=None, cap=None):
-        catalogs.append(catalog(group, sizes, cap))
+    def kept_catalog(group, sizes=None):
+        catalogs.append(catalog(group, sizes))
         return catalogs[-1]
 
     # the catalog and set whose own witness group this is, if a representative

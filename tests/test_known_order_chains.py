@@ -85,7 +85,7 @@ def test_stabilizers_equal_the_schreier_sims_stabilizers(name, group):
 @pytest.mark.parametrize("name,group", CASES[len(CORPUS) :], ids=IDS[len(CORPUS) :])
 def test_scan_of_a_relabeled_group_equals_the_support_table_scan(name, group):
     expected = oracles.support_jordan_scan(group.degree, group.generators)
-    assert tuple(_jordan_translates(group, None, None)) == expected
+    assert tuple(_jordan_translates(group, None)) == expected
 
 
 def test_a_fill_whose_elements_all_sift_ends_with_the_schreier_checks(monkeypatch):
@@ -260,10 +260,10 @@ def test_catalog_certifies_once_per_orbit(name, orbits, sets, monkeypatch):
         certified.append(args[1])
         return certify(*args)
 
-    def counted_order(of, cap=None):
+    def counted_order(of):
         if of is not group:
             witness_orders.append(of)
-        return size(of, cap)
+        return size(of)
 
     monkeypatch.setattr(jordan, "is_jordan", counted_certify)
     monkeypatch.setattr(jordan, "order", counted_order)

@@ -103,10 +103,11 @@ def test_a_prefix_checks_the_cap_before_the_walk(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(groups, "_item_walk", never)
+    monkeypatch.setenv("PERMLAB_CAP", "100")
     with pytest.raises(CapExceeded, match="past cap 100"):
         _bfs_prefix(fixture("symmetric_5").group, 100)
     with pytest.raises(CapExceeded, match="past cap 100"):
-        separation_search(fixture("symmetric_5").group, {0}, {1}, cap=100)
+        separation_search(fixture("symmetric_5").group, {0}, {1})
 
 
 # BFS-least searches
@@ -192,8 +193,9 @@ def test_element_table_is_built_after_the_cap_check(monkeypatch):
     s6 = fixture("symmetric_6").group
     assert order(s6) == 720  # the chain is built and cached
     monkeypatch.setattr(incidence, "_element_table", None)
+    monkeypatch.setenv("PERMLAB_CAP", "719")
     with pytest.raises(CapExceeded, match="past cap 719"):
-        _fixed_subset_totals(s6, 6, 719)
+        _fixed_subset_totals(s6, 6)
 
 
 # the embedding report
@@ -220,14 +222,14 @@ def test_battery_embedding_reports_equal_the_enumerated_ones():
     assert seen == 42
 
 
-def test_embedding_cap_error_is_unchanged():
+def test_embedding_cap_error_is_unchanged(monkeypatch):
     group = fixture("cyclic_6").group
     rho = next(r for _, g, r in _battery_embeddings() if g == group)
     wreath_order = oracles.enumerated_embedding_report(group, rho).wreath_order
     assert wreath_order > order(group)
-    cap = wreath_order - 1
+    monkeypatch.setenv("PERMLAB_CAP", str(wreath_order - 1))
     with pytest.raises(CapExceeded) as expected:
-        oracles.enumerated_embedding_report(group, rho, cap)
+        oracles.enumerated_embedding_report(group, rho)
     with pytest.raises(CapExceeded) as found:
-        imprimitive_embedding(group, rho, cap)
+        imprimitive_embedding(group, rho)
     assert str(found.value) == str(expected.value)

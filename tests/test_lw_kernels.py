@@ -142,17 +142,20 @@ def test_theta_cell_budget_names_the_cap_that_admits_every_array(monkeypatch):
     # 64 * 77 is the first budget past it
     with monkeypatch.context() as patched:
         _no_arrays(patched)
+        patched.setenv("PERMLAB_CAP", "76")
         with pytest.raises(CapExceeded, match=r"70x70 matrix.*PERMLAB_CAP=77 would"):
-            theta_exploration(8, 0, 4, 4, cap=76)
-    assert theta_exploration(8, 0, 4, 4, cap=77) == oracles.uncached_theta_exploration(8, 0, 4, 4)
+            theta_exploration(8, 0, 4, 4)
+    monkeypatch.setenv("PERMLAB_CAP", "77")
+    assert theta_exploration(8, 0, 4, 4) == oracles.uncached_theta_exploration(8, 0, 4, 4)
 
 
 def test_theta_cell_budget_counts_the_membership_arrays(monkeypatch):
     # every sign array here has at most 300 cells, but the membership
     # array of the 300 single points is 300 x 300
     _no_arrays(monkeypatch)
+    monkeypatch.setenv("PERMLAB_CAP", "1406")
     with pytest.raises(CapExceeded, match=r"90000 cells in a dense 300x300 matrix"):
-        theta_exploration(300, 0, 0, 1, cap=1406)
+        theta_exploration(300, 0, 0, 1)
 
 
 def test_theta_matrix_builder_checks_the_cell_budget(monkeypatch):
@@ -198,9 +201,10 @@ def test_subset_orbit_count_checks_the_level_against_the_cap(monkeypatch):
     # |C8| = 8 passes the cap, and so do the levels below C(8, 4) = 70
     too_wide = "derived domain of size 70, past cap 69; PERMLAB_CAP=70 would suffice"
     group = fixture("cyclic_8").group
-    assert orbit_count_inequality(group, 3, cap=69) == (1, 1, 4, 7)
+    monkeypatch.setenv("PERMLAB_CAP", "69")
+    assert orbit_count_inequality(group, 3) == (1, 1, 4, 7)
     with pytest.raises(CapExceeded, match=too_wide):
-        orbit_count_inequality(group, 4, cap=69)
+        orbit_count_inequality(group, 4)
     monkeypatch.setattr(incidence, "_subsets_colex", never)
     with pytest.raises(CapExceeded, match=too_wide):
-        incidence._subset_orbit_count(group, 4, cap=69)
+        incidence._subset_orbit_count(group, 4)

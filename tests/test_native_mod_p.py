@@ -234,8 +234,9 @@ def test_theta_rank_cache_keeps_ints_and_clear_caches_empties_it():
     assert incidence._theta_rank.cache_info().currsize == 0
 
 
-def test_a_lower_cap_after_a_warm_call_still_raises():
+def test_a_lower_cap_after_a_warm_call_still_raises(monkeypatch):
     theta_exploration(10, 2, 3, 4)
     assert incidence._theta_rank.cache_info().currsize > 0
+    monkeypatch.setenv("PERMLAB_CAP", "100")
     with pytest.raises(CapExceeded):
-        theta_exploration(10, 2, 3, 4, cap=100)
+        theta_exploration(10, 2, 3, 4)

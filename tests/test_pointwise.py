@@ -56,7 +56,7 @@ def test_pointwise_stabilizer_equals_the_element_filter(name, group):
     small = [c for m in range(4) for c in itertools.combinations(range(n), m)]
     complements = [
         tuple(p for p in range(n) if p not in combo)
-        for combo in tuple(_jordan_translates(group, None, None))
+        for combo in tuple(_jordan_translates(group, None))
     ]
     for points in dict.fromkeys(small + complements):
         mask = sum(1 << p for p in points)
@@ -143,15 +143,18 @@ def test_a_known_order_stops_the_schreier_checks(monkeypatch):
     assert bounded.orbit_lengths() == unbounded.orbit_lengths()
 
 
-def test_pointwise_stabilizer_keeps_the_cap():
+def test_pointwise_stabilizer_keeps_the_cap(monkeypatch):
     s6 = symmetric_group(6)
-    assert order(pointwise_stabilizer(s6, [0], cap=720)) == 120
+    monkeypatch.setenv("PERMLAB_CAP", "720")
+    assert order(pointwise_stabilizer(s6, [0])) == 120
+    monkeypatch.setenv("PERMLAB_CAP", "719")
     with pytest.raises(CapExceeded, match="cap 719"):
-        pointwise_stabilizer(s6, [0], cap=719)
+        pointwise_stabilizer(s6, [0])
     with pytest.raises(CapExceeded, match="cap 719"):
-        maximal_jordan_avoiding(s6, [0], seed=0, cap=719)
+        maximal_jordan_avoiding(s6, [0], seed=0)
+    monkeypatch.setenv("PERMLAB_CAP", "720")
     with pytest.raises(OutOfRange):
-        maximal_jordan_avoiding(s6, [0], seed=0, cap=720)
+        maximal_jordan_avoiding(s6, [0], seed=0)
     for function, arg in (
         (point_stabilizer, 6),
         (pointwise_stabilizer, [1, 6]),
@@ -220,11 +223,13 @@ def test_setwise_stabilizer_of_a_set_no_rotation_keeps():
     assert element_set(stab) == element_set(oracles.filtered_setwise_stabilizer(c7, [0, 1, 3]))
 
 
-def test_setwise_stabilizer_checks_the_order_against_the_cap():
+def test_setwise_stabilizer_checks_the_order_against_the_cap(monkeypatch):
     s6 = symmetric_group(6)
-    assert order(setwise_stabilizer(s6, [0, 1], cap=720)) == 48
+    monkeypatch.setenv("PERMLAB_CAP", "720")
+    assert order(setwise_stabilizer(s6, [0, 1])) == 48
+    monkeypatch.setenv("PERMLAB_CAP", "719")
     with pytest.raises(CapExceeded) as info:
-        setwise_stabilizer(s6, [0, 1], cap=719)
+        setwise_stabilizer(s6, [0, 1])
     assert str(info.value) == (
         "group of degree 6 with 2 generators has order 720, past cap 719;"
         " PERMLAB_CAP=720 would suffice"

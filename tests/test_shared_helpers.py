@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import permlab
 from permlab import groups
-from permlab.blocks import _pair_image
+from permlab.blocks import _pair_image, partition_from_blocks, semiblocks
 from permlab.config import DEFAULT_CAP, check_cap
 from permlab.errors import CapExceeded
 from permlab.fixtures import fixture
@@ -21,16 +22,21 @@ from permlab.groups import (
     _item_walk,
     _subset_image,
     _tuple_image,
+    clear_caches,
     cyclic_group,
     dihedral_group,
     enumerate_elements,
+    homogeneity_degree,
     induced_action,
+    order,
     symmetric_group,
 )
-from permlab.jordan import span
+from permlab.incidence import orbit_count_inequality, theta_exploration
+from permlab.jordan import jordan_sets, span
 from permlab.perms import conjugate
 from permlab.suite import _corpus
-from permlab.wreath import wreath
+from permlab.trees import check_axioms, finite_c_model
+from permlab.wreath import imprimitive_embedding, wreath
 
 import oracles
 
@@ -99,8 +105,9 @@ def test_induced_action_checks_the_cap_before_building_items(monkeypatch):
         raise AssertionError("items built before the cap check")
 
     monkeypatch.setattr(groups.itertools, "permutations", never)
+    monkeypatch.setenv("PERMLAB_CAP", "1000")
     with pytest.raises(CapExceeded):
-        induced_action(symmetric_group(12), "tuples", 12, cap=1000)
+        induced_action(symmetric_group(12), "tuples", 12)
 
 
 def test_library_has_no_assert_statements():
@@ -165,13 +172,91 @@ def test_the_item_walk_is_the_only_orbit_walk():
     assert found == allowed
 
 
+def _public_functions(tree):
+    """(name, def) for each public top-level function and each public
+    method of a public class, __init__ included."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    not item.name.startswith("_") or item.name == "__init__"
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _parameters(node) -> list[str]:
+    args = node.args
+    named = args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg]
+    return [a.arg for a in named if a is not None]
+
+
+def test_no_public_function_takes_a_cap():
+    # PERMLAB_CAP is the one cap: no call passes a bound of its own, and the
+    # two readers of the setting take none
+    taking = []
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, node in _public_functions(tree):
+            if "cap" in _parameters(node):
+                taking.append(f"{path.stem}.{name}")
+            if path.stem == "config":
+                readers[name] = _parameters(node)
+    assert not taking, f"public functions that take cap: {taking}"
+    assert readers["element_cap"] == []
+    assert readers["check_cap"] == ["count", "what"]
+
+
 def test_check_cap_names_the_cap_that_would_suffice(monkeypatch):
     monkeypatch.setenv("PERMLAB_CAP", "9")
     assert check_cap(9, "nine things") == 9
-    assert check_cap(10, "ten things", cap=10) == 10
     with pytest.raises(CapExceeded) as info:
         check_cap(10, "ten things")
     assert str(info.value) == "ten things, past cap 9; PERMLAB_CAP=10 would suffice"
+
+
+# public calls that refuse at PERMLAB_CAP=1 and name a count each time
+LADDER = {
+    "order": lambda: order(symmetric_group(6)),
+    "semiblocks": lambda: semiblocks(cyclic_group(6), 0),
+    "jordan_sets": lambda: jordan_sets(fixture("pg_2_2").group),
+    "span": lambda: span(fixture("pg_2_2").group, [0, 1]),
+    "orbit_count_inequality": lambda: orbit_count_inequality(cyclic_group(8), 4),
+    "theta_exploration": lambda: theta_exploration(7, 1, 2, 3),
+    "finite_c_model": lambda: finite_c_model(2, 3),
+    "check_axioms": lambda: check_axioms(finite_c_model(2, 3).relation, "C"),
+    "homogeneity_degree": lambda: homogeneity_degree(symmetric_group(6), 3),
+    "imprimitive_embedding": lambda: imprimitive_embedding(
+        cyclic_group(6), partition_from_blocks(6, [[0, 2, 4], [1, 3, 5]])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_each_refusal_names_a_cap_that_gets_further(name, monkeypatch):
+    # from PERMLAB_CAP=1, raise the cap to the count each refusal names: every
+    # count is larger than the cap it refused at, and within four refusals
+    # the call gives its answer at the default cap
+    call = LADDER[name]
+    monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    expected = call()
+    clear_caches()
+    cap, refusals = 1, []
+    while True:
+        monkeypatch.setenv("PERMLAB_CAP", str(cap))
+        try:
+            found = call()
+            break
+        except CapExceeded as exc:
+            refusals.append(str(exc))
+        named = re.search(r"PERMLAB_CAP=(\d+) would suffice$", refusals[-1])
+        assert named, f"refused without naming a count: {refusals[-1]}"
+        assert int(named[1]) > cap, refusals
+        assert len(refusals) <= 4, refusals
+        cap = int(named[1])
+    assert found == expected
 
 
 def test_poset_shape_check_survives_optimize():

@@ -285,13 +285,14 @@ def test_function_model_agrees_with_chain_builder():
     assert c_from_equivalence_chain(model.chain).tuples == model.relation.tuples
 
 
-def test_function_model_validation():
+def test_function_model_validation(monkeypatch):
     with pytest.raises(OutOfRange):
         finite_c_model(0, 2)
     with pytest.raises(OutOfRange):
         finite_c_model(2, 1)
+    monkeypatch.setenv("PERMLAB_CAP", "1000")
     with pytest.raises(CapExceeded):
-        finite_c_model(9, 4, cap=1000)
+        finite_c_model(9, 4)
 
 
 # -------------------------------------------------------------- focus classes

@@ -113,9 +113,10 @@ def test_wreath_transitive_when_factors_are():
     assert not is_transitive(wreath(cyclic_group(2), top))
 
 
-def test_wreath_cap():
+def test_wreath_cap(monkeypatch):
+    monkeypatch.setenv("PERMLAB_CAP", "500")
     with pytest.raises(CapExceeded):
-        wreath(cyclic_group(100), cyclic_group(100), cap=500)
+        wreath(cyclic_group(100), cyclic_group(100))
 
 
 # variation with a twisted top map
