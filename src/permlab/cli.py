@@ -18,8 +18,8 @@ verbs import their modules when they run: fixtures for ``analyze
 --fixture`` and ``corpus``; fixtures and wreath for ``wreath``; suite for
 ``suite``; trees and relations for ``relations``; orders for ``cantor``.
 incidence, and numpy with it, stays eager: ``lw`` needs it, and a
-deferred import would move numpy's load, about half of what is left of
-the import, into the verb's first call.
+deferred import would move numpy's load, half of the import or more
+(two thirds and up with a bytecode cache), into the verb's first call.
 """
 
 from __future__ import annotations
@@ -366,13 +366,21 @@ _FAMILIES = {
 }
 
 
+# The most digits int() reads under any int_max_str_digits setting
+_DEGREE_DIGITS = sys.int_info.str_digits_check_threshold
+
+
 def _named_group(name: str) -> GenGroup:
     from .fixtures import FIXTURE_NAMES, fixture
 
     if name in FIXTURE_NAMES:
         return fixture(name).group
     family, _, tail = name.rpartition("_")
-    if family in _FAMILIES and tail.isdigit():
+    if family in _FAMILIES and tail.isascii() and tail.isdigit():
+        if len(tail) > _DEGREE_DIGITS:
+            raise OutOfRange(
+                f"group {family}_N: N has {len(tail)} digits, more than {_DEGREE_DIGITS}"
+            )
         degree = int(tail)
         check_cap(degree, f"a group on {degree} points")  # before any permutation
         return _FAMILIES[family](degree)

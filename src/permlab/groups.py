@@ -180,7 +180,8 @@ def _bounded_cache(fn):
 
 def clear_caches() -> None:
     """Empty every cache made by _bounded_cache: those keyed on a group here
-    and in blocks, and incidence's theta ranks and primality answers."""
+    and in blocks, and incidence's subset levels, theta ranks and primality
+    answers, each bounded at CACHE_ENTRIES entries."""
     for cached in _CACHES:
         cached.cache_clear()
 
@@ -774,27 +775,33 @@ def transitivity_degree(group: GenGroup, kmax: int) -> int:
     return best
 
 
+def _subset_orbit(group: GenGroup, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbit of a sorted k-subset, in walk order.  The walk stops with
+    CapExceeded once it passes the element cap, and the error names the
+    orbit's bound C(n, k) as a cap that would suffice."""
+    try:
+        return list(_item_walk(subset, _subset_image, group.generators, element_cap()))
+    except CapExceeded as exc:
+        n, k = group.degree, len(subset)
+        bound = math.comb(n, k)
+        raise CapExceeded(
+            f"{exc}; a {k}-subset orbit has at most C({n}, {k}) = {bound}"
+            f" subsets, PERMLAB_CAP={bound} would suffice"
+        ) from None
+
+
 def homogeneity_degree(group: GenGroup, kmax: int) -> int:
     """Largest k <= kmax with a single orbit on j-subsets for all j <= k.
 
-    Walks the orbit of {0, ..., k-1}, which stops with CapExceeded once it
-    passes the element cap; the error names the orbit's bound C(n, k) as
-    a cap that would suffice.
+    Walks the orbit of {0, ..., k-1} (_subset_orbit), which stops with
+    CapExceeded once it passes the element cap; the error names the
+    orbit's bound C(n, k) as a cap that would suffice.
     """
     if kmax > group.degree:
         raise OutOfRange(f"kmax={kmax} above degree {group.degree}")
-    cap = element_cap()
     best = 0
     for k in range(1, kmax + 1):
-        try:
-            walked = list(_item_walk(tuple(range(k)), _subset_image, group.generators, cap))
-        except CapExceeded as exc:
-            bound = math.comb(group.degree, k)
-            raise CapExceeded(
-                f"{exc}; a {k}-subset orbit has at most C({group.degree}, {k}) = {bound}"
-                f" subsets, PERMLAB_CAP={bound} would suffice"
-            ) from None
-        if len(walked) != math.comb(group.degree, k):
+        if len(_subset_orbit(group, tuple(range(k)))) != math.comb(group.degree, k):
             break
         best = k
     return best

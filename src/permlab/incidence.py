@@ -39,10 +39,19 @@ one more, and it is compared with the direct map as one array.  A dense
 allocation, the modular route's int64 array, derived entries, or any
 array of the sign maps, is refused with CapExceeded past CELLS_PER_CAP
 cells per unit of the element cap.
+
+Each level is listed once per (n, k) and kept by _level, a bounded LRU of
+CACHE_ENTRIES levels that clear_caches() empties: the colex labels, and
+as read-only arrays the points of each subset and its membership row.
+A reader takes a level only after its own check, of C(n, k) against the
+cap and, for the sign maps, of every array against the cell budget: no
+level is built that its reader refuses, and a lower cap refuses a level
+that is already kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -223,8 +232,8 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     bounded by the cell budget, not by this cap.
     """
     _inclusion_shape(n, k)
-    rows = _subsets_colex(n, k)
-    cols = _subsets_colex(n, k - 1)
+    rows = _level(n, k).labels
+    cols = _level(n, k - 1).labels
     comb = [[math.comb(x, i) for i in range(k + 1)] for x in range(n)]
     ones = []
     for s in rows:
@@ -240,11 +249,46 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     return ExactMatrix(rows, cols, ones=tuple(ones))
 
 
-def _members(n: int, subsets: tuple[tuple[int, ...], ...]) -> numpy.ndarray:
-    """0/1 int64 rows, one per subset, with a 1 in the column of each point."""
-    members = numpy.zeros((len(subsets), n), dtype=numpy.int64)
-    members[numpy.arange(len(subsets))[:, None], numpy.array(subsets, dtype=numpy.intp)] = 1
-    return members
+def _read_only(array: numpy.ndarray) -> numpy.ndarray:
+    """A view of array, which owns its data, that cannot be written to nor
+    made writeable: a view's flag cannot be set past its base's."""
+    array.flags.writeable = False
+    return array.view()
+
+
+class _Level:
+    """The k-subsets of n points in colex order, as _level keeps them.
+
+    labels is the tuple _subsets_colex lists.  points holds one row of k
+    points per subset, and members the 0/1 int64 membership rows, C(n, k)
+    x n.  Both arrays are read-only and made on first read, so a reader of
+    the labels or the points never allocates the n-wide rows.
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self.n = n
+        self.k = k
+        self.labels = _subsets_colex(n, k)
+
+    @functools.cached_property
+    def points(self) -> numpy.ndarray:
+        points = numpy.empty((len(self.labels), self.k), dtype=numpy.intp)
+        points[...] = self.labels
+        return _read_only(points)
+
+    @functools.cached_property
+    def members(self) -> numpy.ndarray:
+        members = numpy.zeros((len(self.labels), self.n), dtype=numpy.int64)
+        members[numpy.arange(len(self.labels))[:, None], self.points] = 1
+        return _read_only(members)
+
+
+@_bounded_cache
+def _level(n: int, k: int) -> _Level:
+    """The level of k-subsets of n points, listed once per (n, k).  The
+    caller checks C(n, k) against the cap first, and C(n, k) x n against
+    the cell budget before it reads the membership rows."""
+    return _Level(n, k)
 
 
 def _signs(rows: numpy.ndarray, cols: numpy.ndarray) -> numpy.ndarray:
@@ -266,9 +310,9 @@ def _check_sign_cells(n: int, steps) -> None:
 
 def _sign_matrix(n: int, r: int, s: int) -> ExactMatrix:
     """The sign matrix from r-subsets to s-subsets, with no check."""
-    rows, cols = _subsets_colex(n, s), _subsets_colex(n, r)
-    signs = _signs(_members(n, rows), _members(n, cols))
-    return ExactMatrix(rows, cols, tuple(map(tuple, signs.tolist())))
+    rows, cols = _level(n, s), _level(n, r)
+    signs = _signs(rows.members, cols.members)
+    return ExactMatrix(rows.labels, cols.labels, tuple(map(tuple, signs.tolist())))
 
 
 def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
@@ -314,7 +358,7 @@ def _module_rank(n: int, r: int, s: int, image) -> int:
     nonzero on level r.  v_0 is 1 everywhere.
     """
     top = min(r, n - r, s, n - s)
-    members = _members(n, _subsets_colex(n, r))
+    members = _level(n, r).members
     tests = numpy.ones((len(members), top + 1), dtype=numpy.int64)
     tests[:, 1:] = members[:, 0 : 2 * top : 2] - members[:, 1 : 2 * top : 2]
     numpy.cumprod(tests, axis=1, out=tests)
@@ -552,7 +596,7 @@ def _subset_orbit_count(group: GenGroup, k: int) -> int:
     n = group.degree
     size = math.comb(n, k)
     check_cap(size, f"derived domain of size {size}")
-    subsets = numpy.array(_subsets_colex(n, k), dtype=numpy.intp)
+    subsets = _level(n, k).points
     # C(x, i + 1) where point x may sit at place i, n - k + i at the most:
     # each term is at most the last subset's rank, below C(n, k)
     comb = numpy.array(
@@ -633,11 +677,18 @@ class ThetaReport:
     rank_rt: int
 
 
+# The sign arrays theta_exploration has built, by (n, r, s), while it reads
+# their ranks: a cold _theta_rank key ranks its array here, not a rebuilt one.
+_built_signs: dict[tuple[int, int, int], numpy.ndarray] = {}
+
+
 @_bounded_cache
 def _theta_rank(n: int, r: int, s: int) -> int:
     """Exact rank of one sign matrix, whose cells the caller has checked;
     only the int is kept, not the matrix."""
-    signs = _signs(_members(n, _subsets_colex(n, s)), _members(n, _subsets_colex(n, r)))
+    signs = _built_signs.get((n, r, s))
+    if signs is None:
+        signs = _signs(_level(n, s).members, _level(n, r).members)
     return _module_rank(n, r, s, signs.__matmul__)
 
 
@@ -652,18 +703,26 @@ def theta_exploration(n: int, r: int, s: int, t: int) -> ThetaReport:
     the r -> t entry at (first t-subset, first r-subset) is (-1)^r, never
     0.  The three exact ranks come from the module decomposition
     (_module_rank) through a cache keyed on (n, r, s), since many triples
-    share a level pair.
+    share a level pair; a key not yet cached ranks the sign array built
+    here.  The membership arrays come from the level cache (_level).
     """
     if not 0 <= r <= s <= t <= n:
         raise OutOfRange(f"levels ({r},{s},{t}) not increasing within 0..{n}")
     widest = max(math.comb(n, m) for m in (r, s, t))
     check_cap(widest, f"{widest} subsets on one level of {n} points")
     _check_sign_cells(n, [(r, s), (s, t), (r, t)])
-    members = {m: _members(n, _subsets_colex(n, m)) for m in {r, s, t}}
+    members = {m: _level(n, m).members for m in {r, s, t}}
+    theta_rs = _signs(members[s], members[r])
+    theta_st = _signs(members[t], members[s])
     theta_rt = _signs(members[t], members[r])
-    composite = _signs(members[t], members[s]) @ _signs(members[s], members[r])
+    composite = theta_st @ theta_rs
     c0, d0 = int(composite[0, 0]), int(theta_rt[0, 0])
     proportional = bool(numpy.array_equal(composite * d0, theta_rt * c0))
+    _built_signs.update({(n, r, s): theta_rs, (n, s, t): theta_st, (n, r, t): theta_rt})
+    try:
+        ranks = [_theta_rank(n, r, s), _theta_rank(n, s, t), _theta_rank(n, r, t)]
+    finally:
+        _built_signs.clear()
     return ThetaReport(
         n,
         r,
@@ -671,7 +730,5 @@ def theta_exploration(n: int, r: int, s: int, t: int) -> ThetaReport:
         t,
         proportional,
         Fraction(c0, d0) if proportional else None,
-        _theta_rank(n, r, s),
-        _theta_rank(n, s, t),
-        _theta_rank(n, r, t),
+        *ranks,
     )

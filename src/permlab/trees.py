@@ -21,7 +21,8 @@ set's translates measure how many candidates their widest loop or array
 holds before it starts, and config.check_cap raises CapExceeded naming a
 PERMLAB_CAP that would suffice.  No array of the audit or the chain
 builder has more cells than that count.  The translates themselves are
-walked under the element cap.
+walked under the element cap, and a refused walk names the orbit's bound
+C(n, |sigma|).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy
 
-from .config import AXIOM_FAMILIES, check_cap, element_cap
+from .config import AXIOM_FAMILIES, check_cap
 from .errors import (
     ArityMismatch,
     AxiomsFailed,
@@ -43,7 +44,7 @@ from .errors import (
     PointOutOfRange,
 )
 from .blocks import _UnionFind, partition_from_blocks
-from .groups import _item_walk, _subset_image
+from .groups import _subset_orbit
 from .relations import Relation, relation
 
 
@@ -710,9 +711,10 @@ def _validate_subset(group, sigma):
 
 def set_translates(group, sigma):
     """Orbit of a point set under the group, as a sorted tuple of frozensets.
-    The walk raises CapExceeded once it passes the element cap."""
+    The walk raises CapExceeded once it passes the element cap, naming the
+    orbit's bound C(n, |sigma|) as a cap that would suffice."""
     sigma = _validate_subset(group, sigma)
-    walk = _item_walk(tuple(sorted(sigma)), _subset_image, group.generators, element_cap())
+    walk = _subset_orbit(group, tuple(sorted(sigma)))
     return tuple(sorted(map(frozenset, walk), key=sorted))
 
 

@@ -884,6 +884,16 @@ def colex_subsets(degree: int, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def uncached_members(n: int, subsets: tuple[tuple[int, ...], ...]):
+    """incidence._members before incidence._level kept each level: 0/1
+    int64 rows, one per subset, with a 1 in the column of each point."""
+    import numpy
+
+    members = numpy.zeros((len(subsets), n), dtype=numpy.int64)
+    members[numpy.arange(len(subsets))[:, None], numpy.array(subsets, dtype=numpy.intp)] = 1
+    return members
+
+
 def dense_r_matrix(n: int, k: int):
     """incidence.build_r_matrix before its rows went sparse: each row a
     dense 0/1 tuple, its facets found through a dict from column label to

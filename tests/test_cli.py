@@ -8,7 +8,7 @@ import pytest
 
 from permlab import cli, incidence
 from permlab.cli import main
-from permlab.groups import GenGroup, cyclic_group, order, symmetric_group
+from permlab.groups import GenGroup, clear_caches, cyclic_group, order, symmetric_group
 from permlab.perms import parse_cycles
 from permlab.wreath import wreath
 
@@ -410,6 +410,26 @@ def test_wreath_unknown_name_exits_2(capsys):
     assert "unknown group" in err
 
 
+# degree tails that are not ASCII digits, or longer than int() reads
+BAD_TAILS = {"superscript-two": "\u00b2", "arabic-indic-three": "\u0663", "5000-digits": "9" * 5000}
+
+
+@pytest.mark.parametrize("tail", BAD_TAILS.values(), ids=BAD_TAILS.keys())
+@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+def test_a_bad_degree_tail_exits_2_for_every_family(capsys, family, tail):
+    for bottom, top in ((f"{family}_{tail}", "cyclic_2"), ("cyclic_2", f"{family}_{tail}")):
+        rc, out, err = run_cli(capsys, "wreath", "--bottom", bottom, "--top", top)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_the_longest_degree_tail_reaches_the_cap_check(capsys):
+    tail = "9" * cli._DEGREE_DIGITS
+    rc, out, err = run_cli(capsys, "wreath", "--bottom", f"cyclic_{tail}", "--top", "cyclic_2")
+    assert (rc, out) == (3, "")
+    assert err.endswith(f"PERMLAB_CAP={tail} would suffice\n")
+
+
 # relations
 
 
@@ -628,6 +648,7 @@ def test_lw_past_the_cap_exits_3_before_listing_subsets(capsys, monkeypatch, fmt
         raise AssertionError("subsets listed before the cap check")
 
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    clear_caches()  # no kept level stands in for a listing
     monkeypatch.setattr(incidence, "_subsets_colex", never)
     rc, out, err = run_cli(capsys, "lw", "--n", "40", "--k", "20", *fmt)
     assert rc == 3
@@ -646,6 +667,7 @@ def test_lw_past_the_cell_budget_exits_3_before_allocating(capsys, monkeypatch, 
         raise AssertionError("dense matrix allocated past the cell budget")
 
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    clear_caches()  # no kept level stands in for a listing
     monkeypatch.setattr(incidence.numpy, "zeros", never)
     monkeypatch.setattr(incidence, "_dense_rows", never)
     # nor is a subset listed: the refusal comes before the sparse rows
@@ -667,6 +689,7 @@ def test_lw_theta_past_the_cell_budget_exits_3_before_allocating(capsys, monkeyp
         raise AssertionError("array allocated past the cell budget")
 
     monkeypatch.delenv("PERMLAB_CAP", raising=False)
+    clear_caches()  # no kept level stands in for a listing
     monkeypatch.setattr(incidence.numpy, "zeros", never)
     monkeypatch.setattr(incidence, "_subsets_colex", never)
     rc, out, err = run_cli(capsys, "lw", "--n", "5000", "--theta", "0,1,1", *fmt)

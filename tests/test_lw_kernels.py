@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from permlab import incidence
 from permlab.errors import CapExceeded
 from permlab.fixtures import FIXTURE_NAMES, fixture
-from permlab.groups import induced_action, orbits
+from permlab.groups import clear_caches, induced_action, orbits
 from permlab.incidence import (
     EXACT_RANK_LIMIT,
     ExactMatrix,
@@ -134,6 +134,7 @@ def _no_arrays(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an array was allocated past the cell budget")
 
+    clear_caches()  # no kept membership array stands in for an allocation
     monkeypatch.setattr(incidence.numpy, "zeros", never)
 
 
@@ -205,6 +206,7 @@ def test_subset_orbit_count_checks_the_level_against_the_cap(monkeypatch):
     assert orbit_count_inequality(group, 3) == (1, 1, 4, 7)
     with pytest.raises(CapExceeded, match=too_wide):
         orbit_count_inequality(group, 4)
+    clear_caches()  # no kept level stands in for a listing
     monkeypatch.setattr(incidence, "_subsets_colex", never)
     with pytest.raises(CapExceeded, match=too_wide):
         incidence._subset_orbit_count(group, 4)

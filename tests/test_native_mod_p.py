@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 
 from permlab import incidence
 from permlab.errors import CapExceeded, OutOfRange
-from permlab.groups import clear_caches
+from permlab.cli import main
+from permlab.groups import clear_caches, cyclic_group
 from permlab.incidence import (
     ExactMatrix,
     build_r_matrix,
     build_theta_matrix,
+    orbit_count_inequality,
     rank_mod_p,
     theta_exploration,
 )
@@ -234,9 +236,76 @@ def test_theta_rank_cache_keeps_ints_and_clear_caches_empties_it():
     assert incidence._theta_rank.cache_info().currsize == 0
 
 
-def test_a_lower_cap_after_a_warm_call_still_raises(monkeypatch):
-    theta_exploration(10, 2, 3, 4)
-    assert incidence._theta_rank.cache_info().currsize > 0
+def test_a_cold_rank_reads_the_sign_array_the_report_built(monkeypatch):
+    # three sign arrays per report, cold or warm: no rank builds its own
+    calls = []
+    real = incidence._signs
+
+    def counted(rows, cols):
+        calls.append((len(rows), len(cols)))
+        return real(rows, cols)
+
+    monkeypatch.setattr(incidence, "_signs", counted)
+    clear_caches()
+    # 0 -> 1 is a column of ones, 1 -> 1 is J - 2I, and their product is 998 ones
+    want = incidence.ThetaReport(1000, 0, 1, 1, True, Fraction(998), 1, 1000, 1)
+    for _ in range(2):
+        calls.clear()
+        assert theta_exploration(1000, 0, 1, 1) == want
+        assert len(calls) == 3
+    clear_caches()
+    for _ in range(2):
+        calls.clear()
+        assert theta_exploration(7, 0, 1, 1) == oracles.uncached_theta_exploration(7, 0, 1, 1)
+        assert len(calls) == 3
+
+
+def _refused(call):
+    """A check that runs call and gives its CapExceeded message, else None."""
+
+    def refusal(capsys):
+        try:
+            call()
+        except CapExceeded as exc:
+            return str(exc)
+        return None
+
+    return refusal
+
+
+def _refused_lw(*argv):
+    """A check that runs permlab lw and gives its exit-3 message, else None."""
+
+    def refusal(capsys):
+        rc = main(["lw", *argv])
+        err = capsys.readouterr().err
+        assert rc in (0, 3), err
+        return err if rc == 3 else None
+
+    return refusal
+
+
+# each needs a level of C(10, 3) = 120 or C(10, 4) = 210 subsets
+REFUSED_PAST_CAP_100 = {
+    "theta_exploration": _refused(lambda: theta_exploration(10, 2, 3, 4)),
+    "orbit_count_inequality": _refused(lambda: orbit_count_inequality(cyclic_group(10), 4)),
+    "lw --k": _refused_lw("--n", "10", "--k", "4"),
+    "lw --theta": _refused_lw("--n", "10", "--theta", "2,3,4"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_PAST_CAP_100))
+def test_a_lower_cap_after_a_warm_call_still_raises(monkeypatch, capsys, name):
+    # kept levels and ranks change no refusal: warm, it reads as it did cold
+    refusal = REFUSED_PAST_CAP_100[name]
+    clear_caches()
     monkeypatch.setenv("PERMLAB_CAP", "100")
-    with pytest.raises(CapExceeded):
-        theta_exploration(10, 2, 3, 4)
+    cold = refusal(capsys)
+    assert cold is not None and "PERMLAB_CAP=" in cold
+    monkeypatch.delenv("PERMLAB_CAP")
+    assert refusal(capsys) is None
+    assert incidence._level.cache_info().currsize > 0
+    if "theta" in name:
+        assert incidence._theta_rank.cache_info().currsize > 0
+    monkeypatch.setenv("PERMLAB_CAP", "100")
+    assert refusal(capsys) == cold

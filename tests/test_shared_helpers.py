@@ -35,7 +35,14 @@ from permlab.incidence import orbit_count_inequality, theta_exploration
 from permlab.jordan import jordan_sets, span
 from permlab.perms import conjugate
 from permlab.suite import _corpus
-from permlab.trees import check_axioms, finite_c_model
+from permlab.trees import (
+    b_from_family,
+    c_from_family,
+    check_axioms,
+    d_from_family,
+    finite_c_model,
+    preorder_from_family,
+)
 from permlab.wreath import imprimitive_embedding, wreath
 
 import oracles
@@ -140,11 +147,11 @@ def _call_sites(tree, name):
 def test_cap_errors_are_built_only_by_check_cap_and_the_walk():
     # a count known before its loop goes through config.check_cap, so every
     # such refusal has one form; only the walk that stops in flight, and
-    # the homogeneity degree that adds its C(n, k) bound to it, build their own
+    # the subset-orbit walk that adds its C(n, k) bound to it, build their own
     allowed = {
         ("config", "check_cap"),
         ("groups", "_item_walk"),
-        ("groups", "homogeneity_degree"),
+        ("groups", "_subset_orbit"),
     }
     found = {}
     for path in sorted(SRC.glob("*.py")):
@@ -231,6 +238,11 @@ LADDER = {
     "imprimitive_embedding": lambda: imprimitive_embedding(
         cyclic_group(6), partition_from_blocks(6, [[0, 2, 4], [1, 3, 5]])
     ),
+    # each refused first by the translates' walk, which names C(n, |sigma|)
+    "preorder_from_family": lambda: preorder_from_family(cyclic_group(10), {0}),
+    "c_from_family": lambda: c_from_family(cyclic_group(6), {0, 1}),
+    "b_from_family": lambda: b_from_family(cyclic_group(6), {0, 1}),
+    "d_from_family": lambda: d_from_family(cyclic_group(6), {0, 3}),
 }
 
 
