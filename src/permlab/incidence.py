@@ -18,27 +18,33 @@ dim V_j over the j whose test vector the map does not kill: one array
 product, no elimination (_module_rank).  The inclusion matrix is stored
 sparse, as the k columns that hold a 1 in each row, and both routes read
 those columns directly; its dense entries are derived only when they are
-read (entry, matmul, CSV).  Every other matrix holds its entries as a
-tuple of rows of ints, and nothing else: a bool, a float, a Fraction or a
-numpy integer is refused when the matrix is made.  The modular route
-reduces each entry mod p into an int64 array, so ints of any size go in.
-The modulus must be a prime.  The elimination updates only the columns
-where the pivot row is nonzero.
+read (entry, matmul, CSV).  The columns are colex ranks, computed for
+every row at once from the level's point array and one table of
+binomials (_colex_table), which holds only the C(x, i + 1) that a point
+x at place i can reach, each below C(n, k); before any subset is listed,
+the points the two levels list are measured against the cell budget.
+Every other matrix holds its entries as a tuple of rows of ints, and
+nothing else: a bool, a float, a Fraction or a numpy integer is refused
+when the matrix is made.  The modular route reduces each entry mod p into
+an int64 array, so ints of any size go in.  The modulus must be a prime.
+The elimination updates only the columns where the pivot row is nonzero.
 
 In colex order the inclusion matrix is [[A, 0], [I, B]]: the k-subsets
 without the last point come first, and each k-subset T + {n-1} meets the
 column of T in an identity block of size m = C(n-1, k-1).  The modular
 route recognises that form in the stored columns and eliminates the
 identity block in one step: the rank is m + rank(A * B) over any field,
-so only A * B is made an array and pivoted.  A sparse matrix without the
-form goes to the modular kernel whole, its rows bottom-up.
+so only A * B is made an array, counted in one bincount over the stored
+columns of A and B, and pivoted.  A sparse matrix without the form goes
+to the modular kernel whole, its rows bottom-up.
 
 The sign matrices are int64 arrays: the intersection sizes are one
 product of 0/1 point-membership rows, the composite of two sign maps is
 one more, and it is compared with the direct map as one array.  A dense
 allocation, the modular route's int64 array, derived entries, or any
 array of the sign maps, is refused with CapExceeded past CELLS_PER_CAP
-cells per unit of the element cap.
+cells per unit of the element cap; so are the points that build_r_matrix
+lists and the entries of subset_permutation_matrix.
 
 Each level is listed once per (n, k) and kept by _level, a bounded LRU of
 CACHE_ENTRIES levels that clear_caches() empties: the colex labels, and
@@ -222,31 +228,41 @@ def build_r_matrix(n: int, k: int) -> ExactMatrix:
     Entry (S, F) is 1 exactly when F is S minus one point, so applying
     the matrix to a function on the (k-1)-level sums it over the facets
     of each k-subset.  After the range check on k, the larger of the two
-    levels is checked against the cap before any subset is listed.
+    levels is checked against the cap, and the points both levels list,
+    C(n, k) * k + C(n, k-1) * (k-1), against the cell budget, before any
+    subset is listed.
 
     The matrix is stored sparse: row S holds the colex ranks of its k
     facets, in increasing order.  In the combinatorial number system the
     rank of s_0 < ... < s_(m-1) is the sum of C(s_i, i + 1), so dropping
     s_d leaves the terms C(s_i, i + 1) before it and shifts every later
-    point down one place, to C(s_i, i).  Dense entries, when read, are
-    bounded by the cell budget, not by this cap.
+    point down one place, to C(s_i, i).  Both terms are read from the
+    (k-1)-level's table (_colex_table) for every row at once: each facet
+    rank is a prefix sum of the first kind plus a suffix sum of the second.
+    Dense entries, when read, are bounded by the cell budget, not by this
+    cap.
     """
-    _inclusion_shape(n, k)
-    rows = _level(n, k).labels
-    cols = _level(n, k - 1).labels
-    comb = [[math.comb(x, i) for i in range(k + 1)] for x in range(n)]
-    ones = []
-    for s in rows:
-        kept = [comb[x][i + 1] for i, x in enumerate(s)]
-        head = sum(kept) - kept[-1]  # dropping the last point: the smallest rank
-        tail = 0
-        facets = [head]
-        for d in range(k - 1, 0, -1):
-            head -= kept[d - 1]
-            tail += comb[s[d]][d]
-            facets.append(head + tail)
-        ones.append(tuple(facets))
-    return ExactMatrix(rows, cols, ones=tuple(ones))
+    n_rows, n_cols = _inclusion_shape(n, k)
+    # here, not in _inclusion_shape: `lw` checks the cells of a dense matrix
+    # between the two, and names them when both are past the budget
+    points = n_rows * k + n_cols * (k - 1)
+    check_cap(
+        -(-points // CELLS_PER_CAP),
+        f"{points} points listed on levels {k} and {k - 1} of {n} points"
+        f" at {CELLS_PER_CAP} per unit of cap",
+    )
+    subsets = _level(n, k).points
+    table = _colex_table(n, k - 1)
+    places = numpy.arange(k - 1)
+    kept = table[subsets[:, :-1] - places, places]  # C(s_i, i + 1), i < k - 1
+    moved = table[subsets[:, 1:] - places, places]  # C(s_i, i), i > 0
+    # dropping s_d keeps the first d terms and moves the rest down a place
+    facets = numpy.zeros((n_rows, k), dtype=numpy.int64)
+    facets[:, 1:] += kept.cumsum(axis=1)
+    facets[:, :-1] += moved[:, ::-1].cumsum(axis=1)[:, ::-1]
+    # the last point dropped first: increasing ranks
+    ones = tuple(map(tuple, facets[:, ::-1].tolist()))
+    return ExactMatrix(_level(n, k).labels, _level(n, k - 1).labels, ones=ones)
 
 
 def _read_only(array: numpy.ndarray) -> numpy.ndarray:
@@ -291,6 +307,20 @@ def _level(n: int, k: int) -> _Level:
     return _Level(n, k)
 
 
+def _colex_table(n: int, k: int) -> numpy.ndarray:
+    """C(x, i + 1) at (x - i, i) for each place i of a k-subset of n points
+    and each point x that can sit there, i <= x <= n - k + i: the colex
+    term of x at place i, as an (n - k + 1) x k int64 array.  The colex
+    ranks of the subsets in an array of points are table[points - places,
+    places].sum(axis=1), places = arange(k).  Only these k * (n - k + 1)
+    binomials are computed, and each is at most the last subset's rank,
+    below C(n, k)."""
+    return numpy.array(
+        [[math.comb(j + i, i + 1) for i in range(k)] for j in range(n - k + 1)],
+        dtype=numpy.int64,
+    )
+
+
 def _signs(rows: numpy.ndarray, cols: numpy.ndarray) -> numpy.ndarray:
     """(-1)^|S & R| for every row subset S and column subset R, given as
     membership rows: the intersection sizes are one product."""
@@ -331,8 +361,16 @@ def build_theta_matrix(n: int, r: int, s: int) -> ExactMatrix:
 
 
 def subset_permutation_matrix(g: Permutation, k: int) -> ExactMatrix:
-    """Permutation matrix of g acting on the k-subsets of its domain."""
-    labels = _subsets_colex(g.degree, k)
+    """Permutation matrix of g acting on the k-subsets of its domain.
+
+    C(n, k) is checked against the cap, and the C(n, k) x C(n, k) dense
+    entries against the cell budget, before any subset is listed.
+    """
+    n = g.degree
+    size = math.comb(n, k)
+    check_cap(size, f"{size} subsets on one level of {n} points")
+    _check_cells(size, size)
+    labels = _level(n, k).labels
     index = {s: i for i, s in enumerate(labels)}
     entries = [[0] * len(labels) for _ in labels]
     for j, s in enumerate(labels):
@@ -401,6 +439,19 @@ def _unit_block(ones: numpy.ndarray) -> int:
     return 0 if (unit[:, 1:] < m).any() else m
 
 
+def _block_product(ones: numpy.ndarray, m: int, n_cols: int) -> numpy.ndarray:
+    """A * B for n_cols stored columns in the form [[A, 0], [I, B]], I of
+    size m (_unit_block): an int64 array with A's rows bottom-up.
+
+    Entry (i, j) counts the ones c of A's row i whose row c of B holds
+    column j: one bincount over those (i, j), k * (k - 1) per row of A.
+    """
+    rows, width = len(ones) - m, n_cols - m
+    b = ones[rows:, 1:] - m  # B's stored columns
+    pairs = numpy.arange(rows)[:, None, None] * width + b[ones[:rows][::-1]]
+    return numpy.bincount(pairs.ravel(), minlength=rows * width).reshape(rows, width)
+
+
 def _eliminate_mod_p(a: numpy.ndarray, p: int) -> int:
     """Rank mod p of an int64 array, which the elimination overwrites."""
     n_rows, n_cols = a.shape
@@ -444,10 +495,11 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
     the block form [[A, 0], [I, B]] of an inclusion matrix (see the module
     docstring) has rank m + rank(A * B) over any field, m the size of I:
     subtracting A times the unit rows from the rows above is unimodular.
-    Only A * B is then made an array, summed from B's rows one stored
-    column of A at a time, reduced, and eliminated with its rows
-    bottom-up.  Any other sparse matrix fills the full array with one
-    assignment from its stored columns, its rows in reverse order.  A
+    Only A * B is then made an array, counted in one bincount over the
+    (row, column) pairs that A's and B's stored columns give
+    (_block_product), reduced, and eliminated with its rows bottom-up.
+    Any other sparse matrix fills the full array with one assignment from
+    its stored columns, its rows in reverse order.  A
     matrix of entries is reduced mod p entry by entry, as Python ints,
     before it is made an array: every residue fits int64, however large
     the int.
@@ -476,11 +528,7 @@ def rank_mod_p(matrix: ExactMatrix, p: int = 1_000_003) -> int:
         ones = numpy.array(matrix.ones, dtype=numpy.intp)
         m = _unit_block(ones)
         if m:
-            b = numpy.zeros((m, n_cols - m), dtype=numpy.int64)
-            b[numpy.arange(m)[:, None], ones[n_rows - m :, 1:] - m] = 1
-            a = numpy.zeros((n_rows - m, n_cols - m), dtype=numpy.int64)
-            for facet in ones[: n_rows - m][::-1].T:  # A's rows bottom-up
-                a += b[facet]
+            a = _block_product(ones, m, n_cols)
             a %= p
             return m + _eliminate_mod_p(a, p)
         a = numpy.zeros((n_rows, n_cols), dtype=numpy.int64)
@@ -584,10 +632,11 @@ def _subset_orbit_count(group: GenGroup, k: int) -> int:
 
     C(n, k) is checked against the cap before any subset is listed.  Each
     generator sends the colex k-subsets, one int array of points per row,
-    to sorted image rows, ranked in the combinatorial number system as in
-    build_r_matrix.  Every subset then carries a label, at first its own
-    rank: each sweep lowers a label to its image's under every generator
-    in turn, then to its label's label, until a sweep changes nothing.  A
+    to sorted image rows, ranked in the combinatorial number system in one
+    array pass over the level's table (_colex_table), as in build_r_matrix.
+    Every subset then carries a label, at first its own rank: each sweep
+    lowers a label to its image's under every generator in turn, then to
+    its label's label, until a sweep changes nothing.  A
     label is always the rank of a subset in the same orbit and never above
     its own, and once it is stable it is at most the image's label under
     every generator, so, as a generator has finite order, it is constant
@@ -597,18 +646,13 @@ def _subset_orbit_count(group: GenGroup, k: int) -> int:
     size = math.comb(n, k)
     check_cap(size, f"derived domain of size {size}")
     subsets = _level(n, k).points
-    # C(x, i + 1) where point x may sit at place i, n - k + i at the most:
-    # each term is at most the last subset's rank, below C(n, k)
-    comb = numpy.array(
-        [[math.comb(x, i + 1) if x <= n - k + i else 0 for i in range(k)] for x in range(n)],
-        dtype=numpy.int64,
-    )
+    table = _colex_table(n, k)
     places = numpy.arange(k)
     images = []
     for g in group.generators:
         moved = numpy.array(g.images, dtype=numpy.intp)[subsets]
         moved.sort(axis=1)
-        images.append(comb[moved, places].sum(axis=1))
+        images.append(table[moved - places, places].sum(axis=1))
     labels = numpy.arange(size)
     while True:
         lowered = labels

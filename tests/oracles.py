@@ -913,6 +913,76 @@ def dense_r_matrix(n: int, k: int):
     return ExactMatrix(rows, cols, tuple(entries))
 
 
+def facet_loop_r_matrix(n: int, k: int):
+    """incidence.build_r_matrix before its facet ranks became array passes:
+    an n x (k+1) table of every C(x, i) as Python ints, and each row's
+    facet ranks from a running head and tail in a Python loop.  The cap
+    and listing checks are left out."""
+    from permlab.incidence import ExactMatrix
+
+    rows = colex_subsets(n, k)
+    cols = colex_subsets(n, k - 1)
+    comb = [[math.comb(x, i) for i in range(k + 1)] for x in range(n)]
+    ones = []
+    for s in rows:
+        kept = [comb[x][i + 1] for i, x in enumerate(s)]
+        head = sum(kept) - kept[-1]  # dropping the last point: the smallest rank
+        tail = 0
+        facets = [head]
+        for d in range(k - 1, 0, -1):
+            head -= kept[d - 1]
+            tail += comb[s[d]][d]
+            facets.append(head + tail)
+        ones.append(tuple(facets))
+    return ExactMatrix(rows, cols, ones=tuple(ones))
+
+
+def gathered_block_product(ones, m: int, n_cols: int):
+    """incidence._block_product before it was one bincount: B as a dense
+    m x (n_cols - m) 0/1 array, and A * B summed from B's rows one stored
+    column of A at a time, A's rows bottom-up."""
+    import numpy
+
+    n_rows = len(ones)
+    b = numpy.zeros((m, n_cols - m), dtype=numpy.int64)
+    b[numpy.arange(m)[:, None], ones[n_rows - m :, 1:] - m] = 1
+    a = numpy.zeros((n_rows - m, n_cols - m), dtype=numpy.int64)
+    for facet in ones[: n_rows - m][::-1].T:
+        a += b[facet]
+    return a
+
+
+def inline_table_subset_orbit_count(group, k: int) -> int:
+    """incidence._subset_orbit_count before it read the shared colex table:
+    C(x, i + 1) computed for every point x and place i, 0 where x cannot
+    sit at place i, and the labels lowered in the same sweeps.  The cap
+    check is left out."""
+    import numpy
+
+    n = group.degree
+    size = math.comb(n, k)
+    subsets = numpy.array(colex_subsets(n, k), dtype=numpy.intp).reshape(size, k)
+    comb = numpy.array(
+        [[math.comb(x, i + 1) if x <= n - k + i else 0 for i in range(k)] for x in range(n)],
+        dtype=numpy.int64,
+    ).reshape(n, k)
+    places = numpy.arange(k)
+    images = []
+    for g in group.generators:
+        moved = numpy.array(g.images, dtype=numpy.intp)[subsets]
+        moved.sort(axis=1)
+        images.append(comb[moved, places].sum(axis=1))
+    labels = numpy.arange(size)
+    while True:
+        lowered = labels
+        for image in images:
+            lowered = numpy.minimum(lowered, lowered[image])
+        lowered = lowered[lowered]
+        if numpy.array_equal(lowered, labels):
+            return int(numpy.count_nonzero(labels == numpy.arange(size)))
+        labels = lowered
+
+
 def dense_commutes_with_lift(entries, s: Permutation, g: Permutation, degree: int) -> bool:
     """The battery's equivariance loop before it read the stored columns:
     every cell (i, j) of the dense inclusion matrix from points to

@@ -54,6 +54,13 @@ def _matrix(m: int, b_cols: int, ones) -> ExactMatrix:
     )
 
 
+def _assert_block_product(matrix: ExactMatrix, m: int) -> None:
+    ones = incidence.numpy.array(matrix.ones, dtype=incidence.numpy.intp)
+    product = incidence._block_product(ones, m, len(matrix.cols))
+    want = oracles.gathered_block_product(ones, m, len(matrix.cols))
+    assert product.dtype == want.dtype and incidence.numpy.array_equal(product, want)
+
+
 def _assert_oracle_ranks(matrix: ExactMatrix) -> None:
     for p in PRIMES:
         assert rank_mod_p(matrix, p) == oracles.bottom_up_rank_mod_p(matrix, p), p
@@ -64,6 +71,7 @@ def test_block_form_ranks_equal_the_bottom_up_kernel(form):
     m, b_cols, ones = form
     matrix = _matrix(m, b_cols, ones)
     assert _unit_block(matrix) == m
+    _assert_block_product(matrix, m)
     _assert_oracle_ranks(matrix)
 
 
@@ -82,6 +90,7 @@ def test_edge_block_forms_equal_the_bottom_up_kernel(form):
     m, b_cols, ones = form
     matrix = _matrix(m, b_cols, ones)
     assert _unit_block(matrix) == m
+    _assert_block_product(matrix, m)
     _assert_oracle_ranks(matrix)
 
 
