@@ -699,11 +699,12 @@ def _subsets_colex(degree: int, k: int) -> tuple[tuple[int, ...], ...]:
     Colex order is lex order on each subset read from its largest point
     down.  The combinations of the reversed domain list exactly those
     readings, in the opposite order, so the list and each combination are
-    reversed.
+    reversed.  Each combination is reversed as it is produced, so the
+    listing never holds both orientations of the level.
     """
-    subsets = list(itertools.combinations(range(degree - 1, -1, -1), k))
+    subsets = [s[::-1] for s in itertools.combinations(range(degree - 1, -1, -1), k)]
     subsets.reverse()
-    return tuple(s[::-1] for s in subsets)
+    return tuple(subsets)
 
 
 def _tuple_image(item: tuple[int, ...], g: Permutation) -> tuple[int, ...]:

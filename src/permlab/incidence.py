@@ -612,14 +612,23 @@ def _cycle_types(table: numpy.ndarray) -> dict[tuple[int, ...], int]:
 def _fixed_subset_totals(group: GenGroup, kmax: int) -> list[int]:
     """Fixed k-subsets summed over the whole group, for k = 0..kmax.
 
-    |G| from the stabilizer chain is checked against the cap first, and
-    CapExceeded is raised before any array is allocated.  The elements
-    then come from the chain's element table, one row of the smallest
-    unsigned dtype holding degree - 1 each (uint8 for degree <= 256);
-    they are counted per cycle type, and the count of fixed subsets is
-    worked out once per type.
+    |G| from the stabilizer chain is checked against the cap first, then
+    the |G| x n element table and the |G|·n·(n-1) power steps of
+    _cycle_types against the cell budget, and CapExceeded is raised before
+    any array is allocated.  The elements then come from the chain's
+    element table, one row of the smallest unsigned dtype holding
+    degree - 1 each (uint8 for degree <= 256); they are counted per cycle
+    type, and the count of fixed subsets is worked out once per type.
     """
-    _capped_order(group)
+    size = _capped_order(group)
+    n = group.degree
+    _check_cells(size, n)
+    steps = size * n * (n - 1)
+    check_cap(
+        -(-steps // CELLS_PER_CAP),
+        f"{steps} power steps over a {size}x{n} element table"
+        f" at {CELLS_PER_CAP} per unit of cap",
+    )
     totals = [0] * (kmax + 1)
     for lengths, count in _cycle_types(_element_table(group)).items():
         for j, ways in enumerate(_fixed_subset_counts(lengths, kmax)):

@@ -9,6 +9,7 @@ against them.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -1583,3 +1584,19 @@ def first_value_cantor_forth(source, target):
         images.insert(r, q)
         used.add(q)
     return ForthResult(tuple(mapping), tuple(steps), exhausted)
+
+
+def json_envelope(payload) -> str:
+    """cli._envelope before it wrote its text in one pass: the payload
+    under the report envelope, through json.dumps."""
+    from permlab import __version__
+    from permlab.cli import SCHEMA
+    from permlab.config import element_cap
+
+    doc = {
+        "schema": SCHEMA,
+        "tool": {"name": "permlab", "version": __version__},
+        "cap": element_cap(),
+        "report": payload,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)

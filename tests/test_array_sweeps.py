@@ -89,6 +89,36 @@ def test_cap_below_the_order_raises_before_any_table(name, group, monkeypatch):
     assert str(found.value) == str(expected.value)
 
 
+def _no_table(group):
+    raise AssertionError("element table built past the cell budget")
+
+
+def test_a_table_past_the_cell_budget_is_refused_before_it_is_built(monkeypatch):
+    # cap 100 admits |G| = 90, but not the 90 x 90 table: 8100 > 6400 cells
+    group = cyclic_group(90)
+    monkeypatch.setenv("PERMLAB_CAP", "100")
+    monkeypatch.setattr(incidence, "_element_table", _no_table)
+    with pytest.raises(CapExceeded, match=r"^8100 cells in a dense 90x90 matrix .* past cap 100;"):
+        _fixed_subset_totals(group, 1)
+
+
+@pytest.mark.parametrize("n", [235, 400, 800])
+def test_power_steps_past_the_cell_budget_are_refused_before_any_table(n, monkeypatch):
+    # the table fits the default budget; its n·n·(n - 1) power steps do not
+    group = cyclic_group(n)
+    steps = n * n * (n - 1)
+    assert n * n <= DEFAULT_CAP * incidence.CELLS_PER_CAP < steps
+    monkeypatch.setattr(incidence, "_element_table", _no_table)
+    with pytest.raises(CapExceeded, match=rf"^{steps} power steps over a {n}x{n} element table"):
+        _fixed_subset_totals(group, 1)
+
+
+def test_power_steps_within_the_budget_still_count():
+    group = cyclic_group(234)
+    assert 234 * 234 * 233 <= DEFAULT_CAP * incidence.CELLS_PER_CAP
+    assert incidence.orbit_count_inequality(group, 1) == (1, 1)
+
+
 def test_burnside_sum_builds_no_wide_int64_array():
     group = dict(CORPUS)["symmetric_8"]
     rows = order(group)

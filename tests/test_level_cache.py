@@ -11,6 +11,7 @@ any order.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy
 import pytest
@@ -18,11 +19,31 @@ import pytest
 from permlab import incidence
 from permlab.cli import main
 from permlab.errors import CapExceeded
-from permlab.groups import clear_caches, cyclic_group
+from permlab.groups import _subsets_colex, clear_caches, cyclic_group
 
 import oracles
 
 LEVELS = [(n, k) for n in range(13) for k in range(n + 1)]
+
+
+def test_the_colex_listing_equals_its_oracle_for_every_n_up_to_12():
+    for n, k in LEVELS:
+        assert _subsets_colex(n, k) == oracles.colex_subsets(n, k), (n, k)
+
+
+def test_listing_a_level_peaks_near_what_it_keeps():
+    # 700 subsets of 699 points: about 4 MB kept, in one orientation only
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        level = _subsets_colex(700, 699)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(level) == 700
+    assert kept - base > 3_000_000
+    assert peak - base <= 1.3 * (kept - base)
 
 
 def test_each_level_equals_the_colex_oracle_and_the_uncached_members():
